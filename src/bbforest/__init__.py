@@ -10,7 +10,7 @@ from .core import (BalancedBipartiteGraph, VertexSubset, emit_bbg, from_rows,
                    parse_bbg)
 from .errors import (BBForestError, BudgetExceededError,
                      InstanceTooLargeError, MalformedInputError,
-                     ParameterError)
+                     ParameterError, PostconditionError)
 from .generators import (FAMILIES, GeneratorSpec, build, complete_balanced,
                          prop1_construction, random_min_degree, random_th7,
                          thh1_l1, thh1_l2, thm3_lambda2, thm3_lambda_half)
@@ -36,6 +36,7 @@ __all__ = [
     "InstanceTooLargeError",
     "MalformedInputError",
     "ParameterError",
+    "PostconditionError",
     "SOLVER_PART_CAP",
     "SolveResult",
     "StructureProfile",

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .core import emit_bbg, parse_bbg
-from .errors import BBForestError
+from .errors import BBForestError, MalformedInputError
 from .generators import FAMILIES, GeneratorSpec, build
 from .solver import (ENUMERATION_BUDGET, SOLVER_PART_CAP, max_forest,
                      max_forest_bruteforce)
@@ -51,7 +51,14 @@ def _read_graph(path: str):
     if path == "-":
         return parse_bbg(sys.stdin.read())
     with open(path, "r", encoding="ascii") as fh:
-        return parse_bbg(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            # read() decodes the whole file at once, so exc.object is all of it
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise MalformedInputError(
+                f"non-ASCII byte 0x{exc.object[exc.start]:02x}", line=line) from None
+    return parse_bbg(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:

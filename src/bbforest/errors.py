@@ -29,3 +29,8 @@ class InstanceTooLargeError(BBForestError):
 
 class BudgetExceededError(BBForestError):
     """The combinatorial work estimate exceeds the configured budget."""
+
+
+class PostconditionError(BBForestError):
+    """A result failed a correctness check the package makes on its own
+    output; this signals a bug, not bad input."""

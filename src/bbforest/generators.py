@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import (BalancedBipartiteGraph, VertexSubset, from_rows,
                    is_induced_forest, min_degree)
-from .errors import ParameterError
+from .errors import ParameterError, PostconditionError
 
 __all__ = [
     "FAMILIES",
@@ -40,6 +40,29 @@ FAMILIES = (
 )
 
 
+def _check(ok: bool, message: str) -> None:
+    # a construction that misses a property it promises is a bug, reported
+    # even under ``python -O``
+    if not ok:
+        raise PostconditionError(message)
+
+
+def _check_witness(g: BalancedBipartiteGraph, witness: VertexSubset,
+                   split: int, name: str) -> None:
+    half = g.n // 2
+    _check(min_degree(g) >= half + 1, f"{name}: minimum degree below n/2 + 1")
+    _check(witness.size == g.n + 1, f"{name}: witness size is not n + 1")
+    _check(witness.min_part_size() == split,
+           f"{name}: witness smaller part is not {split}")
+    _check(is_induced_forest(g, witness), f"{name}: witness is not a forest")
+
+
+def _check_x_degree(g: BalancedBipartiteGraph, k: int, name: str) -> None:
+    # x is the added V1 vertex, the last one
+    _check(min_degree(g) == k, f"{name}: minimum degree is not k")
+    _check(g.adj1[g.n - 1].bit_count() == k, f"{name}: x does not have degree k")
+
+
 def complete_balanced(n: int) -> BalancedBipartiteGraph:
     """The complete balanced bipartite graph on parts of size n."""
     if n < 1:
@@ -65,8 +88,10 @@ def prop1_construction(n: int) -> BalancedBipartiteGraph:
     rows[0] = full ^ ((1 << lo) - 1)   # keeps columns lo .. n-1
     rows[1] = (1 << hi) - 1            # keeps columns 0 .. hi-1
     g = from_rows(n, rows)
-    assert min_degree(g) == (n + 1) // 2
-    assert g.edge_count() == n * n - lo - (n - hi)
+    _check(min_degree(g) == (n + 1) // 2,
+           f"prop1_construction({n}): minimum degree is not ceil(n/2)")
+    _check(g.edge_count() == n * n - lo - (n - hi),
+           f"prop1_construction({n}): wrong edge count")
     return g
 
 
@@ -93,10 +118,7 @@ def thm3_lambda2(n: int) -> tuple[BalancedBipartiteGraph, VertexSubset]:
         rows[2 + j] |= h_bit
     g = from_rows(n, rows)
     witness = VertexSubset(0b11, b_full)
-    assert min_degree(g) >= half + 1
-    assert witness.size == n + 1
-    assert witness.min_part_size() == 2
-    assert is_induced_forest(g, witness)
+    _check_witness(g, witness, 2, f"thm3_lambda2({n})")
     return g, witness
 
 
@@ -122,10 +144,7 @@ def thm3_lambda_half(n: int) -> tuple[BalancedBipartiteGraph, VertexSubset]:
         rows[half + j] |= 1 << (half + 1 + j)
     g = from_rows(n, rows)
     witness = VertexSubset((1 << half) - 1, b_full)
-    assert min_degree(g) >= half + 1
-    assert witness.size == n + 1
-    assert witness.min_part_size() == half
-    assert is_induced_forest(g, witness)
+    _check_witness(g, witness, half, f"thm3_lambda_half({n})")
     return g, witness
 
 
@@ -148,8 +167,7 @@ def thh1_l1(n: int, k: int) -> BalancedBipartiteGraph:
     rows = [base_full | y_bit] * n
     rows.append(((1 << (k - 1)) - 1) | y_bit)   # x
     g = from_rows(n + 1, rows)
-    assert min_degree(g) == k
-    assert g.adj1[n].bit_count() == k
+    _check_x_degree(g, k, f"thh1_l1({n}, {k})")
     return g
 
 
@@ -175,8 +193,7 @@ def thh1_l2(n: int, k: int) -> BalancedBipartiteGraph:
     x_row = (((1 << (half + k)) - 1) ^ ((1 << (half + 1)) - 1)) | y_bit
     rows.append(x_row)
     g = from_rows(n + 1, rows)
-    assert min_degree(g) == k
-    assert g.adj1[n].bit_count() == k
+    _check_x_degree(g, k, f"thh1_l2({n}, {k})")
     return g
 
 
@@ -228,7 +245,8 @@ def random_min_degree(n: int, delta_min: int, seed: int) -> BalancedBipartiteGra
         raise ParameterError(f"need 0 <= delta_min <= {n}, got {delta_min}")
     rng = random.Random(seed)
     g = from_rows(n, _random_rows_min_degree(n, delta_min, rng))
-    assert min_degree(g) >= delta_min
+    _check(min_degree(g) >= delta_min,
+           f"random_min_degree({n}, {delta_min}, {seed}): a degree below delta_min")
     return g
 
 
@@ -255,9 +273,11 @@ def random_th7(n: int, seed: int) -> BalancedBipartiteGraph:
         candidates = _shuffled([i for i in range(n) if not rows[i] >> j & 1], rng)
         rows[candidates[0]] |= 1 << j
     g = from_rows(n, rows)
-    assert min_degree(g) >= floor
-    assert sum(1 for row in g.adj1 if row.bit_count() == floor) <= 1
-    assert sum(1 for row in g.adj2 if row.bit_count() == floor) <= 1
+    _check(min_degree(g) >= floor,
+           f"random_th7({n}, {seed}): a degree below (n + 1)/2")
+    _check(sum(1 for row in g.adj1 if row.bit_count() == floor) <= 1
+           and sum(1 for row in g.adj2 if row.bit_count() == floor) <= 1,
+           f"random_th7({n}, {seed}): two floor-degree vertices in one part")
     return g
 
 

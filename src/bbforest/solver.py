@@ -5,6 +5,9 @@ Two independent routes compute the forest number: a subset-scan oracle
 search (``max_forest``) for anything up to the single-word part cap. Both
 return the lexicographically smallest optimal witness under the global
 vertex order (V1 ids first), so their results are directly comparable.
+``enumerate_max_forests`` lists every maximum forest in that same order by
+a pruned include-first backtrack; its C(2n, f) budget is an upfront bound
+on the work, not the number of subsets it visits.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from itertools import combinations
 from typing import Iterator
 
 from .core import BalancedBipartiteGraph, VertexSubset, _forest_masks
-from .errors import BudgetExceededError, InstanceTooLargeError
+from .errors import (BudgetExceededError, InstanceTooLargeError, ParameterError,
+                     PostconditionError)
 
 __all__ = [
     "BRUTE_FORCE_VERTEX_CAP",
@@ -474,7 +478,9 @@ def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
                 inc2 |= bit
                 chosen += 1
                 cache1, cache2 = found
-    assert chosen == f
+    if chosen != f:
+        raise PostconditionError(
+            f"witness pinning chose {chosen} vertices, expected {f}")
     return SolveResult(f, VertexSubset(inc1, inc2), 2 * n - f,
                        search.nodes, time.perf_counter() - t0)
 
@@ -486,35 +492,68 @@ def enumerate_max_forests(g: BalancedBipartiteGraph, cap: int = 0, *,
 
     Witnesses are emitted strictly increasing under the global vertex order
     and free of duplicates. ``cap`` > 0 stops after that many witnesses;
-    cap = 0 means unbounded. Refuses upfront (before yielding anything)
-    when the candidate count C(2n, f) exceeds ``budget``.
+    cap = 0 means unbounded. A given ``forest_number`` must lie in
+    [n + 1, 2n], the range every graph's forest number falls in. Refuses
+    upfront (before yielding anything) when the candidate count C(2n, f)
+    exceeds ``budget``; that count bounds the work, but the search itself
+    visits far fewer subsets.
+
+    The search is a depth-first, include-first backtrack over global ids
+    in increasing order, so witnesses come out in lexicographic order. It
+    keeps each component of the included forest as the union of its
+    vertices' neighbourhoods. A candidate dies once two of its neighbours
+    lie in one component; components only merge, so it stays dead, and
+    including a live candidate never closes a cycle. A branch is cut when
+    the live candidates left cannot fill the forest up to f.
     """
+    n = g.n
+    nv = 2 * n
     if forest_number is None:
         forest_number = max_forest(g).forest_number
-    nv = 2 * g.n
+    elif not n + 1 <= forest_number <= nv:
+        raise ParameterError(
+            f"forest number {forest_number} outside [{n + 1}, {nv}] "
+            f"for part size {n}")
     total = math.comb(nv, forest_number)
     if total > budget:
         raise BudgetExceededError(
             f"C({nv}, {forest_number}) = {total} candidate subsets exceed "
             f"the enumeration budget of {budget}")
+    f = forest_number
+    # one 2n-bit vertex space, V1 ids first
+    adj = tuple(row << n for row in g.adj1) + g.adj2
+    full1 = (1 << n) - 1
 
     def _iter() -> Iterator[VertexSubset]:
-        n = g.n
-        adj1 = g.adj1
         emitted = 0
-        for combo in combinations(range(nv), forest_number):
-            s1 = 0
-            s2 = 0
-            for v in combo:
-                if v < n:
-                    s1 |= 1 << v
-                else:
-                    s2 |= 1 << (v - n)
-            if _forest_masks(adj1, n, s1, s2):
-                yield VertexSubset(s1, s2)
+        # (included mask, its size, component neighbourhoods, live candidates)
+        stack: list[tuple[int, int, tuple[int, ...], int]] = [
+            (0, 0, (), (1 << nv) - 1)]
+        while stack:
+            s, k, comps, live = stack.pop()
+            if k == f:
+                yield VertexSubset(s & full1, s >> n)
                 emitted += 1
                 if cap and emitted >= cap:
                     return
+                continue
+            if k + live.bit_count() < f:
+                continue
+            b = live & -live
+            stack.append((s, k, comps, live ^ b))
+            # merge b with every component it touches; a candidate seen by
+            # two of the merged parts now has two neighbours in one component
+            merged = adj[b.bit_length() - 1]
+            dead = 0
+            rest = []
+            for c in comps:
+                if c & b:
+                    dead |= merged & c
+                    merged |= c
+                else:
+                    rest.append(c)
+            rest.append(merged)
+            stack.append((s | b, k + 1, tuple(rest), (live ^ b) & ~dead))
 
     return _iter()
 

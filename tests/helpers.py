@@ -8,6 +8,7 @@ count) so the two implementations can cross-validate each other.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from bbforest import BalancedBipartiteGraph, VertexSubset, from_rows
 
@@ -56,6 +57,25 @@ def max_forest_oracle(g: BalancedBipartiteGraph) -> int:
             if forest_oracle(g, s):
                 return size
     return 0
+
+
+def enumerate_forests_oracle(g: BalancedBipartiteGraph,
+                             size: int) -> list[VertexSubset]:
+    """Every induced forest with ``size`` vertices, by scanning all
+    C(2n, size) subsets in lexicographic order of their global ids.
+
+    A subset with at least as many edges as vertices cannot be a forest, so
+    only the others reach ``forest_oracle``.
+    """
+    n = g.n
+    out = []
+    for combo in combinations(range(2 * n), size):
+        v1 = [v for v in combo if v < n]
+        s = VertexSubset.from_indices(v1, [v - n for v in combo if v >= n])
+        edges = sum((g.adj1[i] & s.s2).bit_count() for i in v1)
+        if edges < size and forest_oracle(g, s):
+            out.append(s)
+    return out
 
 
 def random_bipartite(n: int, p: float, seed: int) -> BalancedBipartiteGraph:

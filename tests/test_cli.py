@@ -61,6 +61,15 @@ def test_solve_malformed_input_names_line(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ("solve", "profile"))
+def test_non_ascii_file_names_line(tmp_path, capsys, command):
+    path = tmp_path / "g.bbg"
+    path.write_bytes(b"BBG 1\n2\n1\xc3\xa9\n11\n")
+    assert run([command, "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 3: non-ASCII byte 0xc3\n"
+
+
 def test_solve_missing_file(capsys):
     assert run(["solve", "--in", "/no/such/file.bbg"]) == 2
     assert "no such file" in capsys.readouterr().err

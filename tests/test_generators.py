@@ -1,6 +1,12 @@
+import ast
+from pathlib import Path
+
 import pytest
 
-from bbforest import (FAMILIES, GeneratorSpec, ParameterError, build,
+import bbforest
+import bbforest.generators as generators
+from bbforest import (FAMILIES, GeneratorSpec, ParameterError,
+                      PostconditionError, build,
                       complete_balanced, emit_bbg, from_rows,
                       is_induced_forest, min_degree, prop1_construction,
                       random_min_degree, random_th7, thh1_l1, thh1_l2,
@@ -143,3 +149,19 @@ def test_build_matches_direct_calls():
     assert build(GeneratorSpec(family="thh1_l2", n=8, k=3)) == thh1_l2(8, 3)
     assert (build(GeneratorSpec(family="random_min_degree", n=8, delta_min=5, seed=2))
             == random_min_degree(8, 5, 2))
+
+
+def test_postcondition_failure_raises(monkeypatch):
+    monkeypatch.setattr(generators, "is_induced_forest", lambda g, s: False)
+    with pytest.raises(PostconditionError, match="not a forest"):
+        thm3_lambda2(4)
+    monkeypatch.setattr(generators, "min_degree", lambda g: -1)
+    with pytest.raises(PostconditionError):
+        random_min_degree(4, 2, 0)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so a correctness check must raise instead
+    for path in Path(bbforest.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path

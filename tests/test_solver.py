@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bbforest.solver as solver
 from bbforest import (BudgetExceededError, InstanceTooLargeError,
-                      VertexSubset, complete_balanced, decycling_number,
+                      ParameterError, PostconditionError, VertexSubset,
+                      complete_balanced, decycling_number,
                       enumerate_max_forests, from_rows, is_induced_forest,
-                      max_forest, max_forest_bruteforce)
+                      max_forest, max_forest_bruteforce, random_min_degree)
 
-from .helpers import max_forest_oracle, random_bipartite
+from .helpers import (enumerate_forests_oracle, max_forest_oracle,
+                      random_bipartite)
 
 
 def test_k22():
@@ -174,6 +177,56 @@ def test_enumerate_budget_checked_before_iteration():
     # the refusal must fire at call time, not on first next()
     with pytest.raises(BudgetExceededError):
         enumerate_max_forests(g, budget=10)
+
+
+def _differential_graphs():
+    for n in range(2, 8):
+        for p in (0.2, 0.4, 0.6):
+            for seed in range(2):
+                yield random_bipartite(n, p, seed)
+    for n in range(3, 10):
+        for seed in range(2):
+            yield random_min_degree(n, (n + 3) // 2, seed)
+
+
+def test_enumerate_matches_subset_scan_oracle():
+    for g in _differential_graphs():
+        f = max_forest(g).forest_number
+        full = list(enumerate_max_forests(g))
+        assert full == enumerate_forests_oracle(g, f), g
+        for k in (1, 2, len(full) // 2 + 1):
+            assert list(enumerate_max_forests(g, cap=k)) == full[:k], (g, k)
+
+
+def test_enumerate_below_the_optimum_lists_smaller_forests():
+    g = random_bipartite(5, 0.4, 3)
+    f = max_forest(g).forest_number
+    assert f > g.n + 1
+    assert (list(enumerate_max_forests(g, forest_number=f - 1))
+            == enumerate_forests_oracle(g, f - 1))
+
+
+@pytest.mark.parametrize("f", (-1, 0, 3, 7, 100))
+def test_enumerate_rejects_forest_number_out_of_range(f):
+    # every graph on parts of size 3 has 4 <= f <= 6
+    with pytest.raises(ParameterError):
+        enumerate_max_forests(complete_balanced(3), forest_number=f)
+
+
+def test_pinning_postcondition_raises(monkeypatch):
+    # an optimum phase that overstates f leaves the pinning pass short of
+    # f vertices, which must raise rather than return a bad witness
+    solve = solver._Search.solve
+
+    def overstated(search, *args):
+        ok = solve(search, *args)
+        if args[-1] == 0:
+            search.best_size += 1
+        return ok
+
+    monkeypatch.setattr(solver._Search, "solve", overstated)
+    with pytest.raises(PostconditionError):
+        max_forest(random_bipartite(4, 0.5, 1))
 
 
 def test_enumerate_first_witness_is_solver_witness():
