@@ -2,27 +2,57 @@
 
 The counts are deterministic and do not depend on the host, so a change to
 them means the search itself changed: pruning, branching or pinning. Such
-a change must be intended, and the new counts recorded here with it. No
-wall time is bounded.
+a change must be intended, and the new counts recorded here with it. Each
+case also pins the witness and the number of feasibility queries the
+pinning pass makes. No wall time is bounded.
 """
 
 import pytest
 
 from bbforest import max_forest, random_min_degree
+from bbforest import solver
 
 from .helpers import random_bipartite
 
+
+def _all_but(n, *skip):
+    return tuple(i for i in range(n) if i not in skip)
+
+
 CASES = [
-    # (graph, forest number, nodes explored)
-    (lambda: random_min_degree(32, 17, 1), 33, 419),
-    (lambda: random_min_degree(48, 25, 2), 49, 1019),
-    (lambda: random_bipartite(12, 0.3, 7), 18, 509),
-    (lambda: random_bipartite(16, 0.25, 5), 24, 3597),
+    # (graph, forest number, nodes explored, witness (V1, V2), pinning calls)
+    (lambda: random_min_degree(32, 17, 1), 33, 419,
+     (tuple(range(32)), (0,)), 0),
+    (lambda: random_min_degree(48, 25, 2), 49, 1019,
+     (tuple(range(48)), (0,)), 0),
+    (lambda: random_bipartite(12, 0.3, 7), 18, 509,
+     ((1, 3, 4, 5, 7, 9), tuple(range(12))), 6),
+    (lambda: random_bipartite(16, 0.25, 5), 24, 3597,
+     (_all_but(16, 1), (0, 1, 5, 6, 7, 9, 10, 12, 15)), 10),
+    (lambda: random_min_degree(64, 33, 1), 65, 1015,
+     (tuple(range(64)), (0,)), 0),
+    (lambda: random_bipartite(18, 0.2, 7), 27, 4222,
+     (tuple(range(18)), (0, 5, 7, 9, 12, 13, 14, 15, 17)), 9),
+    (lambda: random_bipartite(18, 0.15, 7), 31, 1831,
+     (_all_but(18, 0, 7, 12, 16), _all_but(18, 16)), 6),
+    (lambda: random_bipartite(20, 0.3, 7), 24, 6569,
+     (tuple(range(20)), (7, 8, 13, 19)), 16),
 ]
 
 
-@pytest.mark.parametrize("make, f, nodes", CASES,
-                         ids=["rmd32", "rmd48", "gnp12", "gnp16"])
-def test_node_count_pinned(make, f, nodes):
+@pytest.mark.parametrize("make, f, nodes, witness, pin_calls", CASES,
+                         ids=["rmd32", "rmd48", "gnp12", "gnp16", "rmd64",
+                              "gnp18p20", "gnp18p15", "gnp20p30"])
+def test_node_count_pinned(make, f, nodes, witness, pin_calls, monkeypatch):
+    calls = []
+    feasible_with = solver._Search.feasible_with
+
+    def counted(self, *args):
+        calls.append(args)
+        return feasible_with(self, *args)
+
+    monkeypatch.setattr(solver._Search, "feasible_with", counted)
     res = max_forest(make())
     assert (res.forest_number, res.nodes_explored) == (f, nodes)
+    assert res.witness.indices() == witness
+    assert len(calls) == pin_calls
