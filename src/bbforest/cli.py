@@ -5,13 +5,14 @@ construction family), verify (run a claim sweep), profile (witness
 structure of one instance), bounds (inequality sweep).
 
 Exit codes: 0 success / claim holds, 1 a sweep found counterexamples,
-2 usage or input errors.
+2 usage or input errors, 3 an unexpected internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .core import emit_bbg, parse_bbg
@@ -47,18 +48,35 @@ def _canonical_theorem(text: str) -> str:
     return _ALIASES[key]
 
 
+def _read_ascii(fh) -> str:
+    """Read all of a text stream that must hold ASCII; the first non-ASCII
+    byte is reported with its line.
+
+    A strict decoder fails on it. A lenient one (stdin under UTF-8 mode)
+    passes it on as a surrogate escape or a decoded character, and encoding
+    that back with the stream's codec recovers the byte.
+    """
+    try:
+        text = fh.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole stream at once, so exc.object is all of it
+        data, pos = exc.object, exc.start
+    else:
+        if text.isascii():
+            return text
+        pos = next(i for i, ch in enumerate(text) if not ch.isascii())
+        # the text before pos is ASCII, so it encodes to pos bytes
+        data = text[:pos + 1].encode(getattr(fh, "encoding", None) or "utf-8",
+                                     "surrogateescape")
+    line = data.count(b"\n", 0, pos) + 1
+    raise MalformedInputError(f"non-ASCII byte 0x{data[pos]:02x}", line=line)
+
+
 def _read_graph(path: str):
     if path == "-":
-        return parse_bbg(sys.stdin.read())
+        return parse_bbg(_read_ascii(sys.stdin))
     with open(path, "r", encoding="ascii") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            # read() decodes the whole file at once, so exc.object is all of it
-            line = exc.object.count(b"\n", 0, exc.start) + 1
-            raise MalformedInputError(
-                f"non-ASCII byte 0x{exc.object[exc.start]:02x}", line=line) from None
-    return parse_bbg(text)
+        return parse_bbg(_read_ascii(fh))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,7 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="T1: scan every qualifying matrix instead of sampling")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for seeded sweeps")
+                   help="worker processes for seeded sweeps (at least 1; "
+                        "capped at the CPU count)")
     p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET,
                    help="witness enumeration budget for structure sweeps")
     p.add_argument("--format", choices=("text", "json"), default="json")
@@ -160,6 +179,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     tid = _canonical_theorem(args.theorem)
+    if args.jobs < 1:
+        raise BBForestError(f"--jobs must be at least 1, got {args.jobs}")
+    args.jobs = min(args.jobs, os.cpu_count() or 1)
     ns = args.n
     if tid == "T1":
         if args.exhaustive:
@@ -253,6 +275,10 @@ def run(argv: list[str]) -> int:
     except BBForestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a bug, not bad input: exit 1 stays reserved for counterexamples
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

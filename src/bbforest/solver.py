@@ -8,6 +8,16 @@ vertex order (V1 ids first), so their results are directly comparable.
 ``enumerate_max_forests`` lists every maximum forest in that same order by
 a pruned include-first backtrack; its C(2n, f) budget is an upfront bound
 on the work, not the number of subsets it visits.
+
+The search and the enumerator share one representation. Vertices live in
+a single 2n-bit space, V1 ids first, with one adjacency row per vertex
+(``_adjacency``). The included forest is a tuple of component masks, each
+the union of its vertices' neighbourhoods (``_merge``, which the
+enumerator inlines). Including a vertex merges the components it touches,
+and a vertex seen by two of the merged pieces has two neighbours in one
+component: it is dead, since joining would close a cycle. Components only
+merge, so a dead vertex stays dead, and no acyclicity test or union-find
+is needed.
 """
 
 from __future__ import annotations
@@ -87,342 +97,228 @@ def max_forest_bruteforce(g: BalancedBipartiteGraph,
                        time.perf_counter() - t0)
 
 
+def _adjacency(g: BalancedBipartiteGraph) -> tuple[int, ...]:
+    """Adjacency rows over the 2n-bit vertex space, V1 ids first."""
+    return tuple(row << g.n for row in g.adj1) + g.adj2
+
+
+def _merge(comps: tuple[int, ...], b: int,
+           row: int) -> tuple[tuple[int, ...], int]:
+    """Join vertex ``b`` (one bit), whose neighbourhood is ``row``, to the
+    components it touches. Each component is kept as the union of its
+    vertices' neighbourhoods. Returns the new components and the vertices
+    seen by two of the merged pieces: each has two neighbours in the joined
+    component, so it would close a cycle."""
+    dead = 0
+    rest = []
+    for c in comps:
+        if c & b:
+            dead |= row & c
+            row |= c
+        else:
+            rest.append(c)
+    rest.append(row)
+    return tuple(rest), dead
+
+
 class _Search:
     """Branch-and-bound over include/exclude vertex decisions.
 
-    An incremental union-find guards acyclicity of the included set; unions
-    are logged on a trail and undone on backtrack (no path compression, so
-    an undo is a single parent reset). Branch vertex: a candidate on a
-    4-cycle of the active graph when a bounded probe finds one, else the
-    candidate of maximum active degree; ties break on lowest global id and
-    the include branch is explored first. All of this is deterministic.
+    A node's state is its included mask ``s``, its candidate mask ``r``
+    (active = s | r) and the included forest's component masks (see the
+    module docstring). A candidate killed by a merge is excluded at once.
+    The state is passed down per frame, so backtracking undoes nothing.
+
+    Propagation works from a dirty mask: a dirty candidate with at most one
+    active neighbour joins. A candidate's active degree only drops when a
+    neighbour is excluded, so only neighbours of newly excluded vertices
+    turn dirty; the root marks every candidate dirty. Both rules (join at
+    active degree <= 1, exclude when dead) are monotone, so the fixpoint
+    does not depend on the order they fire in.
+
+    Branch vertex: a candidate on a 4-cycle of the active graph when a
+    bounded probe finds one, else the candidate of maximum active degree;
+    ties break on lowest global id and the include branch is explored
+    first. The probe visits pairs of active V1 vertices in id order under
+    a fixed pair budget; it tests all later partners of a vertex at once
+    with bit-parallel once/twice masks and charges the budget for each
+    partner it passes. When it proves the active graph free of 4-cycles,
+    the subtree skips it: active sets only shrink below a node. All of
+    this is deterministic.
     """
 
-    __slots__ = ("n", "adj1", "adj2", "parent", "size", "trail", "nodes",
-                 "best_size", "best", "stop_at", "stopped")
+    __slots__ = ("n", "adj", "nodes", "best_size", "best", "stop_at",
+                 "stopped")
 
     def __init__(self, g: BalancedBipartiteGraph):
         self.n = g.n
-        self.adj1 = g.adj1
-        self.adj2 = g.adj2
-        nv = 2 * g.n
-        self.parent = list(range(nv))
-        self.size = [1] * nv
-        self.trail: list[int] = []
+        self.adj = _adjacency(g)
         self.nodes = 0
         self.best_size = 0
-        self.best: tuple[int, int] | None = None
+        self.best: int | None = None
         self.stop_at = 0
         self.stopped = False
 
-    def _reset_union_find(self) -> None:
-        nv = 2 * self.n
-        parent = self.parent
-        size = self.size
-        for i in range(nv):
-            parent[i] = i
-            size[i] = 1
-        self.trail.clear()
-
-    def _find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def _union(self, a: int, b: int) -> bool:
-        ra = self._find(a)
-        rb = self._find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.trail.append(rb)
-        return True
-
-    def _rollback(self, mark: int) -> None:
-        parent = self.parent
-        size = self.size
-        trail = self.trail
-        while len(trail) > mark:
-            rb = trail.pop()
-            ra = parent[rb]
-            parent[rb] = rb
-            size[ra] -= size[rb]
-
-    def _roots_collide(self, mask: int, offset: int) -> bool:
-        # True when two set bits already live in one component
-        seen = set()
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            r = self._find(offset + b.bit_length() - 1)
-            if r in seen:
-                return True
-            seen.add(r)
-        return False
-
-    def _prepare_forced(self, in1: int, in2: int) -> bool:
-        """Union every edge induced by the forced-in set; False on a cycle."""
-        n = self.n
-        adj1 = self.adj1
-        m = in1
-        while m:
-            b = m & -m
-            m ^= b
-            i = b.bit_length() - 1
-            row = adj1[i] & in2
-            while row:
-                rb = row & -row
-                row ^= rb
-                if not self._union(i, n + rb.bit_length() - 1):
-                    return False
-        return True
-
-    def solve(self, in1: int, in2: int, r1: int, r2: int,
-              best_size: int, best: tuple[int, int] | None, stop_at: int) -> bool:
-        """Run the search from a forced state. False when the forced set is
-        already cyclic (only possible with nonempty forced includes)."""
-        self._reset_union_find()
+    def solve(self, inc: int, cand: int, best_size: int, best: int | None,
+              stop_at: int) -> bool:
+        """Run the search from a forced state: ``inc`` is included and only
+        ``cand`` may join. False when ``inc`` is already cyclic."""
         self.best_size = best_size
         self.best = best
         self.stop_at = stop_at
         self.stopped = False
-        if not self._prepare_forced(in1, in2):
-            return False
-        self._branch(in1, in2, r1, r2)
+        adj = self.adj
+        comps: tuple[int, ...] = ()
+        dead = 0
+        m = inc
+        while m:
+            b = m & -m
+            m ^= b
+            if b & dead:
+                return False
+            comps, d = _merge(comps, b, adj[b.bit_length() - 1])
+            dead |= d
+        cand &= ~dead
+        self._branch(inc, cand, comps, cand, True)
         return True
 
-    def _branch(self, in1: int, in2: int, r1: int, r2: int) -> None:
+    def _neighbours(self, mask: int) -> int:
+        """Union of the neighbourhoods of the vertices in ``mask``."""
+        adj = self.adj
+        out = 0
+        while mask:
+            b = mask & -mask
+            mask ^= b
+            out |= adj[b.bit_length() - 1]
+        return out
+
+    def _branch(self, s: int, r: int, comps: tuple[int, ...], dirty: int,
+                probe: bool) -> None:
         self.nodes += 1
-        mark = len(self.trail)
-        n = self.n
-        adj1 = self.adj1
-        adj2 = self.adj2
+        adj = self.adj
 
-        # Propagate forced moves to a fixpoint:
-        #  - a candidate with at most one active neighbour always joins
-        #    (adding it to any forest keeps a forest, so nothing is lost)
-        #  - a candidate whose included neighbours already share a component
-        #    can never join (it would close a cycle)
-        while True:
-            act1 = in1 | r1
-            act2 = in2 | r2
-            changed = False
-            m = r1
-            while m:
-                b = m & -m
-                m ^= b
-                i = b.bit_length() - 1
-                if (adj1[i] & act2).bit_count() <= 1:
-                    r1 ^= b
-                    in1 |= b
-                    nb = adj1[i] & in2
-                    if nb:
-                        self._union(i, n + nb.bit_length() - 1)
-                    changed = True
-                else:
-                    nb = adj1[i] & in2
-                    if nb.bit_count() >= 2 and self._roots_collide(nb, n):
-                        r1 ^= b
-                        changed = True
-            m = r2
-            while m:
-                b = m & -m
-                m ^= b
-                j = b.bit_length() - 1
-                if (adj2[j] & act1).bit_count() <= 1:
-                    r2 ^= b
-                    in2 |= b
-                    nb = adj2[j] & in1
-                    if nb:
-                        self._union(nb.bit_length() - 1, n + j)
-                    changed = True
-                else:
-                    nb = adj2[j] & in1
-                    if nb.bit_count() >= 2 and self._roots_collide(nb, 0):
-                        r2 ^= b
-                        changed = True
-            if not changed:
-                break
+        # Propagate forced moves to a fixpoint: a dirty candidate with at
+        # most one active neighbour always joins (adding it to any forest
+        # keeps a forest, so nothing is lost); candidates its joining kills
+        # leave, and their neighbours turn dirty.
+        dirty &= r
+        while dirty:
+            b = dirty & -dirty
+            dirty ^= b
+            row = adj[b.bit_length() - 1]
+            if (row & (s | r)).bit_count() > 1:
+                continue
+            s |= b
+            r ^= b
+            comps, dead = _merge(comps, b, row)
+            dead &= r
+            if dead:
+                r ^= dead
+                dirty = (dirty | self._neighbours(dead)) & r
 
-        size_in = in1.bit_count() + in2.bit_count()
-        size_r = r1.bit_count() + r2.bit_count()
-        total = size_in + size_r
+        act = s | r
+        total = act.bit_count()
         if total <= self.best_size:
-            self._rollback(mark)
             return
 
-        if size_r == 0:
+        if not r:
             # acyclic by construction and strictly above the incumbent
-            self.best_size = size_in
-            self.best = (in1, in2)
-            if self.stop_at and size_in >= self.stop_at:
+            self.best_size = total
+            self.best = s
+            if self.stop_at and total >= self.stop_at:
                 self.stopped = True
-            self._rollback(mark)
             return
 
-        act1 = in1 | r1
-        act2 = in2 | r2
-        # Forest edge cut: a size-s subset keeps at least
-        # m_active - (sum of the total-s largest active degrees) edges,
-        # while a forest on s vertices carries at most s - 1. Prune when no
-        # s above the incumbent passes.
+        # Forest edge cut: a size-t subset keeps at least m_active minus the
+        # k = total - t largest active degrees, while a forest on t vertices
+        # carries at most t - 1 edges. Prune when no t above the incumbent
+        # passes. Sorted descending, prefix(k) - k grows while degrees stay
+        # positive and falls after, so only k = min(total - best - 1,
+        # number of positive degrees) needs testing.
         degs = []
-        m_act = 0
-        m = act1
+        m = act
         while m:
             b = m & -m
             m ^= b
-            d = (adj1[b.bit_length() - 1] & act2).bit_count()
-            degs.append(d)
-            m_act += d
-        m = act2
-        while m:
-            b = m & -m
-            m ^= b
-            degs.append((adj2[b.bit_length() - 1] & act1).bit_count())
+            degs.append((adj[b.bit_length() - 1] & act).bit_count())
+        m_act = sum(degs) >> 1
         degs.sort(reverse=True)
-        prefix = [0]
-        acc = 0
-        for d in degs:
-            acc += d
-            prefix.append(acc)
-        feasible = 0
-        for s in range(total, self.best_size, -1):
-            if m_act - prefix[total - s] <= s - 1:
-                feasible = s
-                break
-        if feasible <= self.best_size:
-            self._rollback(mark)
+        k = min(total - self.best_size - 1, total - degs.count(0))
+        if m_act - sum(degs[:k]) > total - k - 1:
             return
 
-        gid = self._pick_branch(r1, r2, act1, act2)
-        if gid < n:
-            bit = 1 << gid
-            mark2 = len(self.trail)
-            ok = True
-            nb = adj1[gid] & in2
-            while nb:
-                rb = nb & -nb
-                nb ^= rb
-                if not self._union(gid, n + rb.bit_length() - 1):
-                    ok = False
-                    break
-            if ok:
-                self._branch(in1 | bit, in2, r1 ^ bit, r2)
-            self._rollback(mark2)
-            if self.stopped:
-                self._rollback(mark)
-                return
-            self._branch(in1, in2, r1 ^ bit, r2)
-        else:
-            j = gid - n
-            bit = 1 << j
-            mark2 = len(self.trail)
-            ok = True
-            nb = adj2[j] & in1
-            while nb:
-                rb = nb & -nb
-                nb ^= rb
-                if not self._union(rb.bit_length() - 1, gid):
-                    ok = False
-                    break
-            if ok:
-                self._branch(in1, in2 | bit, r1, r2 ^ bit)
-            self._rollback(mark2)
-            if self.stopped:
-                self._rollback(mark)
-                return
-            self._branch(in1, in2, r1, r2 ^ bit)
-        self._rollback(mark)
+        # branch on a 4-cycle candidate if the probe finds one, else on any
+        # candidate; maximum active degree, lowest id first
+        cyc = self._find_c4(act) if probe else -1
+        pool = cyc & r if cyc > 0 else r
+        best_deg = -1
+        while pool:
+            b = pool & -pool
+            pool ^= b
+            u = b.bit_length() - 1
+            d = (adj[u] & act).bit_count()
+            if d > best_deg:
+                best_deg = d
+                v = u
+        # include first: candidates the merge kills leave, and their
+        # neighbours turn dirty; excluding v turns its neighbours dirty
+        b = 1 << v
+        row = adj[v]
+        merged, dead = _merge(comps, b, row)
+        dead &= r ^ b
+        probe = cyc >= 0  # -1: no 4-cycle here, so none in the subtree
+        self._branch(s | b, r ^ b ^ dead, merged, self._neighbours(dead),
+                     probe)
+        if self.stopped:
+            return
+        self._branch(s, r ^ b, comps, row, probe)
 
-    def _find_c4(self, act1: int, act2: int) -> tuple[int, int, int, int] | None:
+    def _find_c4(self, act: int) -> int:
         """Bounded probe for a 4-cycle among active vertices.
 
-        Scans V1 pairs in ascending id order and stops at the pair budget;
-        returns the four global ids of the first 4-cycle found, else None.
+        Pairs a < c of active V1 vertices count against the pair budget in
+        ascending order; a vertex with fewer than two active neighbours
+        pairs with nothing. Returns the mask of the first 4-cycle found
+        within the budget (a, c and their two lowest common neighbours),
+        0 when the budget runs out first, and -1 when the active graph has
+        no 4-cycle at all.
         """
-        adj1 = self.adj1
-        n = self.n
-        ids = []
-        m = act1
-        while m:
-            b = m & -m
-            m ^= b
-            ids.append(b.bit_length() - 1)
+        adj = self.adj
         budget = _C4_PAIR_BUDGET
-        for a in range(len(ids) - 1):
-            ra = adj1[ids[a]] & act2
+        m = act & ((1 << self.n) - 1)
+        while m:
+            a = m & -m
+            m ^= a  # m: the later active V1 vertices
+            ra = adj[a.bit_length() - 1] & act
             if ra.bit_count() < 2:
                 continue
-            for c in range(a + 1, len(ids)):
-                budget -= 1
-                common = ra & adj1[ids[c]]
-                if common.bit_count() >= 2:
-                    b1 = common & -common
-                    j1 = b1.bit_length() - 1
-                    common ^= b1
-                    j2 = (common & -common).bit_length() - 1
-                    return ids[a], ids[c], n + j1, n + j2
-                if budget <= 0:
-                    return None
-        return None
+            once = twice = 0
+            x = ra
+            while x:
+                j = x & -x
+                x ^= j
+                nb = adj[j.bit_length() - 1] & m
+                twice |= once & nb
+                once |= nb
+            if twice:
+                c = twice & -twice
+                # c is the (popcount below c + 1)-th pair probed for a
+                if (m & (c - 1)).bit_count() >= budget:
+                    return 0
+                common = ra & adj[c.bit_length() - 1]
+                j = common & -common
+                common ^= j
+                return a | c | j | (common & -common)
+            budget -= m.bit_count()
+            if budget <= 0:
+                return 0
+        return -1
 
-    def _pick_branch(self, r1: int, r2: int, act1: int, act2: int) -> int:
-        n = self.n
-        adj1 = self.adj1
-        adj2 = self.adj2
-        cyc = self._find_c4(act1, act2)
-        if cyc is not None:
-            best_gid = -1
-            best_deg = -1
-            for gid in cyc:
-                if gid < n:
-                    if not r1 >> gid & 1:
-                        continue
-                    d = (adj1[gid] & act2).bit_count()
-                else:
-                    if not r2 >> (gid - n) & 1:
-                        continue
-                    d = (adj2[gid - n] & act1).bit_count()
-                if d > best_deg:
-                    best_deg = d
-                    best_gid = gid
-            if best_gid >= 0:
-                return best_gid
-        best_gid = -1
-        best_deg = -1
-        m = r1
-        while m:
-            b = m & -m
-            m ^= b
-            i = b.bit_length() - 1
-            d = (adj1[i] & act2).bit_count()
-            if d > best_deg:
-                best_deg = d
-                best_gid = i
-        m = r2
-        while m:
-            b = m & -m
-            m ^= b
-            j = b.bit_length() - 1
-            d = (adj2[j] & act1).bit_count()
-            if d > best_deg:
-                best_deg = d
-                best_gid = n + j
-        return best_gid
-
-    def feasible_with(self, in1: int, in2: int, out1: int, out2: int,
-                      target: int) -> tuple[int, int] | None:
+    def feasible_with(self, inc: int, out: int, target: int) -> int | None:
         """Search for any induced forest of size ``target`` that contains the
-        forced-in set and avoids the forced-out set; returns its masks."""
-        full = (1 << self.n) - 1
-        r1 = full & ~in1 & ~out1
-        r2 = full & ~in2 & ~out2
-        if not self.solve(in1, in2, r1, r2, target - 1, None, target):
+        forced-in set and avoids the forced-out set; returns its mask."""
+        cand = ((1 << 2 * self.n) - 1) & ~inc & ~out
+        if not self.solve(inc, cand, target - 1, None, target):
             return None
         return self.best if self.best_size >= target else None
 
@@ -439,49 +335,32 @@ def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
         raise InstanceTooLargeError(
             f"part size {n} exceeds the solver cap of {SOLVER_PART_CAP}")
     t0 = time.perf_counter()
-    full = (1 << n) - 1
+    full1 = (1 << n) - 1
     search = _Search(g)
     # a full part plus any single opposite vertex always induces a forest,
     # so the incumbent starts at n + 1
-    search.solve(0, 0, full, full, n + 1, (full, 1), 0)
+    search.solve(0, (1 << 2 * n) - 1, n + 1, full1 | 1 << n, 0)
     f = search.best_size
-    cache1, cache2 = search.best  # type: ignore[misc]
+    cache: int = search.best  # type: ignore[assignment]
 
-    inc1 = inc2 = out1 = out2 = 0
+    inc = out = 0
     chosen = 0
-    for gid in range(2 * n):
+    for v in range(2 * n):
         if chosen == f:
             break
-        if gid < n:
-            bit = 1 << gid
-            if cache1 & bit:
-                inc1 |= bit
-                chosen += 1
-                continue
-            found = search.feasible_with(inc1 | bit, inc2, out1, out2, f)
+        b = 1 << v
+        if not cache & b:
+            found = search.feasible_with(inc | b, out, f)
             if found is None:
-                out1 |= bit
-            else:
-                inc1 |= bit
-                chosen += 1
-                cache1, cache2 = found
-        else:
-            bit = 1 << (gid - n)
-            if cache2 & bit:
-                inc2 |= bit
-                chosen += 1
+                out |= b
                 continue
-            found = search.feasible_with(inc1, inc2 | bit, out1, out2, f)
-            if found is None:
-                out2 |= bit
-            else:
-                inc2 |= bit
-                chosen += 1
-                cache1, cache2 = found
+            cache = found
+        inc |= b
+        chosen += 1
     if chosen != f:
         raise PostconditionError(
             f"witness pinning chose {chosen} vertices, expected {f}")
-    return SolveResult(f, VertexSubset(inc1, inc2), 2 * n - f,
+    return SolveResult(f, VertexSubset(inc & full1, inc >> n), 2 * n - f,
                        search.nodes, time.perf_counter() - t0)
 
 
@@ -520,8 +399,7 @@ def enumerate_max_forests(g: BalancedBipartiteGraph, cap: int = 0, *,
             f"C({nv}, {forest_number}) = {total} candidate subsets exceed "
             f"the enumeration budget of {budget}")
     f = forest_number
-    # one 2n-bit vertex space, V1 ids first
-    adj = tuple(row << n for row in g.adj1) + g.adj2
+    adj = _adjacency(g)
     full1 = (1 << n) - 1
 
     def _iter() -> Iterator[VertexSubset]:
@@ -541,8 +419,7 @@ def enumerate_max_forests(g: BalancedBipartiteGraph, cap: int = 0, *,
                 continue
             b = live & -live
             stack.append((s, k, comps, live ^ b))
-            # merge b with every component it touches; a candidate seen by
-            # two of the merged parts now has two neighbours in one component
+            # _merge inlined: a call per node cost the enumeration ~6 %
             merged = adj[b.bit_length() - 1]
             dead = 0
             rest = []

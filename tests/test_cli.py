@@ -70,6 +70,18 @@ def test_non_ascii_file_names_line(tmp_path, capsys, command):
     assert err == "error: line 3: non-ASCII byte 0xc3\n"
 
 
+@pytest.mark.parametrize("text, byte", [
+    # stdin decoded with surrogate escapes (UTF-8 mode) keeps a bad byte as
+    # U+DCxx; a valid UTF-8 character is named by its first byte
+    ("BBG 1\n2\n1\udcff\n11\n", "0xff"),
+    ("BBG 1\n2\n1\u00e9\n11\n", "0xc3"),
+])
+def test_non_ascii_stdin_names_byte_and_line(monkeypatch, capsys, text, byte):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(["solve"]) == 2
+    assert capsys.readouterr().err == f"error: line 3: non-ASCII byte {byte}\n"
+
+
 def test_solve_missing_file(capsys):
     assert run(["solve", "--in", "/no/such/file.bbg"]) == 2
     assert "no such file" in capsys.readouterr().err
@@ -177,6 +189,44 @@ def test_verify_jobs_do_not_change_output(capsys):
     assert capsys.readouterr().out == one
 
 
+@pytest.mark.parametrize("jobs", ("0", "-4"))
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    assert run(["verify", "--theorem", "T1", "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    ("64", 2, [2]), ("3", 8, [3]), ("5", None, []), ("1", 4, [])])
+def test_verify_jobs_clamped_to_cpu_count(monkeypatch, capsys, jobs, cpus,
+                                          workers):
+    requested = []
+
+    class SerialPool:
+        # stands in for ProcessPoolExecutor, so no worker starts
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr("bbforest.theorems.ProcessPoolExecutor", SerialPool)
+    base = ["verify", "--theorem", "T1", "--n", "5", "--samples", "4",
+            "--no-timing"]
+    assert run(base + ["--jobs", jobs]) == 0
+    assert requested == workers
+    pooled = capsys.readouterr().out
+    assert run(base) == 0
+    assert capsys.readouterr().out == pooled
+
+
 def test_verify_failing_report_exits_one(monkeypatch, capsys):
     forced = VerificationReport("BOUNDS", {"n_max": 5}, 1,
                                 [{"bbg": None, "detail": "forced"}])
@@ -215,6 +265,15 @@ def test_usage_errors_exit_two(capsys):
     assert run([]) == 2
     assert run(["solve", "--format", "yaml"]) == 2
     assert run(["nope"]) == 2
+
+
+def test_unexpected_exception_exits_three(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_solve", broken)
+    assert run(["solve"]) == 3
+    assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
 
 
 def test_help_exits_zero(capsys):

@@ -1,0 +1,68 @@
+"""Metamorphic properties of the exact solver at n = 16-24.
+
+No subset-scan oracle reaches these sizes, so the solver is checked against
+itself: relabelling the graph must not move f, deleting an edge must not
+lower it, and every witness must pass the independent forest check.
+Graphs and relabellings come from fixed seeds.
+"""
+
+import random
+
+import pytest
+
+from bbforest import (BalancedBipartiteGraph, from_rows, max_forest,
+                      random_min_degree)
+
+from .helpers import forest_oracle, random_bipartite
+
+GRAPHS = [
+    (lambda: random_bipartite(16, 0.15, 10), "gnp16p15"),
+    (lambda: random_bipartite(16, 0.3, 11), "gnp16p30"),
+    (lambda: random_bipartite(18, 0.2, 12), "gnp18p20"),
+    (lambda: random_bipartite(18, 0.4, 13), "gnp18p40"),
+    (lambda: random_bipartite(20, 0.35, 14), "gnp20p35"),
+    (lambda: random_bipartite(20, 0.5, 15), "gnp20p50"),
+    (lambda: random_bipartite(22, 0.45, 16), "gnp22p45"),
+    (lambda: random_bipartite(22, 0.6, 17), "gnp22p60"),
+    (lambda: random_bipartite(24, 0.5, 18), "gnp24p50"),
+    (lambda: random_min_degree(24, 13, 19), "rmd24"),
+]
+
+
+def _solve(g: BalancedBipartiteGraph) -> int:
+    res = max_forest(g)
+    assert res.witness.size == res.forest_number
+    assert forest_oracle(g, res.witness)
+    return res.forest_number
+
+
+def _permuted(g: BalancedBipartiteGraph,
+              rng: random.Random) -> BalancedBipartiteGraph:
+    p1 = rng.sample(range(g.n), g.n)
+    p2 = rng.sample(range(g.n), g.n)
+    rows = [0] * g.n
+    for i, row in enumerate(g.adj1):
+        for j in range(g.n):
+            if row >> j & 1:
+                rows[p1[i]] |= 1 << p2[j]
+    return from_rows(g.n, rows)
+
+
+@pytest.mark.parametrize("seed, make", enumerate(m for m, _ in GRAPHS),
+                         ids=[name for _, name in GRAPHS])
+def test_forest_number_metamorphic(seed, make):
+    g = make()
+    rng = random.Random(seed)
+    f = _solve(g)
+    assert f >= g.n + 1
+    # swapping the parts
+    assert _solve(from_rows(g.n, g.adj2)) == f
+    # relabelling within each part
+    assert _solve(_permuted(g, rng)) == f
+    # deleting an edge cannot destroy a forest
+    i = rng.choice([i for i, row in enumerate(g.adj1) if row])
+    row = g.adj1[i]
+    j = rng.choice([j for j in range(g.n) if row >> j & 1])
+    rows = list(g.adj1)
+    rows[i] ^= 1 << j
+    assert _solve(from_rows(g.n, rows)) >= f

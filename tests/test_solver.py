@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -241,3 +242,43 @@ def test_nodes_explored_positive_and_elapsed_sane():
     res = max_forest(complete_balanced(4))
     assert res.nodes_explored >= 1
     assert res.elapsed >= 0.0
+
+
+def _c4_pair_scan(g, act):
+    """The 4-cycle probe's specification, one pair at a time: pairs a < c of
+    active V1 vertices in id order, each costing one unit of the budget, with
+    vertices of fewer than two active neighbours skipped. Returns the cycle's
+    global-id mask, 0 when the budget runs out, -1 when no pair closes one."""
+    n = g.n
+    ids = [i for i in range(n) if act >> i & 1]
+    budget = solver._C4_PAIR_BUDGET
+    for x, a in enumerate(ids):
+        ra = g.adj1[a] & act >> n
+        if ra.bit_count() < 2:
+            continue
+        for c in ids[x + 1:]:
+            budget -= 1
+            common = [j for j in range(n) if (ra & g.adj1[c]) >> j & 1]
+            if len(common) >= 2:
+                j1, j2 = common[:2]
+                return 1 << a | 1 << c | 1 << n + j1 | 1 << n + j2
+            if budget <= 0:
+                return 0
+    return -1
+
+
+def test_c4_probe_matches_pair_scan():
+    # sparse graphs give 4-cycle-free active sets, dense n = 64 ones run the
+    # budget out; every outcome must occur
+    outcomes = set()
+    for seed, (n, p) in enumerate([(6, 0.5), (12, 0.2), (20, 0.15), (20, 0.4),
+                                   (40, 0.1), (64, 0.05), (64, 0.5)]):
+        g = random_bipartite(n, p, seed)
+        search = solver._Search(g)
+        rng = random.Random(seed)
+        for _ in range(200):
+            act = rng.getrandbits(2 * n) | rng.getrandbits(2 * n)
+            got = search._find_c4(act)
+            assert got == _c4_pair_scan(g, act)
+            outcomes.add(min(got, 1))
+    assert outcomes == {-1, 0, 1}
