@@ -5,12 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bbforest.theorems as theorems
-from bbforest import (ParameterError, VerificationReport, bound_g, bound_h,
-                      bound_t8, check_bounds, complete_balanced,
-                      max_forest, merge_reports, parse_bbg,
+from bbforest import (ParameterError, SolveResult, VerificationReport,
+                      VertexSubset, bound_g, bound_h, bound_t8, check_bounds,
+                      complete_balanced, max_forest, merge_reports, parse_bbg,
                       profile_structure, prop1_construction, thm3_lambda2,
-                      verify_constructions, verify_structure,
-                      verify_t1_exhaustive, verify_t1_random, verify_t8)
+                      thm3_lambda_half, verify_constructions,
+                      verify_structure, verify_t1_exhaustive,
+                      verify_t1_random, verify_t8)
 
 
 def test_bound_values_frozen():
@@ -227,3 +228,55 @@ def test_jobs_parameter_gives_identical_report():
     a = verify_t1_random(5, samples=6, seed=4, jobs=1)
     b = verify_t1_random(5, samples=6, seed=4, jobs=2)
     assert a.to_dict(include_timing=False) == b.to_dict(include_timing=False)
+
+
+def _solve_with_whole_graph(g):
+    # a solver whose witness is every vertex: wrong size, and not a forest
+    full = (1 << g.n) - 1
+    return SolveResult(g.n + 2, VertexSubset(full, full), g.n - 2, 0, 0.0)
+
+
+# claim, patched theorems global, stand-in, sizes, details (sorted); the
+# details were recorded before the construction checks shared one loop
+CONSTRUCTION_FAILURES = [
+    ("P1", "prop1_construction", lambda n: complete_balanced(n), {"ns": [4]},
+     ["forest number 5, expected 6 (n=4)",
+      "minimum degree 4, expected 2 (n=4)"]),
+    ("P1", "max_forest", _solve_with_whole_graph, {"ns": [4]},
+     ["solver witness failed the independent forest check",
+      "witness size disagrees with forest number"]),
+    ("T6λ1", "complete_balanced", lambda n: prop1_construction(n),
+     {"ns": [4]},
+     ["forest number 6, expected 5 (n=4)"]),
+    ("T6λ2", "thm3_lambda2",
+     lambda n: (prop1_construction(n), VertexSubset(0b111, 0b1)), {"ns": [4]},
+     ["advertised witness failed shape checks (n=4)",
+      "forest number 6, expected 5 (n=4)",
+      "minimum degree 2 below 3 (n=4)"]),
+    ("T6λhalf", "thm3_lambda_half",
+     lambda n: (thm3_lambda_half(n)[0], VertexSubset((1 << n) - 1, 1)),
+     {"ns": [6]},
+     ["advertised witness failed shape checks (n=6)"]),
+    ("T7l1", "thh1_l1", lambda n, k: complete_balanced(n + 1),
+     {"pairs": [(5, 2)]},
+     ["minimum degree 6, expected 2 (n=5, k=2)"]),
+    ("T7l2", "thh1_l2", lambda n, k: complete_balanced(n + 1),
+     {"pairs": [(6, 2)]},
+     ["canonical witness failed (n=6, k=2)",
+      "forest number 8, expected 9 (n=6, k=2)",
+      "minimum degree 7, expected 2 (n=6, k=2)"]),
+]
+
+
+@pytest.mark.parametrize("tid, attr, fake, sizes, details",
+                         CONSTRUCTION_FAILURES,
+                         ids=[f"{c[0]}-{c[1]}" for c in CONSTRUCTION_FAILURES])
+def test_construction_failures_name_each_check(monkeypatch, tid, attr, fake,
+                                               sizes, details):
+    monkeypatch.setattr(theorems, attr, fake)
+    rep = verify_constructions(tid, **sizes)
+    assert rep.verdict == "fail"
+    assert rep.instances_checked == 1
+    assert sorted(c["detail"] for c in rep.counterexamples) == details
+    # every record replays: the instance is embedded as BBG text
+    assert all(parse_bbg(c["bbg"]).n >= 4 for c in rep.counterexamples)
