@@ -14,30 +14,24 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from .core import emit_bbg, parse_bbg
 from .errors import BBForestError, MalformedInputError
 from .generators import FAMILIES, GeneratorSpec, build
-from .solver import (ENUMERATION_BUDGET, SOLVER_PART_CAP, max_forest,
-                     max_forest_bruteforce)
-from .theorems import (THEOREM_IDS, check_bounds, merge_reports,
-                       profile_structure, verify_constructions,
+from .solver import ENUMERATION_BUDGET, max_forest, max_forest_bruteforce
+from .theorems import (THEOREM_IDS, VerificationReport, check_bounds,
+                       merge_reports, profile_structure, verify_constructions,
                        verify_structure, verify_t1_exhaustive,
                        verify_t1_random, verify_t8)
 
 __all__ = ["main", "run"]
 
 
-def _theorem_aliases() -> dict[str, str]:
-    out: dict[str, str] = {}
-    for tid in THEOREM_IDS:
-        out[tid.lower()] = tid
-        out[tid.replace("λ", "l").lower()] = tid
-        out[tid.replace("λ", "lambda").lower()] = tid
-    return out
-
-
-_ALIASES = _theorem_aliases()
+# lower-case spellings of each claim id, with ASCII ones for "λ"
+_ALIASES = {alias.lower(): tid for tid in THEOREM_IDS
+            for alias in (tid, tid.replace("λ", "l"),
+                          tid.replace("λ", "lambda"))}
 
 
 def _canonical_theorem(text: str) -> str:
@@ -113,15 +107,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None,
                    help="minimum degree parameter for T7 families")
     p.add_argument("--samples", type=int, default=None,
-                   help="instances per size for seeded sweeps")
-    p.add_argument("--seed", type=int, default=1)
+                   help="instances per size for seeded sweeps (at least 1)")
+    p.add_argument("--seed", type=int, help="first sweep seed (default 1)")
     p.add_argument("--exhaustive", action="store_true",
                    help="T1: scan every qualifying matrix instead of sampling")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for seeded sweeps (at least 1; "
                         "capped at the CPU count)")
-    p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET,
-                   help="witness enumeration budget for structure sweeps")
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.add_argument("--no-timing", action="store_true",
                    help="omit elapsed_ms for byte-stable output")
@@ -177,44 +169,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    tid = _canonical_theorem(args.theorem)
-    if args.jobs < 1:
-        raise BBForestError(f"--jobs must be at least 1, got {args.jobs}")
-    args.jobs = min(args.jobs, os.cpu_count() or 1)
-    ns = args.n
-    if tid == "T1":
-        if args.exhaustive:
-            values = ns if ns is not None else [2, 3, 4]
-            parts = [verify_t1_exhaustive(n, allow_n5=(n == 5)) for n in values]
-            report = parts[0] if len(parts) == 1 else merge_reports(parts)
-        else:
-            n = ns[0] if ns else 6
-            report = verify_t1_random(n, samples=args.samples or 100,
-                                      seed=args.seed, jobs=args.jobs)
-    elif tid in ("T2", "T4", "C1"):
-        default_n = {"T2": 6, "T4": 7, "C1": 5}[tid]
-        n = ns[0] if ns else default_n
-        report = verify_structure(n, samples=args.samples or 25,
-                                  seed=args.seed, check=tid,
-                                  budget=args.budget, jobs=args.jobs)
-    elif tid in ("P1", "T6λ1", "T6λ2", "T6λhalf"):
-        report = verify_constructions(tid, ns=ns)
-    elif tid in ("T7l1", "T7l2"):
-        pairs = None
-        if ns is not None and args.k is not None:
-            pairs = [(n, args.k) for n in ns]
-        elif ns is not None or args.k is not None:
-            raise BBForestError("T7 sweeps take --n and --k together")
-        report = verify_constructions(tid, pairs=pairs)
-    elif tid == "T8":
-        report = verify_t8(n_values=ns, samples=args.samples or 25,
-                           seed=args.seed, jobs=args.jobs)
-    elif tid == "BOUNDS":
-        report = check_bounds(ns[0] if ns else 1000)
-    else:  # pragma: no cover - alias table and THEOREM_IDS stay in sync
-        raise BBForestError(f"unhandled theorem {tid}")
-
+def _print_report(report: VerificationReport,
+                  args: argparse.Namespace) -> int:
     include_timing = not args.no_timing
     if args.format == "json":
         print(json.dumps(report.to_dict(include_timing), ensure_ascii=False,
@@ -222,6 +178,91 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         print(report.render_text(include_timing))
     return 0 if report.verdict == "pass" else 1
+
+
+class _Claim(NamedTuple):
+    """How ``verify`` runs one claim: ``run(tid, n, **options)``."""
+
+    run: Callable[..., VerificationReport]
+    # default --n if it takes one size; None: it takes the --n list
+    n: int | None
+    # options it reads besides --theorem, --n, --format and --no-timing
+    reads: tuple[str, ...] = ()
+    # the claim as run under --exhaustive, where it has that mode
+    exhaustive: _Claim | None = None
+
+
+# options a claim may read; one given that the claim does not read is an error
+_OPTIONS = ("k", "samples", "seed", "jobs")
+_SEEDED = ("samples", "seed", "jobs")
+
+
+def _t1_exhaustive(tid: str, ns: list[int] | None) -> VerificationReport:
+    parts = [verify_t1_exhaustive(n, allow_n5=(n == 5))
+             for n in ns or (2, 3, 4)]
+    return parts[0] if len(parts) == 1 else merge_reports(parts)
+
+
+def _structure(tid: str, n: int, **options) -> VerificationReport:
+    return verify_structure(n, check=tid, **options)
+
+
+def _constructions(tid: str, ns: list[int] | None) -> VerificationReport:
+    return verify_constructions(tid, ns=ns)
+
+
+def _t7(tid: str, ns: list[int] | None, k: int | None = None
+        ) -> VerificationReport:
+    if (ns is None) != (k is None):
+        raise BBForestError("T7 sweeps take --n and --k together")
+    pairs = None if ns is None else [(n, k) for n in ns]
+    return verify_constructions(tid, pairs=pairs)
+
+
+# claim id -> how verify runs it, in THEOREM_IDS order. The runners name
+# the library functions at call time, so a replaced module attribute (the
+# benchmark's tracer replaces verify_structure) takes effect.
+_CLAIMS = {
+    "T1": _Claim(lambda tid, n, **options: verify_t1_random(n, **options),
+                 6, _SEEDED, exhaustive=_Claim(_t1_exhaustive, None)),
+    "P1": _Claim(_constructions, None),
+    "T2": _Claim(_structure, 6, _SEEDED),
+    "T4": _Claim(_structure, 7, _SEEDED),
+    "C1": _Claim(_structure, 5, _SEEDED),
+    "T6λ1": _Claim(_constructions, None),
+    "T6λ2": _Claim(_constructions, None),
+    "T6λhalf": _Claim(_constructions, None),
+    "T7l1": _Claim(_t7, None, ("k",)),
+    "T7l2": _Claim(_t7, None, ("k",)),
+    "T8": _Claim(lambda tid, ns, **options: verify_t8(ns, **options), None,
+                 _SEEDED),
+    "BOUNDS": _Claim(lambda tid, n: check_bounds(n), 1000),
+}
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    tid = _canonical_theorem(args.theorem)
+    if args.jobs is not None:
+        if args.jobs < 1:
+            raise BBForestError(f"--jobs must be at least 1, got {args.jobs}")
+        args.jobs = min(args.jobs, os.cpu_count() or 1)
+    claim, mode = _CLAIMS[tid], f"--theorem {tid}"
+    if args.exhaustive:
+        if claim.exhaustive is None:
+            raise BBForestError(f"{mode} does not read --exhaustive")
+        claim, mode = claim.exhaustive, f"{mode} --exhaustive"
+    # unset options keep the library's defaults
+    options = {name: getattr(args, name) for name in _OPTIONS
+               if getattr(args, name) is not None}
+    for name in options:
+        if name not in claim.reads:
+            raise BBForestError(f"{mode} does not read --{name}")
+    n = args.n
+    if claim.n is not None:
+        if n is not None and len(n) > 1:
+            raise BBForestError(f"{mode} takes one --n")
+        n = n[0] if n else claim.n
+    return _print_report(claim.run(tid, n, **options), args)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -240,14 +281,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    report = check_bounds(args.n_max)
-    include_timing = not args.no_timing
-    if args.format == "json":
-        print(json.dumps(report.to_dict(include_timing), ensure_ascii=False,
-                         indent=2))
-    else:
-        print(report.render_text(include_timing))
-    return 0 if report.verdict == "pass" else 1
+    return _print_report(check_bounds(args.n_max), args)
 
 
 def run(argv: list[str]) -> int:

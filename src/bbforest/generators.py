@@ -28,18 +28,6 @@ __all__ = [
     "random_th7",
 ]
 
-FAMILIES = (
-    "complete",
-    "prop1",
-    "thm3_lambda2",
-    "thm3_lambda_half",
-    "thh1_l1",
-    "thh1_l2",
-    "random_min_degree",
-    "random_th7",
-)
-
-
 def _check(ok: bool, message: str) -> None:
     # a construction that misses a property it promises is a bug, reported
     # even under ``python -O``
@@ -292,30 +280,29 @@ class GeneratorSpec:
     seed: int = 0
 
 
+# family -> (builder, the GeneratorSpec fields it takes in argument order);
+# families with a canonical witness build just the graph here
+_FAMILIES = {
+    "complete": (complete_balanced, ("n",)),
+    "prop1": (prop1_construction, ("n",)),
+    "thm3_lambda2": (lambda n: thm3_lambda2(n)[0], ("n",)),
+    "thm3_lambda_half": (lambda n: thm3_lambda_half(n)[0], ("n",)),
+    "thh1_l1": (thh1_l1, ("n", "k")),
+    "thh1_l2": (thh1_l2, ("n", "k")),
+    "random_min_degree": (random_min_degree, ("n", "delta_min", "seed")),
+    "random_th7": (random_th7, ("n", "seed")),
+}
+
+FAMILIES = tuple(_FAMILIES)
+
+
 def build(spec: GeneratorSpec) -> BalancedBipartiteGraph:
-    """Materialize a spec; families with a canonical witness return just
-    the graph here (the witness is recoverable from the family functions)."""
-    fam = spec.family
-    if fam == "complete":
-        return complete_balanced(spec.n)
-    if fam == "prop1":
-        return prop1_construction(spec.n)
-    if fam == "thm3_lambda2":
-        return thm3_lambda2(spec.n)[0]
-    if fam == "thm3_lambda_half":
-        return thm3_lambda_half(spec.n)[0]
-    if fam == "thh1_l1":
-        if spec.k is None:
-            raise ParameterError("thh1_l1 requires k")
-        return thh1_l1(spec.n, spec.k)
-    if fam == "thh1_l2":
-        if spec.k is None:
-            raise ParameterError("thh1_l2 requires k")
-        return thh1_l2(spec.n, spec.k)
-    if fam == "random_min_degree":
-        if spec.delta_min is None:
-            raise ParameterError("random_min_degree requires delta_min")
-        return random_min_degree(spec.n, spec.delta_min, spec.seed)
-    if fam == "random_th7":
-        return random_th7(spec.n, spec.seed)
-    raise ParameterError(f"unknown family {fam!r}; expected one of {FAMILIES}")
+    """Materialize a spec; a field its family takes must not be None."""
+    if spec.family not in _FAMILIES:
+        raise ParameterError(
+            f"unknown family {spec.family!r}; expected one of {FAMILIES}")
+    builder, fields = _FAMILIES[spec.family]
+    for name in fields:
+        if getattr(spec, name) is None:
+            raise ParameterError(f"{spec.family} requires {name}")
+    return builder(*(getattr(spec, name) for name in fields))

@@ -13,7 +13,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (BalancedBipartiteGraph, VertexSubset, emit_bbg, from_rows,
                    is_induced_forest, min_degree)
@@ -174,13 +174,18 @@ def _run_instances(fn: Callable, args_list: list, jobs: int) -> list:
         return list(pool.map(fn, args_list))
 
 
-def _recheck(g: BalancedBipartiteGraph, res) -> list[dict]:
-    # independent re-validation of a solver witness
+def _recheck(g: BalancedBipartiteGraph, res, expected: int,
+             where: str = "") -> list[dict]:
+    # independent re-validation of a solver witness, then the claimed
+    # forest number; ``where`` ends that detail, e.g. " (seed 3)"
     issues = []
     if res.witness.size != res.forest_number:
         issues.append(_cex(g, res.witness, "witness size disagrees with forest number"))
     if not is_induced_forest(g, res.witness):
         issues.append(_cex(g, res.witness, "solver witness failed the independent forest check"))
+    if res.forest_number != expected:
+        issues.append(_cex(g, res.witness,
+            f"forest number {res.forest_number}, expected {expected}{where}"))
     return issues
 
 
@@ -303,11 +308,7 @@ def verify_t1_exhaustive(n: int, *, allow_n5: bool = False) -> VerificationRepor
     for rows in _qualifying_row_sets(n, delta):
         g = from_rows(n, rows)
         checked += 1
-        res = max_forest_bruteforce(g)
-        counterexamples.extend(_recheck(g, res))
-        if res.forest_number != n + 1:
-            counterexamples.append(_cex(g, res.witness,
-                f"forest number {res.forest_number}, expected {n + 1}"))
+        counterexamples.extend(_recheck(g, max_forest_bruteforce(g), n + 1))
     params = {"n": n, "min_degree_threshold": delta,
               "matrices_scanned": 2 ** (n * n)}
     return _finish("T1", params, checked, counterexamples, t0)
@@ -316,12 +317,7 @@ def verify_t1_exhaustive(n: int, *, allow_n5: bool = False) -> VerificationRepor
 def _t1_random_instance(args: tuple[int, int, int]) -> list[dict]:
     n, delta, seed = args
     g = random_min_degree(n, delta, seed)
-    res = max_forest(g)
-    issues = _recheck(g, res)
-    if res.forest_number != n + 1:
-        issues.append(_cex(g, res.witness,
-            f"forest number {res.forest_number}, expected {n + 1} (seed {seed})"))
-    return issues
+    return _recheck(g, max_forest(g), n + 1, f" (seed {seed})")
 
 
 def verify_t1_random(n: int, samples: int = 100, seed: int = 1,
@@ -392,21 +388,18 @@ def profile_structure(g: BalancedBipartiteGraph,
                                 {lam: res.witness}, False)
 
 
-def _structure_instance(args: tuple[int, int, int, str, int]) -> dict:
-    n, delta, seed, check, budget = args
+def _structure_instance(args: tuple[int, int, int, str]) -> dict:
+    n, delta, seed, check = args
     g = random_min_degree(n, delta, seed)
     res = max_forest(g)
-    issues = _recheck(g, res)
+    issues = _recheck(g, res, n + 1, f" (seed {seed})")
     if res.forest_number != n + 1:
-        issues.append(_cex(g, res.witness,
-            f"forest number {res.forest_number}, expected {n + 1} (seed {seed})"))
         return {"cex": issues, "witnesses": 0}
     allowed = {1, 2}
     if n % 2 == 0:
         allowed.add(n // 2)
     count = 0
-    for w in enumerate_max_forests(g, forest_number=res.forest_number,
-                                   budget=budget):
+    for w in enumerate_max_forests(g, forest_number=res.forest_number):
         count += 1
         lam = w.min_part_size()
         if check == "T2":
@@ -434,8 +427,7 @@ def _structure_instance(args: tuple[int, int, int, str, int]) -> dict:
 
 
 def verify_structure(n: int, samples: int = 25, seed: int = 1,
-                     check: str = "T2", budget: int = ENUMERATION_BUDGET,
-                     jobs: int = 1) -> VerificationReport:
+                     check: str = "T2", jobs: int = 1) -> VerificationReport:
     """Enumerate all optimal witnesses over seeded qualifying instances and
     test their smaller-part sizes.
 
@@ -453,7 +445,7 @@ def verify_structure(n: int, samples: int = 25, seed: int = 1,
         raise ParameterError(f"need samples >= 1, got {samples}")
     t0 = time.perf_counter()
     delta = _threshold(n)
-    args = [(n, delta, seed + i, check, budget) for i in range(samples)]
+    args = [(n, delta, seed + i, check) for i in range(samples)]
     counterexamples: list[dict] = []
     witnesses = 0
     for out in _run_instances(_structure_instance, args, jobs):
@@ -470,110 +462,98 @@ def verify_structure(n: int, samples: int = 25, seed: int = 1,
 # explicit constructions (P1, T6*, T7*)
 # ---------------------------------------------------------------------------
 
-_T7L1_DEFAULT = ((3, 2), (5, 2), (5, 3), (7, 3))
-_T7L2_DEFAULT = ((6, 2), (6, 3), (8, 3))
+class _Case(NamedTuple):
+    """One construction instance and what its family claims about it."""
+
+    g: BalancedBipartiteGraph
+    where: str                          # its parameters, e.g. "n=4"
+    forest_number: int
+    degree: int | None = None           # claimed minimum degree, exact
+    degree_floor: int | None = None     # claimed lower bound on it
+    witness: VertexSubset | None = None  # of size forest_number
+    split: int | None = None            # the witness's smaller-part size
+    witness_failed: str = ""            # detail when the witness fails
+
+
+def _t6_case(n: int, g: BalancedBipartiteGraph, witness: VertexSubset,
+             split: int) -> _Case:
+    return _Case(g, f"n={n}", n + 1, degree_floor=n // 2 + 1,
+                 witness=witness, split=split,
+                 witness_failed="advertised witness failed shape checks")
+
+
+def _t7_case(n: int, k: int, g: BalancedBipartiteGraph, extra: int,
+             witness: VertexSubset | None = None) -> _Case:
+    return _Case(g, f"n={n}, k={k}", g.n + extra, degree=k, witness=witness,
+                 witness_failed="canonical witness failed")
+
+
+# claim id -> (default sizes, case builder); sizes are part sizes n, or
+# (n, k) pairs for T7. The builders name the family functions at call time,
+# so a replaced module attribute takes effect.
+_CONSTRUCTIONS = {
+    "P1": (tuple(range(2, 11)), lambda n: _Case(
+        prop1_construction(n), f"n={n}", n + 2, degree=(n + 1) // 2)),
+    "T6λ1": (tuple(range(2, 9)), lambda n: _Case(
+        complete_balanced(n), f"n={n}", n + 1,
+        witness=VertexSubset((1 << n) - 1, 1), split=1,
+        witness_failed="canonical one-sided witness failed")),
+    "T6λ2": ((4, 6, 8, 10), lambda n: _t6_case(n, *thm3_lambda2(n), 2)),
+    "T6λhalf": ((4, 6, 8, 10),
+                lambda n: _t6_case(n, *thm3_lambda_half(n), n // 2)),
+    "T7l1": (((3, 2), (5, 2), (5, 3), (7, 3)),
+             lambda pair: _t7_case(*pair, thh1_l1(*pair), 1)),
+    # canonical witness: the whole second part plus x and the
+    # reduced-degree base vertex
+    "T7l2": (((6, 2), (6, 3), (8, 3)), lambda pair: _t7_case(
+        *pair, thh1_l2(*pair), 2,
+        VertexSubset(1 | (1 << pair[0]), (1 << (pair[0] + 1)) - 1))),
+}
 
 
 def verify_constructions(theorem_id: str,
                          ns: Iterable[int] | None = None,
                          pairs: Iterable[tuple[int, int]] | None = None
                          ) -> VerificationReport:
-    """Build each construction family and confirm its advertised minimum
-    degree, forest number, and witness shape with the exact solver.
+    """Build each construction instance and confirm what its family claims
+    with the exact solver.
 
-    P1 and the T6 cases take part sizes ``ns``; the T7 cases take (n, k)
-    ``pairs``. Defaults cover the documented desk-scale ranges.
+    Every instance is checked in one order: its minimum degree (exact for
+    P1 and T7, a floor for T6λ2 and T6λhalf), its advertised witness where
+    it has one (size, smaller-part size, acyclicity), the solver witness,
+    and the forest number. P1 and the T6 cases take part sizes ``ns``; the
+    T7 cases take (n, k) ``pairs``. Defaults cover the documented
+    desk-scale ranges.
     """
-    t0 = time.perf_counter()
-    counterexamples: list[dict] = []
-    checked = 0
-
-    if theorem_id == "P1":
-        values = tuple(ns) if ns is not None else tuple(range(2, 11))
-        for n in values:
-            g = prop1_construction(n)
-            checked += 1
-            want = (n + 1) // 2
-            if min_degree(g) != want:
-                counterexamples.append(_cex(g, None,
-                    f"minimum degree {min_degree(g)}, expected {want} (n={n})"))
-            res = max_forest(g)
-            counterexamples.extend(_recheck(g, res))
-            if res.forest_number != n + 2:
-                counterexamples.append(_cex(g, res.witness,
-                    f"forest number {res.forest_number}, expected {n + 2} (n={n})"))
-        params = {"n_values": list(values)}
-
-    elif theorem_id == "T6λ1":
-        values = tuple(ns) if ns is not None else tuple(range(2, 9))
-        for n in values:
-            g = complete_balanced(n)
-            checked += 1
-            witness = VertexSubset((1 << n) - 1, 1)
-            if witness.min_part_size() != 1 or witness.size != n + 1 \
-                    or not is_induced_forest(g, witness):
-                counterexamples.append(_cex(g, witness,
-                    f"canonical one-sided witness failed (n={n})"))
-            res = max_forest(g)
-            counterexamples.extend(_recheck(g, res))
-            if res.forest_number != n + 1:
-                counterexamples.append(_cex(g, res.witness,
-                    f"forest number {res.forest_number}, expected {n + 1} (n={n})"))
-        params = {"n_values": list(values)}
-
-    elif theorem_id in ("T6λ2", "T6λhalf"):
-        values = tuple(ns) if ns is not None else (4, 6, 8, 10)
-        builder = thm3_lambda2 if theorem_id == "T6λ2" else thm3_lambda_half
-        for n in values:
-            g, witness = builder(n)
-            checked += 1
-            want_lam = 2 if theorem_id == "T6λ2" else n // 2
-            lo = n // 2 + 1
-            if min_degree(g) < lo:
-                counterexamples.append(_cex(g, None,
-                    f"minimum degree {min_degree(g)} below {lo} (n={n})"))
-            if witness.size != n + 1 or witness.min_part_size() != want_lam \
-                    or not is_induced_forest(g, witness):
-                counterexamples.append(_cex(g, witness,
-                    f"advertised witness failed shape checks (n={n})"))
-            res = max_forest(g)
-            counterexamples.extend(_recheck(g, res))
-            if res.forest_number != n + 1:
-                counterexamples.append(_cex(g, res.witness,
-                    f"forest number {res.forest_number}, expected {n + 1} (n={n})"))
-        params = {"n_values": list(values)}
-
-    elif theorem_id in ("T7l1", "T7l2"):
-        vals = tuple(pairs) if pairs is not None else (
-            _T7L1_DEFAULT if theorem_id == "T7l1" else _T7L2_DEFAULT)
-        l = 1 if theorem_id == "T7l1" else 2
-        builder = thh1_l1 if l == 1 else thh1_l2
-        for n, k in vals:
-            g = builder(n, k)
-            checked += 1
-            if min_degree(g) != k:
-                counterexamples.append(_cex(g, None,
-                    f"minimum degree {min_degree(g)}, expected {k} (n={n}, k={k})"))
-            res = max_forest(g)
-            counterexamples.extend(_recheck(g, res))
-            want = g.n + l
-            if res.forest_number != want:
-                counterexamples.append(_cex(g, res.witness,
-                    f"forest number {res.forest_number}, expected {want} (n={n}, k={k})"))
-            if l == 2:
-                # canonical witness: the whole second part plus x and the
-                # reduced-degree base vertex
-                witness = VertexSubset(1 | (1 << n), (1 << (n + 1)) - 1)
-                if witness.size != want or not is_induced_forest(g, witness):
-                    counterexamples.append(_cex(g, witness,
-                        f"canonical witness failed (n={n}, k={k})"))
-        params = {"pairs": [list(p) for p in vals]}
-
-    else:
+    if theorem_id not in _CONSTRUCTIONS:
         raise ParameterError(
             f"theorem_id must name a construction family, got {theorem_id!r}")
-
-    return _finish(theorem_id, params, checked, counterexamples, t0)
+    t0 = time.perf_counter()
+    defaults, make_case = _CONSTRUCTIONS[theorem_id]
+    by_pairs = theorem_id.startswith("T7")
+    given = pairs if by_pairs else ns
+    values = tuple(given) if given is not None else defaults
+    counterexamples: list[dict] = []
+    for size in values:
+        case = make_case(size)
+        g, where = case.g, f" ({case.where})"
+        degree = min_degree(g)
+        if case.degree is not None and degree != case.degree:
+            counterexamples.append(_cex(g, None,
+                f"minimum degree {degree}, expected {case.degree}{where}"))
+        if case.degree_floor is not None and degree < case.degree_floor:
+            counterexamples.append(_cex(g, None,
+                f"minimum degree {degree} below {case.degree_floor}{where}"))
+        w = case.witness
+        if w is not None and (w.size != case.forest_number
+                              or case.split not in (None, w.min_part_size())
+                              or not is_induced_forest(g, w)):
+            counterexamples.append(_cex(g, w, case.witness_failed + where))
+        counterexamples.extend(
+            _recheck(g, max_forest(g), case.forest_number, where))
+    params = ({"pairs": [list(p) for p in values]} if by_pairs
+              else {"n_values": list(values)})
+    return _finish(theorem_id, params, len(values), counterexamples, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +571,7 @@ def _t8_instance(args: tuple[int, int]) -> list[dict]:
         if sum(1 for row in rows if row.bit_count() == floor) > 1:
             issues.append(_cex(g, None,
                 f"more than one floor-degree vertex in a part (seed {seed})"))
-    res = max_forest(g)
-    issues.extend(_recheck(g, res))
-    if res.forest_number != n + 1:
-        issues.append(_cex(g, res.witness,
-            f"forest number {res.forest_number}, expected {n + 1} (seed {seed})"))
+    issues.extend(_recheck(g, max_forest(g), n + 1, f" (seed {seed})"))
     return issues
 
 

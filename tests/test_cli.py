@@ -4,7 +4,8 @@ import json
 import pytest
 
 import bbforest.cli as cli
-from bbforest import VerificationReport, emit_bbg, prop1_construction
+from bbforest import (THEOREM_IDS, VerificationReport, emit_bbg,
+                      prop1_construction)
 from bbforest.cli import run
 
 K22 = "BBG 1\n2\n11\n11\n"
@@ -279,3 +280,60 @@ def test_unexpected_exception_exits_three(monkeypatch, capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert run(["solve", "--help"]) == 0
+
+
+def test_claim_table_follows_theorem_ids():
+    assert tuple(cli._CLAIMS) == THEOREM_IDS
+
+
+@pytest.mark.parametrize("tid", ["T1", "T2", "T4", "C1", "T8"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_samples_below_one_exits_two(capsys, tid, samples):
+    # an explicit count reaches the library's check; it is never replaced
+    # by the sweep's default
+    assert run(["verify", "--theorem", tid, "--samples", samples]) == 2
+    assert capsys.readouterr().err == (
+        f"error: need samples >= 1, got {samples}\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["T1", "--n", "5", "--n", "6"], "--theorem T1 takes one --n"),
+    (["T2", "--n", "5", "--n", "7"], "--theorem T2 takes one --n"),
+    (["T4", "--n", "5", "--n", "7"], "--theorem T4 takes one --n"),
+    (["C1", "--n", "5", "--n", "7"], "--theorem C1 takes one --n"),
+    (["BOUNDS", "--n", "10", "--n", "20"], "--theorem BOUNDS takes one --n"),
+    (["P1", "--k", "2"], "--theorem P1 does not read --k"),
+    (["T2", "--n", "5", "--k", "2"], "--theorem T2 does not read --k"),
+    (["T8", "--k", "2"], "--theorem T8 does not read --k"),
+    (["T6l2", "--samples", "3"], "--theorem T6λ2 does not read --samples"),
+    (["T7l1", "--n", "5", "--k", "2", "--samples", "3"],
+     "--theorem T7l1 does not read --samples"),
+    (["BOUNDS", "--samples", "3"], "--theorem BOUNDS does not read --samples"),
+    (["T1", "--exhaustive", "--samples", "3"],
+     "--theorem T1 --exhaustive does not read --samples"),
+    (["T1", "--exhaustive", "--seed", "3"],
+     "--theorem T1 --exhaustive does not read --seed"),
+    (["P1", "--seed", "3"], "--theorem P1 does not read --seed"),
+    (["BOUNDS", "--jobs", "2"], "--theorem BOUNDS does not read --jobs"),
+    (["T2", "--exhaustive"], "--theorem T2 does not read --exhaustive"),
+    (["P1", "--exhaustive"], "--theorem P1 does not read --exhaustive"),
+])
+def test_verify_rejects_options_the_claim_does_not_read(capsys, argv, err):
+    assert run(["verify", "--theorem", *argv, "--no-timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+def test_verify_accepts_the_benchmark_sweep_options(capsys):
+    assert run(["verify", "--theorem", "T2", "--n", "5", "--samples", "1",
+                "--seed", "3", "--jobs", "1", "--no-timing"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["params"]["seed"] == 3
+    assert payload["verdict"] == "pass"
+
+
+def test_verify_has_no_budget_option(capsys):
+    assert run(["verify", "--theorem", "T2", "--n", "6", "--samples", "1",
+                "--budget", "0"]) == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
