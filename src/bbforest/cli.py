@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 from .core import emit_bbg, parse_bbg
 from .errors import BBForestError, MalformedInputError
-from .generators import FAMILIES, GeneratorSpec, build
+from .generators import _FAMILIES, FAMILIES, GeneratorSpec, build
 from .solver import ENUMERATION_BUDGET, max_forest, max_forest_bruteforce
 from .theorems import (THEOREM_IDS, VerificationReport, check_bounds,
                        merge_reports, profile_structure, verify_constructions,
@@ -97,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="target minimum degree (families that take one)")
     p.add_argument("--delta-min", type=int, default=None,
                    help="minimum degree floor for random_min_degree")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="generator seed for the random families (default 0)")
 
     p = sub.add_parser("verify", help="run a claim sweep, exit 1 on counterexamples")
     p.add_argument("--theorem", required=True, metavar="ID",
@@ -163,8 +164,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = GeneratorSpec(family=args.family, n=args.n, k=args.k,
-                         delta_min=args.delta_min, seed=args.seed)
+    # unset options keep GeneratorSpec's defaults
+    options = {name: getattr(args, name) for name in ("k", "delta_min", "seed")
+               if getattr(args, name) is not None}
+    for name in options:
+        if name not in _FAMILIES[args.family][1]:
+            raise BBForestError(f"--family {args.family} does not read "
+                                f"--{name.replace('_', '-')}")
+    spec = GeneratorSpec(family=args.family, n=args.n, **options)
     sys.stdout.write(emit_bbg(build(spec)))
     return 0
 

@@ -129,12 +129,26 @@ class _Search:
     module docstring). A candidate killed by a merge is excluded at once.
     The state is passed down per frame, so backtracking undoes nothing.
 
-    Propagation works from a dirty mask: a dirty candidate with at most one
-    active neighbour joins. A candidate's active degree only drops when a
-    neighbour is excluded, so only neighbours of newly excluded vertices
-    turn dirty; the root marks every candidate dirty. Both rules (join at
-    active degree <= 1, exclude when dead) are monotone, so the fixpoint
-    does not depend on the order they fire in.
+    The search answers two questions only: the largest forest inside the
+    active set that holds ``s``, and whether one of a target size exists
+    (``feasible_with``). Propagation may therefore discard forests as long
+    as one of the same size survives. A live candidate v with at most two
+    active neighbours joins. Let F be a target-size forest that holds
+    ``s``, avoids v and lies in ``s | r``. If at most one neighbour of v
+    lies in F, F + v is a larger forest. Otherwise v has two neighbours u
+    and w in F, and F + v closes one cycle, through the u-w path P of F.
+    P has a vertex x outside ``s``, or u and w would share a component of
+    ``s`` and v would be dead. So F + v - x is a forest of the same size
+    that holds ``s`` and v. This is the degree-2 reduction for feedback
+    vertex set.
+
+    Propagation works from a dirty mask, lowest id first. A candidate's
+    active degree only drops when a neighbour is excluded, so only
+    neighbours of newly excluded vertices turn dirty; the root marks every
+    candidate dirty. The join is not monotone: joining one candidate can
+    kill another that had two active neighbours too. So the fixpoint
+    depends on the firing order, which is fixed, and the search stays
+    deterministic.
 
     Branch vertex: a candidate on a 4-cycle of the active graph when a
     bounded probe finds one, else the candidate of maximum active degree;
@@ -197,16 +211,15 @@ class _Search:
         self.nodes += 1
         adj = self.adj
 
-        # Propagate forced moves to a fixpoint: a dirty candidate with at
-        # most one active neighbour always joins (adding it to any forest
-        # keeps a forest, so nothing is lost); candidates its joining kills
-        # leave, and their neighbours turn dirty.
+        # Propagate forced moves: a dirty candidate with at most two active
+        # neighbours joins (the class docstring shows nothing is lost);
+        # candidates its joining kills leave, and their neighbours turn dirty.
         dirty &= r
         while dirty:
             b = dirty & -dirty
             dirty ^= b
             row = adj[b.bit_length() - 1]
-            if (row & (s | r)).bit_count() > 1:
+            if (row & (s | r)).bit_count() > 2:
                 continue
             s |= b
             r ^= b
@@ -315,8 +328,9 @@ class _Search:
         return -1
 
     def feasible_with(self, inc: int, out: int, target: int) -> int | None:
-        """Search for any induced forest of size ``target`` that contains the
-        forced-in set and avoids the forced-out set; returns its mask."""
+        """Search for any induced forest of at least ``target`` vertices that
+        contains the forced-in set and avoids the forced-out set; returns
+        its mask, or None when there is none."""
         cand = ((1 << 2 * self.n) - 1) & ~inc & ~out
         if not self.solve(inc, cand, target - 1, None, target):
             return None

@@ -522,8 +522,8 @@ def verify_constructions(theorem_id: str,
     P1 and T7, a floor for T6λ2 and T6λhalf), its advertised witness where
     it has one (size, smaller-part size, acyclicity), the solver witness,
     and the forest number. P1 and the T6 cases take part sizes ``ns``; the
-    T7 cases take (n, k) ``pairs``. Defaults cover the documented
-    desk-scale ranges.
+    T7 cases take (n, k) ``pairs``; the argument a case does not take must
+    stay None. Defaults cover the documented desk-scale ranges.
     """
     if theorem_id not in _CONSTRUCTIONS:
         raise ParameterError(
@@ -531,7 +531,10 @@ def verify_constructions(theorem_id: str,
     t0 = time.perf_counter()
     defaults, make_case = _CONSTRUCTIONS[theorem_id]
     by_pairs = theorem_id.startswith("T7")
-    given = pairs if by_pairs else ns
+    given, unread = (pairs, ns) if by_pairs else (ns, pairs)
+    if unread is not None:
+        raise ParameterError(f"{theorem_id} does not read "
+                             f"{'ns' if by_pairs else 'pairs'}")
     values = tuple(given) if given is not None else defaults
     counterexamples: list[dict] = []
     for size in values:

@@ -5,7 +5,7 @@ import pytest
 
 import bbforest.cli as cli
 from bbforest import (THEOREM_IDS, VerificationReport, emit_bbg,
-                      prop1_construction)
+                      prop1_construction, random_th7)
 from bbforest.cli import run
 
 K22 = "BBG 1\n2\n11\n11\n"
@@ -106,6 +106,32 @@ def test_gen_missing_param(capsys):
 
 def test_gen_rejects_unknown_family(capsys):
     assert run(["gen", "--family", "nope", "--n", "4"]) == 2
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["complete", "--n", "7", "--k", "3"], "--family complete does not read --k"),
+    (["prop1", "--n", "4", "--seed", "0"], "--family prop1 does not read --seed"),
+    (["thm3_lambda2", "--n", "6", "--delta-min", "4"],
+     "--family thm3_lambda2 does not read --delta-min"),
+    (["thh1_l1", "--n", "3", "--k", "2", "--seed", "1"],
+     "--family thh1_l1 does not read --seed"),
+    (["random_min_degree", "--n", "5", "--delta-min", "2", "--k", "2"],
+     "--family random_min_degree does not read --k"),
+    (["random_th7", "--n", "5", "--delta-min", "3"],
+     "--family random_th7 does not read --delta-min"),
+])
+def test_gen_rejects_options_the_family_does_not_read(capsys, argv, err):
+    assert run(["gen", "--family", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+def test_gen_unset_seed_builds_with_seed_zero(capsys):
+    assert run(["gen", "--family", "random_th7", "--n", "7"]) == 0
+    unset = capsys.readouterr().out
+    assert run(["gen", "--family", "random_th7", "--n", "7", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == unset == emit_bbg(random_th7(7, 0))
 
 
 def test_gen_pipes_into_solve(tmp_path, capsys, monkeypatch):

@@ -25,17 +25,17 @@ CASES = [
      (tuple(range(32)), (0,)), 0),
     (lambda: random_min_degree(48, 25, 2), 49, 1019,
      (tuple(range(48)), (0,)), 0),
-    (lambda: random_bipartite(12, 0.3, 7), 18, 509,
+    (lambda: random_bipartite(12, 0.3, 7), 18, 281,
      ((1, 3, 4, 5, 7, 9), tuple(range(12))), 6),
-    (lambda: random_bipartite(16, 0.25, 5), 24, 3597,
+    (lambda: random_bipartite(16, 0.25, 5), 24, 1018,
      (_all_but(16, 1), (0, 1, 5, 6, 7, 9, 10, 12, 15)), 10),
     (lambda: random_min_degree(64, 33, 1), 65, 1015,
      (tuple(range(64)), (0,)), 0),
-    (lambda: random_bipartite(18, 0.2, 7), 27, 4222,
+    (lambda: random_bipartite(18, 0.2, 7), 27, 1008,
      (tuple(range(18)), (0, 5, 7, 9, 12, 13, 14, 15, 17)), 9),
-    (lambda: random_bipartite(18, 0.15, 7), 31, 1831,
+    (lambda: random_bipartite(18, 0.15, 7), 31, 623,
      (_all_but(18, 0, 7, 12, 16), _all_but(18, 16)), 6),
-    (lambda: random_bipartite(20, 0.3, 7), 24, 6569,
+    (lambda: random_bipartite(20, 0.3, 7), 24, 3679,
      (tuple(range(20)), (7, 8, 13, 19)), 16),
 ]
 

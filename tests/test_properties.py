@@ -1,4 +1,4 @@
-"""Metamorphic properties of the exact solver at n = 16-24.
+"""Metamorphic properties of the exact solver at n = 16-48.
 
 No subset-scan oracle reaches these sizes, so the solver is checked against
 itself: relabelling the graph must not move f, deleting an edge must not
@@ -26,6 +26,9 @@ GRAPHS = [
     (lambda: random_bipartite(22, 0.6, 17), "gnp22p60"),
     (lambda: random_bipartite(24, 0.5, 18), "gnp24p50"),
     (lambda: random_min_degree(24, 13, 19), "rmd24"),
+    (lambda: random_bipartite(28, 0.4, 21), "gnp28p40"),
+    (lambda: random_bipartite(32, 0.5, 23), "gnp32p50"),
+    (lambda: random_bipartite(48, 0.6, 25), "gnp48p60"),
 ]
 
 

@@ -12,8 +12,8 @@ from bbforest import (BudgetExceededError, InstanceTooLargeError,
                       enumerate_max_forests, from_rows, is_induced_forest,
                       max_forest, max_forest_bruteforce, random_min_degree)
 
-from .helpers import (enumerate_forests_oracle, max_forest_oracle,
-                      random_bipartite)
+from .helpers import (enumerate_forests_oracle, forest_oracle,
+                      max_forest_oracle, random_bipartite)
 
 
 def test_k22():
@@ -72,18 +72,65 @@ def test_witness_always_validates():
         assert is_induced_forest(g, res.witness)
 
 
+def _degree_two_graphs():
+    """Graphs where most vertices have degree 2, the regime of the search's
+    degree-2 join: even cycles, ladders, thetas (a cycle plus a chord),
+    two disjoint cycles and unions of two random perfect matchings."""
+    for n in range(2, 9):
+        yield from_rows(n, [1 << i | 1 << (i + 1) % n for i in range(n)])
+        yield from_rows(n, [(0b111 << i >> 1) & ((1 << n) - 1)
+                            for i in range(n)])
+        if n >= 4:
+            cycle = [1 << i | 1 << (i + 1) % n for i in range(n)]
+            cycle[0] |= 1 << n // 2
+            yield from_rows(n, cycle)
+            h = n // 2
+            yield from_rows(n, [1 << i | 1 << (i + 1) % h if i < h
+                                else 1 << i | 1 << h + (i + 1 - h) % (n - h)
+                                for i in range(n)])
+        rng = random.Random(n)
+        for _ in range(2):
+            yield from_rows(n, [1 << i | 1 << j for i, j in
+                                enumerate(rng.sample(range(n), n))])
+
+
 def test_solver_matches_bruteforce_value_and_witness():
-    cases = [(n, p, seed)
-             for n in (2, 3, 4, 5)
-             for p in (0.2, 0.5, 0.8)
-             for seed in range(8)]
-    for n, p, seed in cases:
-        g = random_bipartite(n, p, seed)
+    graphs = [random_bipartite(n, p, seed)
+              for n in (2, 3, 4, 5)
+              for p in (0.2, 0.5, 0.8)
+              for seed in range(8)]
+    for g in graphs + list(_degree_two_graphs()):
         exact = max_forest(g)
         brute = max_forest_bruteforce(g)
-        assert exact.forest_number == brute.forest_number, (n, p, seed)
+        assert exact.forest_number == brute.forest_number, g
         # both sides canonicalize to the lexicographically first witness
-        assert exact.witness == brute.witness, (n, p, seed)
+        assert exact.witness == brute.witness, g
+
+
+def test_feasible_with_matches_forest_scan():
+    # every (inc, out, target) query, answered by a scan over all induced
+    # forests; a forest's subsets are forests, so "some forest of at least
+    # target vertices holds inc and avoids out" is the question
+    rng = random.Random(2024)
+    for gi in range(36):
+        n = 1 + gi % 6
+        g = random_bipartite(n, rng.choice((0.3, 0.5, 0.7)), gi)
+        nv = 2 * n
+        forests = {bits for bits in range(1 << nv)
+                   if forest_oracle(g, VertexSubset(bits & (1 << n) - 1,
+                                                    bits >> n))}
+        search = solver._Search(g)
+        for _ in range(50):
+            inc = rng.getrandbits(nv) & rng.getrandbits(nv)
+            out = rng.getrandbits(nv) & rng.getrandbits(nv) & ~inc
+            best = max((f.bit_count() for f in forests
+                        if f & inc == inc and not f & out), default=0)
+            target = max(1, rng.choice((best, best + 1, rng.randint(1, nv))))
+            got = search.feasible_with(inc, out, target)
+            assert (got is not None) == (best >= target), (gi, inc, out, target)
+            if got is not None:
+                assert got & inc == inc and not got & out
+                assert got.bit_count() >= target and got in forests
 
 
 @settings(max_examples=60, deadline=None)

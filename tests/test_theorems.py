@@ -185,6 +185,18 @@ def test_construction_sweep_custom_ranges():
         verify_constructions("T1")
 
 
+@pytest.mark.parametrize("tid, sizes", [
+    ("P1", {"pairs": [(5, 2)]}),
+    ("T6λ2", {"pairs": []}),
+    ("T7l1", {"ns": [6]}),
+    ("T7l2", {"ns": [6], "pairs": [(6, 2)]}),
+])
+def test_construction_sweep_rejects_the_size_argument_it_does_not_read(
+        tid, sizes):
+    with pytest.raises(ParameterError, match="does not read"):
+        verify_constructions(tid, **sizes)
+
+
 def test_t8_sweep():
     rep = verify_t8(n_values=(5, 7), samples=4, seed=9)
     assert rep.verdict == "pass"
