@@ -8,18 +8,17 @@ families (generators), and the claim verification harness (theorems).
 from .core import (BalancedBipartiteGraph, VertexSubset, emit_bbg, from_rows,
                    induced_edge_count, is_induced_forest, min_degree,
                    parse_bbg)
-from .errors import (BBForestError, BudgetExceededError,
-                     InstanceTooLargeError, MalformedInputError,
-                     ParameterError, PostconditionError)
+from .errors import (BBForestError, InstanceTooLargeError,
+                     MalformedInputError, ParameterError, PostconditionError)
 from .generators import (FAMILIES, GeneratorSpec, build, complete_balanced,
                          prop1_construction, random_min_degree, random_th7,
                          thh1_l1, thh1_l2, thm3_lambda2, thm3_lambda_half)
-from .solver import (BRUTE_FORCE_VERTEX_CAP, ENUMERATION_BUDGET,
-                     SOLVER_PART_CAP, SolveResult, decycling_number,
-                     enumerate_max_forests, max_forest, max_forest_bruteforce)
-from .theorems import (THEOREM_IDS, StructureProfile, VerificationReport,
-                       bound_g, bound_h, bound_t8, check_bounds,
-                       merge_reports, profile_structure,
+from .solver import (BRUTE_FORCE_VERTEX_CAP, SOLVER_PART_CAP, SolveResult,
+                     decycling_number, enumerate_max_forests, max_forest,
+                     max_forest_bruteforce)
+from .theorems import (ENUMERATION_BUDGET, THEOREM_IDS, StructureProfile,
+                       VerificationReport, bound_g, bound_h, bound_t8,
+                       check_bounds, merge_reports, profile_structure,
                        verify_constructions, verify_structure,
                        verify_t1_exhaustive, verify_t1_random, verify_t8)
 
@@ -29,7 +28,6 @@ __all__ = [
     "BBForestError",
     "BRUTE_FORCE_VERTEX_CAP",
     "BalancedBipartiteGraph",
-    "BudgetExceededError",
     "ENUMERATION_BUDGET",
     "FAMILIES",
     "GeneratorSpec",

@@ -11,6 +11,7 @@ Exit codes: 0 success / claim holds, 1 a sweep found counterexamples,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,11 +20,11 @@ from typing import Callable, NamedTuple
 from .core import emit_bbg, parse_bbg
 from .errors import BBForestError, MalformedInputError
 from .generators import _FAMILIES, FAMILIES, GeneratorSpec, build
-from .solver import ENUMERATION_BUDGET, max_forest, max_forest_bruteforce
-from .theorems import (THEOREM_IDS, VerificationReport, check_bounds,
-                       merge_reports, profile_structure, verify_constructions,
-                       verify_structure, verify_t1_exhaustive,
-                       verify_t1_random, verify_t8)
+from .solver import max_forest, max_forest_bruteforce
+from .theorems import (ENUMERATION_BUDGET, THEOREM_IDS, VerificationReport,
+                       check_bounds, merge_reports, profile_structure,
+                       verify_constructions, verify_structure,
+                       verify_t1_exhaustive, verify_t1_random, verify_t8)
 
 __all__ = ["main", "run"]
 
@@ -73,7 +74,9 @@ def _read_graph(path: str):
         return parse_bbg(_read_ascii(fh))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use, once per process: parsing leaves it unchanged
     parser = argparse.ArgumentParser(
         prog="bbforest",
         description="Exact maximum induced forests of balanced bipartite graphs.")
@@ -292,9 +295,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return 0 if exc.code in (0, None) else 2

@@ -27,10 +27,6 @@ class InstanceTooLargeError(BBForestError):
     """The instance exceeds a hard size cap of the requested algorithm."""
 
 
-class BudgetExceededError(BBForestError):
-    """The combinatorial work estimate exceeds the configured budget."""
-
-
 class PostconditionError(BBForestError):
     """A result failed a correctness check the package makes on its own
     output; this signals a bug, not bad input."""

@@ -5,16 +5,21 @@ Two independent routes compute the forest number: a subset-scan oracle
 search (``max_forest``) for anything up to the single-word part cap. Both
 return the lexicographically smallest optimal witness under the global
 vertex order (V1 ids first), so their results are directly comparable.
-``enumerate_max_forests`` lists every maximum forest in that same order by
-a pruned include-first backtrack; its C(2n, f) budget is an upfront bound
-on the work, not the number of subsets it visits.
 
-The search and the enumerator share one representation. Vertices live in
-a single 2n-bit space, V1 ids first, with one adjacency row per vertex
-(``_adjacency``). The included forest is a tuple of component masks, each
-the union of its vertices' neighbourhoods (``_merge``, which the
-enumerator inlines). Including a vertex merges the components it touches,
-and a vertex seen by two of the merged pieces has two neighbours in one
+There is one search, ``_Search``. It finds the optimum, and it answers
+``feasible_with``: is there a forest of a target size that holds one set
+and avoids another? A lex walk (``_lex_walk``) decides the ids in
+increasing order, include first, and asks the search whether a branch
+still holds a forest of the target size. Its leaves are every such forest,
+in lexicographic order. ``max_forest`` takes the first leaf as its witness,
+and ``enumerate_max_forests`` lists them all. Each witness costs at most
+about 4n queries, and no bound on the number of forests is imposed.
+
+Vertices live in a single 2n-bit space, V1 ids first, with one adjacency
+row per vertex (``_adjacency``). The search's included forest is a tuple
+of component masks, each the union of its vertices' neighbourhoods
+(``_merge``). Including a vertex merges the components it touches, and a
+vertex seen by two of the merged pieces has two neighbours in one
 component: it is dead, since joining would close a cycle. Components only
 merge, so a dead vertex stays dead, and no acyclicity test or union-find
 is needed.
@@ -22,19 +27,16 @@ is needed.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator
 
 from .core import BalancedBipartiteGraph, VertexSubset, _forest_masks
-from .errors import (BudgetExceededError, InstanceTooLargeError, ParameterError,
-                     PostconditionError)
+from .errors import InstanceTooLargeError, ParameterError, PostconditionError
 
 __all__ = [
     "BRUTE_FORCE_VERTEX_CAP",
-    "ENUMERATION_BUDGET",
     "SOLVER_PART_CAP",
     "SolveResult",
     "max_forest",
@@ -45,8 +47,6 @@ __all__ = [
 
 # hard limit on 2n for the subset-scan oracle
 BRUTE_FORCE_VERTEX_CAP = 24
-# refuse enumerations whose candidate count C(2n, f) exceeds this
-ENUMERATION_BUDGET = 10 ** 8
 # adjacency rows must fit one machine word
 SOLVER_PART_CAP = 64
 # pair probes per node when hunting a 4-cycle to branch on
@@ -337,12 +337,60 @@ class _Search:
         return self.best if self.best_size >= target else None
 
 
+def _lex_walk(search: _Search, target: int,
+              cache: int | None) -> Iterator[int]:
+    """Yield every induced forest of exactly ``target`` vertices, as a mask
+    over the global ids, in lexicographic order.
+
+    The walk decides ids 0 .. 2n - 1 in turn, include first, and keeps only
+    branches that still hold a forest of ``target`` vertices. Each branch
+    carries a known such forest ``cache`` (None: not known yet). An id in
+    ``cache`` is included without a query; its exclude sibling waits on the
+    stack with no cache and costs one ``feasible_with`` call if the walk
+    resumes it. For an id outside ``cache`` the exclude side is known to be
+    feasible, so only the include side is asked.
+
+    ``feasible_with(inc, out, t)`` finds a forest of at least t vertices,
+    and every subset of a forest is one, so while ``inc`` holds at most t
+    vertices it answers whether a forest of exactly t exists. Every branch
+    queried is either on the path to a leaf or the dead sibling of a branch
+    that is, and each is queried once.
+    """
+    nv = 2 * search.n
+    # (next id, included mask, excluded mask, known forest or None)
+    stack: list[tuple[int, int, int, int | None]] = [(0, 0, 0, cache)]
+    while stack:
+        v, inc, out, cache = stack.pop()
+        if cache is None:
+            cache = search.feasible_with(inc, out, target)
+            if cache is None:
+                continue
+        k = inc.bit_count()
+        while k < target and v < nv:
+            b = 1 << v
+            v += 1
+            if cache & b:
+                stack.append((v, inc, out | b, None))
+            else:
+                found = search.feasible_with(inc | b, out, target)
+                if found is None:
+                    out |= b
+                    continue
+                stack.append((v, inc, out | b, cache))
+                cache = found
+            inc |= b
+            k += 1
+        if k == target:
+            yield inc
+
+
 def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
     """Exact maximum induced forest via branch-and-bound.
 
-    After the optimum f is known, a prefix-fixing pass re-queries the search
-    to pin the lexicographically smallest witness of size f, so the witness
-    never depends on branching order and matches the subset-scan oracle.
+    After the optimum f is known, the first leaf of the lex walk pins the
+    lexicographically smallest witness of size f, starting from the
+    search's own witness, so the witness never depends on branching order
+    and matches the subset-scan oracle.
     """
     n = g.n
     if n > SOLVER_PART_CAP:
@@ -355,98 +403,46 @@ def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
     # so the incumbent starts at n + 1
     search.solve(0, (1 << 2 * n) - 1, n + 1, full1 | 1 << n, 0)
     f = search.best_size
-    cache: int = search.best  # type: ignore[assignment]
-
-    inc = out = 0
-    chosen = 0
-    for v in range(2 * n):
-        if chosen == f:
-            break
-        b = 1 << v
-        if not cache & b:
-            found = search.feasible_with(inc | b, out, f)
-            if found is None:
-                out |= b
-                continue
-            cache = found
-        inc |= b
-        chosen += 1
-    if chosen != f:
+    witness = next(_lex_walk(search, f, search.best), None)
+    if witness is None:
         raise PostconditionError(
-            f"witness pinning chose {chosen} vertices, expected {f}")
-    return SolveResult(f, VertexSubset(inc & full1, inc >> n), 2 * n - f,
-                       search.nodes, time.perf_counter() - t0)
+            f"witness pinning found no forest of {f} vertices")
+    return SolveResult(f, VertexSubset(witness & full1, witness >> n),
+                       2 * n - f, search.nodes, time.perf_counter() - t0)
 
 
 def enumerate_max_forests(g: BalancedBipartiteGraph, cap: int = 0, *,
-                          forest_number: int | None = None,
-                          budget: int = ENUMERATION_BUDGET) -> Iterator[VertexSubset]:
+                          forest_number: int | None = None
+                          ) -> Iterator[VertexSubset]:
     """Yield every maximum induced forest in lexicographic witness order.
 
     Witnesses are emitted strictly increasing under the global vertex order
     and free of duplicates. ``cap`` > 0 stops after that many witnesses;
-    cap = 0 means unbounded. A given ``forest_number`` must lie in
-    [n + 1, 2n], the range every graph's forest number falls in. Refuses
-    upfront (before yielding anything) when the candidate count C(2n, f)
-    exceeds ``budget``; that count bounds the work, but the search itself
-    visits far fewer subsets.
+    cap = 0 means unbounded, and a negative cap is an error. A given
+    ``forest_number`` must lie in [n + 1, 2n], the range every graph's
+    forest number falls in; below the optimum, every forest of that size
+    is listed. Both are checked at call time, before anything is yielded.
 
-    The search is a depth-first, include-first backtrack over global ids
-    in increasing order, so witnesses come out in lexicographic order. It
-    keeps each component of the included forest as the union of its
-    vertices' neighbourhoods. A candidate dies once two of its neighbours
-    lie in one component; components only merge, so it stays dead, and
-    including a live candidate never closes a cycle. A branch is cut when
-    the live candidates left cannot fill the forest up to f.
+    The witnesses are the leaves of the lex walk over one exact search.
+    Every ``feasible_with`` query it makes either lies on the path to a
+    witness or is the dead sibling of a branch that does, so each witness
+    costs at most about 4n queries; the walk's first query, at the root,
+    proves that a forest of the given size exists.
     """
     n = g.n
     nv = 2 * n
+    if cap < 0:
+        raise ParameterError(f"need cap >= 0, got {cap}")
     if forest_number is None:
         forest_number = max_forest(g).forest_number
     elif not n + 1 <= forest_number <= nv:
         raise ParameterError(
             f"forest number {forest_number} outside [{n + 1}, {nv}] "
             f"for part size {n}")
-    total = math.comb(nv, forest_number)
-    if total > budget:
-        raise BudgetExceededError(
-            f"C({nv}, {forest_number}) = {total} candidate subsets exceed "
-            f"the enumeration budget of {budget}")
-    f = forest_number
-    adj = _adjacency(g)
     full1 = (1 << n) - 1
-
-    def _iter() -> Iterator[VertexSubset]:
-        emitted = 0
-        # (included mask, its size, component neighbourhoods, live candidates)
-        stack: list[tuple[int, int, tuple[int, ...], int]] = [
-            (0, 0, (), (1 << nv) - 1)]
-        while stack:
-            s, k, comps, live = stack.pop()
-            if k == f:
-                yield VertexSubset(s & full1, s >> n)
-                emitted += 1
-                if cap and emitted >= cap:
-                    return
-                continue
-            if k + live.bit_count() < f:
-                continue
-            b = live & -live
-            stack.append((s, k, comps, live ^ b))
-            # _merge inlined: a call per node cost the enumeration ~6 %
-            merged = adj[b.bit_length() - 1]
-            dead = 0
-            rest = []
-            for c in comps:
-                if c & b:
-                    dead |= merged & c
-                    merged |= c
-                else:
-                    rest.append(c)
-            rest.append(merged)
-            stack.append((s | b, k + 1, tuple(rest), (live ^ b) & ~dead))
-
-    return _iter()
+    walk = _lex_walk(_Search(g), forest_number, None)
+    return (VertexSubset(s & full1, s >> n)
+            for s in islice(walk, cap or None))
 
 
 def decycling_number(g: BalancedBipartiteGraph) -> int:

@@ -9,6 +9,7 @@ can be replayed from the report alone.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -17,14 +18,15 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (BalancedBipartiteGraph, VertexSubset, emit_bbg, from_rows,
                    is_induced_forest, min_degree)
-from .errors import BudgetExceededError, ParameterError
+from .errors import ParameterError
 from .generators import (complete_balanced, prop1_construction,
                          random_min_degree, random_th7, thh1_l1, thh1_l2,
                          thm3_lambda2, thm3_lambda_half)
-from .solver import (ENUMERATION_BUDGET, enumerate_max_forests, max_forest,
+from .solver import (SOLVER_PART_CAP, enumerate_max_forests, max_forest,
                      max_forest_bruteforce)
 
 __all__ = [
+    "ENUMERATION_BUDGET",
     "THEOREM_IDS",
     "StructureProfile",
     "VerificationReport",
@@ -363,29 +365,36 @@ class StructureProfile:
         }
 
 
+# profile_structure lists the maximum forests only when their candidate
+# count C(2n, f) stays within this bound
+ENUMERATION_BUDGET = 10 ** 8
+
+
 def profile_structure(g: BalancedBipartiteGraph,
                       budget: int = ENUMERATION_BUDGET) -> StructureProfile:
     """Fold every maximum forest into its smaller-part size.
 
-    Keeps the lexicographically first witness per observed value. When the
-    enumeration budget refuses C(2n, f), the profile degrades to the single
-    solver witness and is marked non-exhaustive instead of raising.
+    Keeps the lexicographically first witness per observed value. When
+    C(2n, f) exceeds ``budget``, the profile degrades to the single solver
+    witness and is marked non-exhaustive. The count bounds the number of
+    maximum forests: a disjoint union of n/2 copies of K2,2 has 4^(n/2),
+    over a million at n = 20.
     """
+    if budget < 0:
+        raise ParameterError(f"need budget >= 0, got {budget}")
     res = max_forest(g)
-    try:
-        witnesses = enumerate_max_forests(
-            g, forest_number=res.forest_number, budget=budget)
-        per: dict[int, VertexSubset] = {}
-        for w in witnesses:
-            lam = w.min_part_size()
-            if lam not in per:
-                per[lam] = w
-        return StructureProfile(res.forest_number, frozenset(per),
-                                dict(sorted(per.items())), True)
-    except BudgetExceededError:
+    f = res.forest_number
+    if math.comb(2 * g.n, f) > budget:
         lam = res.witness.min_part_size()
-        return StructureProfile(res.forest_number, frozenset({lam}),
-                                {lam: res.witness}, False)
+        return StructureProfile(f, frozenset({lam}), {lam: res.witness},
+                                False)
+    per: dict[int, VertexSubset] = {}
+    for w in enumerate_max_forests(g, forest_number=f):
+        lam = w.min_part_size()
+        if lam not in per:
+            per[lam] = w
+    return StructureProfile(f, frozenset(per), dict(sorted(per.items())),
+                            True)
 
 
 def _structure_instance(args: tuple[int, int, int, str]) -> dict:
@@ -437,8 +446,9 @@ def verify_structure(n: int, samples: int = 25, seed: int = 1,
     """
     if check not in ("T2", "T4", "C1"):
         raise ParameterError(f"check must be one of T2, T4, C1, got {check!r}")
-    if not 2 <= n <= 12:
-        raise ParameterError(f"need 2 <= n <= 12 for full enumeration, got {n}")
+    if not 2 <= n <= SOLVER_PART_CAP:
+        raise ParameterError(
+            f"need 2 <= n <= {SOLVER_PART_CAP}, the solver's part cap, got {n}")
     if check == "C1" and n % 2 == 0:
         raise ParameterError("C1 concerns odd n only")
     if samples < 1:

@@ -363,3 +363,24 @@ def test_verify_has_no_budget_option(capsys):
     assert run(["verify", "--theorem", "T2", "--n", "6", "--samples", "1",
                 "--budget", "0"]) == 2
     assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    # run reuses one parser; an appended --n list must not leak from one
+    # call into the next, which falls back to the claim's default n = 6
+    assert cli._build_parser() is cli._build_parser()
+    assert run(["verify", "--theorem", "T2", "--n", "9", "--samples", "1",
+                "--no-timing"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["n"] == 9
+    assert run(["verify", "--theorem", "T2", "--samples", "1",
+                "--no-timing"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["n"] == 6
+
+
+@pytest.mark.parametrize("budget", ("-1", "-100"))
+def test_profile_rejects_negative_budget(monkeypatch, capsys, budget):
+    monkeypatch.setattr("sys.stdin", io.StringIO(K22))
+    assert run(["profile", "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need budget >= 0, got {budget}\n"

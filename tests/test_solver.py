@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -6,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bbforest.solver as solver
-from bbforest import (BudgetExceededError, InstanceTooLargeError,
-                      ParameterError, PostconditionError, VertexSubset,
-                      complete_balanced, decycling_number,
-                      enumerate_max_forests, from_rows, is_induced_forest,
-                      max_forest, max_forest_bruteforce, random_min_degree)
+from bbforest import (InstanceTooLargeError, ParameterError,
+                      PostconditionError, VertexSubset, complete_balanced,
+                      decycling_number, enumerate_max_forests, from_rows,
+                      is_induced_forest, max_forest, max_forest_bruteforce,
+                      random_min_degree)
 
 from .helpers import (enumerate_forests_oracle, forest_oracle,
                       max_forest_oracle, random_bipartite)
@@ -213,18 +212,32 @@ def test_enumerate_cap_truncates():
     assert len(list(enumerate_max_forests(prop1_construction(2), cap=1))) == 1
 
 
-def test_enumerate_budget_refusal_names_the_count():
-    g = complete_balanced(12)
-    with pytest.raises(BudgetExceededError) as err:
-        enumerate_max_forests(g, budget=10)
-    assert str(math.comb(24, 13)) in str(err.value)
+@pytest.mark.parametrize("cap", (-1, -5))
+def test_enumerate_rejects_negative_cap(cap):
+    # checked at call time, before anything is yielded
+    with pytest.raises(ParameterError):
+        enumerate_max_forests(complete_balanced(2), cap=cap)
 
 
-def test_enumerate_budget_checked_before_iteration():
-    g = complete_balanced(12)
-    # the refusal must fire at call time, not on first next()
-    with pytest.raises(BudgetExceededError):
-        enumerate_max_forests(g, budget=10)
+@pytest.mark.parametrize("n", (16, 32))
+def test_enumerate_complete_balanced_lists_the_one_sided_sets(n):
+    # for n >= 3 the maximum forests of K_{n,n} are a full part plus one
+    # opposite vertex; in lex order the full-V1 sets come first
+    full = (1 << n) - 1
+    expected = ([VertexSubset(full, 1 << j) for j in range(n)]
+                + [VertexSubset(1 << i, full) for i in range(n)])
+    assert list(enumerate_max_forests(complete_balanced(n))) == expected
+
+
+def test_enumerate_disjoint_k22_copies():
+    # five disjoint copies of K_{2,2}: each keeps 3 of its 4 vertices, in
+    # 4 ways, so f = 15 and there are 4^5 maximum forests
+    rows = [0b11 << (i & ~1) for i in range(10)]
+    g = from_rows(10, rows)
+    ws = list(enumerate_max_forests(g))
+    assert max_forest(g).forest_number == 15
+    assert len(ws) == 4 ** 5 == len(set(ws))
+    assert all(w.size == 15 and is_induced_forest(g, w) for w in ws)
 
 
 def _differential_graphs():

@@ -157,11 +157,22 @@ def test_structure_sweeps_pass(check, n):
     assert rep.params["witnesses_enumerated"] > 0
 
 
+@pytest.mark.parametrize("check,n", [("C1", 21), ("T2", 20)])
+def test_structure_sweeps_pass_above_n_12(check, n):
+    # C(2n, f) is over 10^10 here; the sweep lists every maximum forest,
+    # and its cost follows their number
+    rep = verify_structure(n, samples=3, seed=1, check=check)
+    assert rep.verdict == "pass"
+    assert rep.params["witnesses_enumerated"] >= 3
+
+
 def test_structure_rejects_bad_params():
     with pytest.raises(ParameterError):
         verify_structure(6, check="C1")      # even n
     with pytest.raises(ParameterError):
-        verify_structure(13, check="T2")     # beyond enumeration range
+        verify_structure(65, check="T2")     # beyond the solver's part cap
+    with pytest.raises(ParameterError):
+        verify_structure(1, check="T2")
     with pytest.raises(ParameterError):
         verify_structure(6, check="T9")
     with pytest.raises(ParameterError):
