@@ -23,13 +23,19 @@ vertex seen by two of the merged pieces has two neighbours in one
 component: it is dead, since joining would close a cycle. Components only
 merge, so a dead vertex stays dead, and no acyclicity test or union-find
 is needed.
+
+Before any search, ``max_forest`` asks whether degree counting alone
+rules out a forest of n + 2 vertices (``_count_refutes``), the instance
+form of the paper's degree-sum bound ``theorems.bound_g``. When it does,
+the starting incumbent n + 1 is optimal and the root closes on the count:
+every graph with minimum degree at least n/2 + 1 takes this path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from typing import Iterator
 
 from .core import BalancedBipartiteGraph, VertexSubset, _forest_masks
@@ -384,13 +390,36 @@ def _lex_walk(search: _Search, target: int,
             yield inc
 
 
+def _count_refutes(g: BalancedBipartiteGraph, t: int) -> bool:
+    """True when degree counting alone rules out an induced forest of
+    ``t`` >= 1 vertices.
+
+    A forest with a vertices in V1 and b in V2 keeps, of each V1 vertex's
+    neighbours, all but at most n - b, so it has at least P1[a] - a(n - b)
+    edges, where P1 sums the a smallest V1 degrees; the same holds with the
+    sides swapped. A forest carries at most a + b - 1 edges, so ``t`` is
+    refuted when every split a + b = t breaks this. Every larger forest
+    holds one of exactly ``t`` vertices, so larger sizes are refuted too.
+    """
+    n = g.n
+    p1, p2 = ([0, *accumulate(sorted(row.bit_count() for row in rows))]
+              for rows in (g.adj1, g.adj2))
+    for a in range(max(0, t - n), min(t, n) + 1):
+        b = t - a
+        if max(p1[a] - a * (n - b), p2[b] - b * (n - a)) < t:
+            return False
+    return True
+
+
 def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
     """Exact maximum induced forest via branch-and-bound.
 
-    After the optimum f is known, the first leaf of the lex walk pins the
-    lexicographically smallest witness of size f, starting from the
-    search's own witness, so the witness never depends on branching order
-    and matches the subset-scan oracle.
+    When degree counting rules out n + 2 vertices, the starting incumbent
+    n + 1 is optimal and the search is not run; the root counts as one
+    node. After the optimum f is known, the first leaf of the lex walk
+    pins the lexicographically smallest witness of size f, starting from
+    the search's own witness, so the witness never depends on branching
+    order and matches the subset-scan oracle.
     """
     n = g.n
     if n > SOLVER_PART_CAP:
@@ -401,9 +430,15 @@ def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
     search = _Search(g)
     # a full part plus any single opposite vertex always induces a forest,
     # so the incumbent starts at n + 1
-    search.solve(0, (1 << 2 * n) - 1, n + 1, full1 | 1 << n, 0)
-    f = search.best_size
-    witness = next(_lex_walk(search, f, search.best), None)
+    incumbent = full1 | 1 << n
+    if _count_refutes(g, n + 2):
+        # the root closes on the count: the incumbent is optimal
+        search.nodes = 1
+        f, best = n + 1, incumbent
+    else:
+        search.solve(0, (1 << 2 * n) - 1, n + 1, incumbent, 0)
+        f, best = search.best_size, search.best
+    witness = next(_lex_walk(search, f, best), None)
     if witness is None:
         raise PostconditionError(
             f"witness pinning found no forest of {f} vertices")

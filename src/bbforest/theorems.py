@@ -54,6 +54,13 @@ def _threshold(n: int) -> int:
     return (n + 3) // 2
 
 
+def _check_part_size(n: int) -> None:
+    # the random sweeps need 2 <= n: at n = 1 the threshold exceeds n
+    if not 2 <= n <= SOLVER_PART_CAP:
+        raise ParameterError(
+            f"need 2 <= n <= {SOLVER_PART_CAP}, the solver's part cap, got {n}")
+
+
 # ---------------------------------------------------------------------------
 # exact bound functions
 # ---------------------------------------------------------------------------
@@ -325,8 +332,7 @@ def _t1_random_instance(args: tuple[int, int, int]) -> list[dict]:
 def verify_t1_random(n: int, samples: int = 100, seed: int = 1,
                      jobs: int = 1) -> VerificationReport:
     """Seeded random sweep of the minimum-degree claim at part size n."""
-    if not 1 <= n <= 64:
-        raise ParameterError(f"need 1 <= n <= 64, got {n}")
+    _check_part_size(n)
     if samples < 1:
         raise ParameterError(f"need samples >= 1, got {samples}")
     t0 = time.perf_counter()
@@ -446,9 +452,7 @@ def verify_structure(n: int, samples: int = 25, seed: int = 1,
     """
     if check not in ("T2", "T4", "C1"):
         raise ParameterError(f"check must be one of T2, T4, C1, got {check!r}")
-    if not 2 <= n <= SOLVER_PART_CAP:
-        raise ParameterError(
-            f"need 2 <= n <= {SOLVER_PART_CAP}, the solver's part cap, got {n}")
+    _check_part_size(n)
     if check == "C1" and n % 2 == 0:
         raise ParameterError("C1 concerns odd n only")
     if samples < 1:

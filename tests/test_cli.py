@@ -322,6 +322,16 @@ def test_verify_samples_below_one_exits_two(capsys, tid, samples):
         f"error: need samples >= 1, got {samples}\n")
 
 
+@pytest.mark.parametrize("tid", ["T1", "T2"])
+@pytest.mark.parametrize("n", ["1", "65"])
+def test_verify_part_size_out_of_range_names_n(capsys, tid, n):
+    # at n = 1 the T1 threshold is 2, which must not surface as an error on
+    # a --delta-min the user never gave
+    assert run(["verify", "--theorem", tid, "--n", n]) == 2
+    assert capsys.readouterr().err == (
+        f"error: need 2 <= n <= 64, the solver's part cap, got {n}\n")
+
+
 @pytest.mark.parametrize("argv, err", [
     (["T1", "--n", "5", "--n", "6"], "--theorem T1 takes one --n"),
     (["T2", "--n", "5", "--n", "7"], "--theorem T2 takes one --n"),

@@ -5,6 +5,10 @@ them means the search itself changed: pruning, branching or pinning. Such
 a change must be intended, and the new counts recorded here with it. Each
 case also pins the witness and the number of feasibility queries the
 pinning pass makes. No wall time is bounded.
+
+The dense graphs (minimum degree (n + 3) // 2) close at the root on the
+degree count, so they are pinned a second time with the count declining,
+which keeps the branch and bound itself pinned on a dense graph.
 """
 
 import pytest
@@ -21,15 +25,15 @@ def _all_but(n, *skip):
 
 CASES = [
     # (graph, forest number, nodes explored, witness (V1, V2), pinning calls)
-    (lambda: random_min_degree(32, 17, 1), 33, 419,
+    (lambda: random_min_degree(32, 17, 1), 33, 1,
      (tuple(range(32)), (0,)), 0),
-    (lambda: random_min_degree(48, 25, 2), 49, 1019,
+    (lambda: random_min_degree(48, 25, 2), 49, 1,
      (tuple(range(48)), (0,)), 0),
     (lambda: random_bipartite(12, 0.3, 7), 18, 281,
      ((1, 3, 4, 5, 7, 9), tuple(range(12))), 6),
     (lambda: random_bipartite(16, 0.25, 5), 24, 1018,
      (_all_but(16, 1), (0, 1, 5, 6, 7, 9, 10, 12, 15)), 10),
-    (lambda: random_min_degree(64, 33, 1), 65, 1015,
+    (lambda: random_min_degree(64, 33, 1), 65, 1,
      (tuple(range(64)), (0,)), 0),
     (lambda: random_bipartite(18, 0.2, 7), 27, 1008,
      (tuple(range(18)), (0, 5, 7, 9, 12, 13, 14, 15, 17)), 9),
@@ -40,10 +44,33 @@ CASES = [
 ]
 
 
+# the rmd cases above with the root's degree count declining: the search runs
+DENSE_SEARCH_CASES = [
+    (lambda: random_min_degree(32, 17, 1), 33, 419,
+     (tuple(range(32)), (0,)), 0),
+    (lambda: random_min_degree(48, 25, 2), 49, 1019,
+     (tuple(range(48)), (0,)), 0),
+    (lambda: random_min_degree(64, 33, 1), 65, 1015,
+     (tuple(range(64)), (0,)), 0),
+]
+
+
 @pytest.mark.parametrize("make, f, nodes, witness, pin_calls", CASES,
                          ids=["rmd32", "rmd48", "gnp12", "gnp16", "rmd64",
                               "gnp18p20", "gnp18p15", "gnp20p30"])
 def test_node_count_pinned(make, f, nodes, witness, pin_calls, monkeypatch):
+    _check_pinned(make, f, nodes, witness, pin_calls, monkeypatch)
+
+
+@pytest.mark.parametrize("make, f, nodes, witness, pin_calls",
+                         DENSE_SEARCH_CASES, ids=["rmd32", "rmd48", "rmd64"])
+def test_dense_search_node_count_pinned(make, f, nodes, witness, pin_calls,
+                                        monkeypatch):
+    monkeypatch.setattr(solver, "_count_refutes", lambda g, t: False)
+    _check_pinned(make, f, nodes, witness, pin_calls, monkeypatch)
+
+
+def _check_pinned(make, f, nodes, witness, pin_calls, monkeypatch):
     calls = []
     feasible_with = solver._Search.feasible_with
 

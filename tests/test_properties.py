@@ -2,16 +2,19 @@
 
 No subset-scan oracle reaches these sizes, so the solver is checked against
 itself: relabelling the graph must not move f, deleting an edge must not
-lower it, and every witness must pass the independent forest check.
-Graphs and relabellings come from fixed seeds.
+lower it, and every witness must pass the independent forest check. The
+witness must be the first one the enumeration lists, and closing the root
+on the degree count must give what the search gives. Graphs and
+relabellings come from fixed seeds.
 """
 
 import random
 
 import pytest
 
-from bbforest import (BalancedBipartiteGraph, from_rows, max_forest,
-                      random_min_degree)
+from bbforest import (BalancedBipartiteGraph, enumerate_max_forests,
+                      from_rows, max_forest, random_min_degree)
+from bbforest import solver
 
 from .helpers import forest_oracle, random_bipartite
 
@@ -30,6 +33,13 @@ GRAPHS = [
     (lambda: random_bipartite(32, 0.5, 23), "gnp32p50"),
     (lambda: random_bipartite(48, 0.6, 25), "gnp48p60"),
 ]
+
+# minimum degree just below n/2 and at the threshold (n + 3) // 2, where the
+# degree count closes the root, and G(n, n, 0.6)
+DENSE = [case for n in (20, 32, 48) for case in [
+    (lambda n=n: random_min_degree(n, n // 2 - 1, n), f"rmdlow{n}"),
+    (lambda n=n: random_min_degree(n, (n + 3) // 2, n), f"rmd{n}"),
+    (lambda n=n: random_bipartite(n, 0.6, n), f"gnp{n}p60")]]
 
 
 def _solve(g: BalancedBipartiteGraph) -> int:
@@ -69,3 +79,24 @@ def test_forest_number_metamorphic(seed, make):
     rows = list(g.adj1)
     rows[i] ^= 1 << j
     assert _solve(from_rows(g.n, rows)) >= f
+
+
+@pytest.mark.parametrize("make", [m for m, _ in GRAPHS],
+                         ids=[name for _, name in GRAPHS])
+def test_witness_is_first_enumerated(make):
+    g = make()
+    res = max_forest(g)
+    first = next(enumerate_max_forests(g, cap=1,
+                                       forest_number=res.forest_number))
+    assert first == res.witness
+
+
+@pytest.mark.parametrize("make", [m for m, _ in DENSE],
+                         ids=[name for _, name in DENSE])
+def test_root_count_keeps_forest_number_and_witness(make, monkeypatch):
+    g = make()
+    res = max_forest(g)
+    monkeypatch.setattr(solver, "_count_refutes", lambda g, t: False)
+    searched = max_forest(g)
+    assert (res.forest_number, res.witness) == (searched.forest_number,
+                                                searched.witness)

@@ -9,7 +9,7 @@ from bbforest import (InstanceTooLargeError, ParameterError,
                       PostconditionError, VertexSubset, complete_balanced,
                       decycling_number, enumerate_max_forests, from_rows,
                       is_induced_forest, max_forest, max_forest_bruteforce,
-                      random_min_degree)
+                      prop1_construction, random_min_degree, thh1_l2)
 
 from .helpers import (enumerate_forests_oracle, forest_oracle,
                       max_forest_oracle, random_bipartite)
@@ -342,3 +342,33 @@ def test_c4_probe_matches_pair_scan():
             assert got == _c4_pair_scan(g, act)
             outcomes.add(min(got, 1))
     assert outcomes == {-1, 0, 1}
+
+
+def test_count_refutes_only_sizes_above_the_forest_number():
+    refuted = 0
+    for n in range(1, 7):
+        for tenths in range(1, 11):
+            g = random_bipartite(n, tenths / 10, 10 * n + tenths)
+            f = max_forest_oracle(g)
+            for t in range(1, 2 * n + 1):
+                if solver._count_refutes(g, t):
+                    assert f < t, (g, t)
+                    refuted += 1
+    assert refuted
+
+
+def test_count_refutes_n_plus_two_above_the_threshold():
+    # the instance form of BOUNDS' g(n, k) >= n + 2: minimum degree n/2 + 1
+    # leaves no room for a forest of n + 2 vertices
+    for n in range(2, 65):
+        assert solver._count_refutes(
+            random_min_degree(n, (n + 3) // 2, n), n + 2), n
+        assert solver._count_refutes(complete_balanced(n), n + 2), n
+
+
+def test_count_never_refutes_a_forest_number_of_n_plus_two():
+    graphs = [prop1_construction(n) for n in range(2, 65)]
+    graphs += [thh1_l2(n, k) for n in range(4, 64, 2)
+               for k in range(2, n // 2 + 1)]
+    for g in graphs:
+        assert not solver._count_refutes(g, g.n + 2), g
