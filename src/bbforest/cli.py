@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 from .core import emit_bbg, parse_bbg
 from .errors import BBForestError, MalformedInputError
 from .generators import _FAMILIES, FAMILIES, GeneratorSpec, build
-from .solver import max_forest, max_forest_bruteforce
+from .solver import BRUTE_FORCE_VERTEX_CAP, max_forest, max_forest_bruteforce
 from .theorems import (ENUMERATION_BUDGET, THEOREM_IDS, VerificationReport,
                        check_bounds, merge_reports, profile_structure,
                        verify_constructions, verify_structure,
@@ -87,8 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="input file, - for stdin (default)")
     p.add_argument("--brute", action="store_true",
                    help="use the subset-scan oracle instead of branch and bound")
-    p.add_argument("--brute-cap", type=int, default=24, metavar="V",
-                   help="vertex cap for --brute (default 24)")
+    p.add_argument("--brute-cap", type=int, default=BRUTE_FORCE_VERTEX_CAP,
+                   metavar="V",
+                   help="vertex cap for --brute (default %(default)s)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--no-timing", action="store_true",
                    help="omit elapsed time from the output")

@@ -1,5 +1,10 @@
 """Balanced bipartite graphs over per-vertex bitsets, plus the BBG text format.
 
+A graph is its n x n biadjacency matrix: row i is vertex i of V1, column j
+is vertex j of V2. A row is a bitmask over V2, written as n characters '0' or
+'1' where character j is bit j (``_decode_row``, ``_encode_row``). ``adj2``,
+the transpose, is built only in ``from_rows``.
+
 Vertices are 0-indexed within each part. Wherever a single ordering over all
 2n vertices is needed (witness tie-breaks, enumeration order), part-one
 vertices come first: vertex i of V1 has global id i, vertex j of V2 has
@@ -39,7 +44,7 @@ class BalancedBipartiteGraph:
     """Immutable bipartite graph with parts V1 and V2 of n vertices each.
 
     ``adj1[i]`` is a bitmask over V2 columns giving the neighbours of vertex
-    i of V1; ``adj2`` is the transpose, kept in sync at construction time.
+    i of V1; ``adj2`` is the transpose, built by ``from_rows``.
     Instances compare by value and are safe to share between threads.
     """
 
@@ -85,41 +90,43 @@ class VertexSubset:
         return cls(s1, s2)
 
 
-def from_rows(n: int, rows: Sequence[int] | Sequence[str]) -> BalancedBipartiteGraph:
-    """Build a graph from n adjacency rows over V2.
+def _decode_row(row: str | int, n: int) -> int:
+    """A '0'/'1' string or an int mask as a checked bitmask of width n."""
+    if not isinstance(row, str):
+        if row < 0 or row >> n:
+            raise MalformedInputError(f"bitmask out of range for width {n}")
+        return row
+    if len(row) != n:
+        raise MalformedInputError(f"expected {n} columns, got {len(row)}")
+    # checked before int(), which also takes '_', signs, whitespace and
+    # non-ASCII digits
+    bad = row.replace("0", "").replace("1", "")
+    if bad:
+        raise MalformedInputError(f"invalid character {bad[0]!r}")
+    return int(row[::-1], 2)
 
-    Rows may be bitmasks or strings of '0'/'1'; in a string row, character j
-    gives the edge between vertex i of V1 and vertex j of V2.
-    """
+
+def _encode_row(mask: int, n: int) -> str:
+    return format(mask, f"0{n}b")[::-1]
+
+
+def from_rows(n: int, rows: Sequence[int] | Sequence[str]) -> BalancedBipartiteGraph:
+    """Build a graph from n adjacency rows over V2, as bitmasks or strings."""
     if n < 1:
         raise ParameterError(f"part size must be positive, got {n}")
     if len(rows) != n:
         raise MalformedInputError(f"expected {n} rows, got {len(rows)}")
     adj1 = []
     for i, row in enumerate(rows):
-        if isinstance(row, str):
-            if len(row) != n:
-                raise MalformedInputError(
-                    f"row {i}: expected {n} columns, got {len(row)}")
-            mask = 0
-            for j, ch in enumerate(row):
-                if ch == "1":
-                    mask |= 1 << j
-                elif ch != "0":
-                    raise MalformedInputError(f"row {i}: invalid character {ch!r}")
-        else:
-            mask = row
-            if mask < 0 or mask >> n:
-                raise MalformedInputError(f"row {i}: bitmask out of range for width {n}")
-        adj1.append(mask)
-    adj2 = [0] * n
-    for i, mask in enumerate(adj1):
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            adj2[b.bit_length() - 1] |= 1 << i
-    return BalancedBipartiteGraph(n, tuple(adj1), tuple(adj2))
+        try:
+            adj1.append(_decode_row(row, n))
+        except MalformedInputError as err:
+            raise MalformedInputError(f"row {i}: {err}") from None
+    # format() writes bit n - 1 first, so over the rows in reverse order the
+    # k-th column of these strings reads in binary as column n - 1 - k
+    bits = [format(row, f"0{n}b") for row in reversed(adj1)]
+    adj2 = tuple(int("".join(col), 2) for col in zip(*bits))[::-1]
+    return BalancedBipartiteGraph(n, tuple(adj1), adj2)
 
 
 def min_degree(g: BalancedBipartiteGraph) -> int:
@@ -227,23 +234,14 @@ def parse_bbg(text: str) -> BalancedBipartiteGraph:
         raise MalformedInputError("unexpected trailing content", line=n + 3)
     rows = []
     for i in range(n):
-        row = lines[2 + i]
-        lineno = 3 + i
-        if len(row) != n:
-            raise MalformedInputError(f"expected {n} columns, got {len(row)}", line=lineno)
-        mask = 0
-        for j, ch in enumerate(row):
-            if ch == "1":
-                mask |= 1 << j
-            elif ch != "0":
-                raise MalformedInputError(f"invalid character {ch!r}", line=lineno)
-        rows.append(mask)
+        try:
+            rows.append(_decode_row(lines[2 + i], n))
+        except MalformedInputError as err:
+            raise MalformedInputError(str(err), line=3 + i) from None
     return from_rows(n, rows)
 
 
 def emit_bbg(g: BalancedBipartiteGraph) -> str:
     """Serialize to BBG v1 text; ``parse_bbg`` round-trips it bit-exactly."""
-    out = ["BBG 1", str(g.n)]
-    for row in g.adj1:
-        out.append("".join("1" if row >> j & 1 else "0" for j in range(g.n)))
+    out = ["BBG 1", str(g.n), *(_encode_row(row, g.n) for row in g.adj1)]
     return "\n".join(out) + "\n"

@@ -202,20 +202,16 @@ def _random_rows_min_degree(n: int, delta_min: int, rng: random.Random) -> list[
             if rng.random() < p:
                 mask |= 1 << j
         rows.append(mask)
-    # repair short rows, then short columns; edges only ever get added
-    for i in range(n):
-        short = delta_min - rows[i].bit_count()
-        if short > 0:
-            candidates = _shuffled([j for j in range(n) if not rows[i] >> j & 1], rng)
-            for j in candidates[:short]:
-                rows[i] |= 1 << j
-    for j in range(n):
-        col = sum(rows[i] >> j & 1 for i in range(n))
-        short = delta_min - col
-        if short > 0:
-            candidates = _shuffled([i for i in range(n) if not rows[i] >> j & 1], rng)
-            for i in candidates[:short]:
-                rows[i] |= 1 << j
+    # repair short rows, then short columns as the rows of the transpose;
+    # edges only ever get added
+    for _ in range(2):
+        for i in range(n):
+            short = delta_min - rows[i].bit_count()
+            if short > 0:
+                candidates = _shuffled([j for j in range(n) if not rows[i] >> j & 1], rng)
+                for j in candidates[:short]:
+                    rows[i] |= 1 << j
+        rows = list(from_rows(n, rows).adj2)
     return rows
 
 
@@ -251,20 +247,17 @@ def random_th7(n: int, seed: int) -> BalancedBipartiteGraph:
     floor = (n + 1) // 2
     rng = random.Random(seed)
     rows = _random_rows_min_degree(n, floor, rng)
-    at_floor = [i for i in range(n) if rows[i].bit_count() == floor]
-    for i in at_floor[1:]:
-        candidates = _shuffled([j for j in range(n) if not rows[i] >> j & 1], rng)
-        rows[i] |= 1 << candidates[0]
-    col_deg = [sum(rows[i] >> j & 1 for i in range(n)) for j in range(n)]
-    at_floor = [j for j in range(n) if col_deg[j] == floor]
-    for j in at_floor[1:]:
-        candidates = _shuffled([i for i in range(n) if not rows[i] >> j & 1], rng)
-        rows[candidates[0]] |= 1 << j
+    for _ in range(2):                          # V1's rows, then V2's
+        at_floor = [i for i in range(n) if rows[i].bit_count() == floor]
+        for i in at_floor[1:]:
+            candidates = _shuffled([j for j in range(n) if not rows[i] >> j & 1], rng)
+            rows[i] |= 1 << candidates[0]
+        rows = list(from_rows(n, rows).adj2)
     g = from_rows(n, rows)
     _check(min_degree(g) >= floor,
            f"random_th7({n}, {seed}): a degree below (n + 1)/2")
-    _check(sum(1 for row in g.adj1 if row.bit_count() == floor) <= 1
-           and sum(1 for row in g.adj2 if row.bit_count() == floor) <= 1,
+    _check(all(sum(1 for row in part if row.bit_count() == floor) <= 1
+               for part in (g.adj1, g.adj2)),
            f"random_th7({n}, {seed}): two floor-degree vertices in one part")
     return g
 

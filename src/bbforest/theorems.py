@@ -9,6 +9,7 @@ can be replayed from the report alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -272,33 +273,15 @@ def check_bounds(n_max: int) -> VerificationReport:
 # T1: high minimum degree forces forest number n + 1
 # ---------------------------------------------------------------------------
 
-def _qualifying_row_sets(n: int, delta: int) -> Iterator[tuple[int, ...]]:
-    # complete scan of all labeled adjacency matrices, pruned on partial
-    # row/column degree bounds; equivalent to filtering the full 2^(n*n)
-    # space on minimum degree >= delta
+def _qualifying_graphs(n: int, delta: int) -> Iterator[BalancedBipartiteGraph]:
+    # every labeled adjacency matrix with minimum degree >= delta, in the
+    # order of a scan of all 2^(n*n): rows of degree >= delta in every
+    # combination, kept when their columns reach delta too
     row_options = [r for r in range(1 << n) if r.bit_count() >= delta]
-    rows: list[int] = []
-    cols = [0] * n
-
-    def rec(depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == n:
-            yield tuple(rows)
-            return
-        remaining = n - depth - 1
-        for r in row_options:
-            ok = True
-            for j in range(n):
-                cols[j] += r >> j & 1
-                if cols[j] + remaining < delta:
-                    ok = False
-            if ok:
-                rows.append(r)
-                yield from rec(depth + 1)
-                rows.pop()
-            for j in range(n):
-                cols[j] -= r >> j & 1
-
-    return rec(0)
+    for rows in itertools.product(row_options, repeat=n):
+        g = from_rows(n, rows)
+        if min_degree(g) >= delta:
+            yield g
 
 
 def verify_t1_exhaustive(n: int, *, allow_n5: bool = False) -> VerificationReport:
@@ -314,8 +297,7 @@ def verify_t1_exhaustive(n: int, *, allow_n5: bool = False) -> VerificationRepor
     delta = _threshold(n)
     checked = 0
     counterexamples: list[dict] = []
-    for rows in _qualifying_row_sets(n, delta):
-        g = from_rows(n, rows)
+    for g in _qualifying_graphs(n, delta):
         checked += 1
         counterexamples.extend(_recheck(g, max_forest_bruteforce(g), n + 1))
     params = {"n": n, "min_degree_threshold": delta,

@@ -9,6 +9,15 @@ from bbforest import (BalancedBipartiteGraph, MalformedInputError,
 
 from .helpers import forest_oracle, random_bipartite
 
+# rows outside {0, 1} that int(row[::-1], 2) would still accept
+INT_ACCEPTED_ROWS = ["1_1", "1+", "1-", " 1", "1\t", "\uff110"]
+
+
+def _second_row_is(row: str) -> list[str]:
+    # len(row) rows of ones with ``row`` in place of the second
+    n = len(row)
+    return ["1" * n, row] + ["1" * n] * (n - 2)
+
 
 def test_from_rows_string_and_int_agree():
     a = from_rows(3, ["110", "011", "101"])
@@ -34,6 +43,9 @@ def test_from_rows_rejects_bad_shapes():
         from_rows(2, ["11", "1x"])
     with pytest.raises(MalformedInputError):
         from_rows(2, [0b11, 1 << 2])
+    for row in INT_ACCEPTED_ROWS:
+        with pytest.raises(MalformedInputError, match="^row 1: invalid character"):
+            from_rows(len(row), _second_row_is(row))
 
 
 def test_degree_and_edge_count():
@@ -105,7 +117,8 @@ def test_parse_k22():
     ("BBG 1\n2\n11\n12\n", 4),
     ("BBG 1\n2\n11\n11\n11\n", 5),
     ("BBG 1\n2\n11\n11", 4),
-])
+] + [("\n".join(["BBG 1", str(len(row)), *_second_row_is(row)]) + "\n", 4)
+     for row in INT_ACCEPTED_ROWS])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(MalformedInputError) as err:
         parse_bbg(text)
@@ -113,13 +126,13 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert f"line {line}:" in str(err.value)
 
 
-@given(st.integers(1, 8), st.floats(0, 1), st.integers(0, 10 ** 6))
+@given(st.integers(1, 64), st.floats(0, 1), st.integers(0, 10 ** 6))
 def test_emit_parse_round_trip(n, p, seed):
     g = random_bipartite(n, p, seed)
     assert parse_bbg(emit_bbg(g)) == g
 
 
-@given(st.integers(1, 8), st.floats(0, 1), st.integers(0, 10 ** 6))
+@given(st.integers(1, 64), st.floats(0, 1), st.integers(0, 10 ** 6))
 def test_transpose_consistent(n, p, seed):
     g = random_bipartite(n, p, seed)
     for i in range(n):

@@ -4,8 +4,8 @@ No subset-scan oracle reaches these sizes, so the solver is checked against
 itself: relabelling the graph must not move f, deleting an edge must not
 lower it, and every witness must pass the independent forest check. The
 witness must be the first one the enumeration lists, and closing the root
-on the degree count must give what the search gives. Graphs and
-relabellings come from fixed seeds.
+on the degree count, or switching the 4-cycle probe off, must give what the
+search gives. Graphs and relabellings come from fixed seeds.
 """
 
 import random
@@ -97,6 +97,21 @@ def test_root_count_keeps_forest_number_and_witness(make, monkeypatch):
     g = make()
     res = max_forest(g)
     monkeypatch.setattr(solver, "_count_refutes", lambda g, t: False)
+    searched = max_forest(g)
+    assert (res.forest_number, res.witness) == (searched.forest_number,
+                                                searched.witness)
+
+
+# gnp22p60 needs 1 093 187 nodes without the probe (17 s on a 2-vCPU host)
+NO_PROBE = [(make, name) for make, name in GRAPHS if make().n <= 20]
+
+
+@pytest.mark.parametrize("make", [m for m, _ in NO_PROBE],
+                         ids=[name for _, name in NO_PROBE])
+def test_c4_probe_keeps_forest_number_and_witness(make, monkeypatch):
+    g = make()
+    res = max_forest(g)
+    monkeypatch.setattr(solver._Search, "_find_c4", lambda self, act: 0)
     searched = max_forest(g)
     assert (res.forest_number, res.witness) == (searched.forest_number,
                                                 searched.witness)
