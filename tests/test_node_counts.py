@@ -41,6 +41,8 @@ CASES = [
      (_all_but(18, 0, 7, 12, 16), _all_but(18, 16)), 6),
     (lambda: random_bipartite(20, 0.3, 7), 24, 3679,
      (tuple(range(20)), (7, 8, 13, 19)), 16),
+    (lambda: random_bipartite(28, 0.2, 7), 36, 28224,
+     (tuple(range(28)), (2, 5, 6, 9, 15, 19, 23, 26)), 20),
 ]
 
 
@@ -57,7 +59,7 @@ DENSE_SEARCH_CASES = [
 
 @pytest.mark.parametrize("make, f, nodes, witness, pin_calls", CASES,
                          ids=["rmd32", "rmd48", "gnp12", "gnp16", "rmd64",
-                              "gnp18p20", "gnp18p15", "gnp20p30"])
+                              "gnp18p20", "gnp18p15", "gnp20p30", "gnp28p20"])
 def test_node_count_pinned(make, f, nodes, witness, pin_calls, monkeypatch):
     _check_pinned(make, f, nodes, witness, pin_calls, monkeypatch)
 
