@@ -193,7 +193,8 @@ def _shuffled(items: list[int], rng: random.Random) -> list[int]:
     return items
 
 
-def _random_rows_min_degree(n: int, delta_min: int, rng: random.Random) -> list[int]:
+def _random_graph_min_degree(n: int, delta_min: int,
+                             rng: random.Random) -> BalancedBipartiteGraph:
     p = max(0.5, (delta_min + 1) / n)
     rows = []
     for _ in range(n):
@@ -211,8 +212,10 @@ def _random_rows_min_degree(n: int, delta_min: int, rng: random.Random) -> list[
                 candidates = _shuffled([j for j in range(n) if not rows[i] >> j & 1], rng)
                 for j in candidates[:short]:
                     rows[i] |= 1 << j
-        rows = list(from_rows(n, rows).adj2)
-    return rows
+        g = from_rows(n, rows)
+        rows = list(g.adj2)
+    # g is the transpose: its rows are the repaired columns
+    return BalancedBipartiteGraph(n, g.adj2, g.adj1)
 
 
 def random_min_degree(n: int, delta_min: int, seed: int) -> BalancedBipartiteGraph:
@@ -227,8 +230,7 @@ def random_min_degree(n: int, delta_min: int, seed: int) -> BalancedBipartiteGra
         raise ParameterError(f"part size must be positive, got {n}")
     if not 0 <= delta_min <= n:
         raise ParameterError(f"need 0 <= delta_min <= {n}, got {delta_min}")
-    rng = random.Random(seed)
-    g = from_rows(n, _random_rows_min_degree(n, delta_min, rng))
+    g = _random_graph_min_degree(n, delta_min, random.Random(seed))
     _check(min_degree(g) >= delta_min,
            f"random_min_degree({n}, {delta_min}, {seed}): a degree below delta_min")
     return g
@@ -246,14 +248,15 @@ def random_th7(n: int, seed: int) -> BalancedBipartiteGraph:
         raise ParameterError(f"need odd n >= 3, got {n}")
     floor = (n + 1) // 2
     rng = random.Random(seed)
-    rows = _random_rows_min_degree(n, floor, rng)
+    rows = list(_random_graph_min_degree(n, floor, rng).adj1)
     for _ in range(2):                          # V1's rows, then V2's
         at_floor = [i for i in range(n) if rows[i].bit_count() == floor]
         for i in at_floor[1:]:
             candidates = _shuffled([j for j in range(n) if not rows[i] >> j & 1], rng)
             rows[i] |= 1 << candidates[0]
-        rows = list(from_rows(n, rows).adj2)
-    g = from_rows(n, rows)
+        g = from_rows(n, rows)
+        rows = list(g.adj2)
+    g = BalancedBipartiteGraph(n, g.adj2, g.adj1)  # g was the transpose
     _check(min_degree(g) >= floor,
            f"random_th7({n}, {seed}): a degree below (n + 1)/2")
     _check(all(sum(1 for row in part if row.bit_count() == floor) <= 1

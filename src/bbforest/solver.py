@@ -165,6 +165,18 @@ class _Search:
     partner it passes. When it proves the active graph free of 4-cycles,
     the subtree skips it: active sets only shrink below a node. All of
     this is deterministic.
+
+    The edge-cut bound and the branch pick read active degrees from a list
+    indexed by global id, 0 for inactive ids. A node is handed its parent's
+    list and the mask of ids the parent's decision removed: the branch
+    vertex on the exclude side, the merge's kills on the include side.
+    Propagation adds its own kills; its joins keep the active set. A node
+    that reaches the bound copies the list, only when that mask is
+    non-empty, zeroes each removed id and decrements its active
+    neighbours, so the list holds exactly the popcounts a recount over the
+    active set would give, and every prune and branch decision is the one
+    the recount would make. ``solve`` hands no list: its first node to
+    reach the bound counts the degrees once.
     """
 
     __slots__ = ("n", "adj", "nodes", "best_size", "best", "stop_at",
@@ -213,7 +225,8 @@ class _Search:
         return out
 
     def _branch(self, s: int, r: int, comps: tuple[int, ...], dirty: int,
-                probe: bool) -> None:
+                probe: bool, deg: list[int] | None = None,
+                gone: int = 0) -> None:
         self.nodes += 1
         adj = self.adj
 
@@ -233,6 +246,7 @@ class _Search:
             dead &= r
             if dead:
                 r ^= dead
+                gone |= dead
                 dirty = (dirty | self._neighbours(dead)) & r
 
         act = s | r
@@ -248,22 +262,36 @@ class _Search:
                 self.stopped = True
             return
 
+        if deg is None:
+            deg = [0] * (2 * self.n)
+            m = act
+            while m:
+                b = m & -m
+                m ^= b
+                u = b.bit_length() - 1
+                deg[u] = (adj[u] & act).bit_count()
+        elif gone:
+            deg = deg.copy()
+            while gone:
+                b = gone & -gone
+                gone ^= b
+                u = b.bit_length() - 1
+                deg[u] = 0
+                m = adj[u] & act
+                while m:
+                    b = m & -m
+                    m ^= b
+                    deg[b.bit_length() - 1] -= 1
+
         # Forest edge cut: a size-t subset keeps at least m_active minus the
         # k = total - t largest active degrees, while a forest on t vertices
         # carries at most t - 1 edges. Prune when no t above the incumbent
         # passes. Sorted descending, prefix(k) - k grows while degrees stay
         # positive and falls after, so only k = min(total - best - 1,
         # number of positive degrees) needs testing.
-        degs = []
-        m = act
-        while m:
-            b = m & -m
-            m ^= b
-            degs.append((adj[b.bit_length() - 1] & act).bit_count())
-        m_act = sum(degs) >> 1
-        degs.sort(reverse=True)
-        k = min(total - self.best_size - 1, total - degs.count(0))
-        if m_act - sum(degs[:k]) > total - k - 1:
+        degs = sorted(deg, reverse=True)
+        k = min(total - self.best_size - 1, len(degs) - degs.count(0))
+        if (sum(degs) >> 1) - sum(degs[:k]) > total - k - 1:
             return
 
         # branch on a 4-cycle candidate if the probe finds one, else on any
@@ -275,9 +303,8 @@ class _Search:
             b = pool & -pool
             pool ^= b
             u = b.bit_length() - 1
-            d = (adj[u] & act).bit_count()
-            if d > best_deg:
-                best_deg = d
+            if deg[u] > best_deg:
+                best_deg = deg[u]
                 v = u
         # include first: candidates the merge kills leave, and their
         # neighbours turn dirty; excluding v turns its neighbours dirty
@@ -287,10 +314,10 @@ class _Search:
         dead &= r ^ b
         probe = cyc >= 0  # -1: no 4-cycle here, so none in the subtree
         self._branch(s | b, r ^ b ^ dead, merged, self._neighbours(dead),
-                     probe)
+                     probe, deg, dead)
         if self.stopped:
             return
-        self._branch(s, r ^ b, comps, row, probe)
+        self._branch(s, r ^ b, comps, row, probe, deg, b)
 
     def _find_c4(self, act: int) -> int:
         """Bounded probe for a 4-cycle among active vertices.

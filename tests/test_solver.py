@@ -132,6 +132,40 @@ def test_feasible_with_matches_forest_scan():
                 assert got.bit_count() >= target and got in forests
 
 
+
+def test_handed_degrees_match_the_active_graph(monkeypatch):
+    # a node is handed its parent's active degrees and the ids the parent's
+    # decision removed; with those ids taken out here, each active id must
+    # hold its popcount in the node's own active set and every other id 0
+    branch = solver._Search._branch
+    checked = []
+
+    def checking(self, s, r, comps, dirty, probe, deg=None, gone=0):
+        if deg is not None:
+            act = s | r
+            assert not gone & act and len(deg) == 2 * self.n
+            got = [deg[u] - (self.adj[u] & gone).bit_count()
+                   if act >> u & 1 else 0 for u in range(2 * self.n)]
+            want = [(self.adj[u] & act).bit_count() if act >> u & 1 else 0
+                    for u in range(2 * self.n)]
+            assert got == want, (s, r, gone)
+            checked.append(1)
+        return branch(self, s, r, comps, dirty, probe, deg, gone)
+
+    monkeypatch.setattr(solver._Search, "_branch", checking)
+    rng = random.Random(10)
+    for gi in range(30):
+        n = 6 + gi % 15
+        g = random_bipartite(n, (0.15, 0.25, 0.6)[gi % 3], gi)
+        max_forest(g)
+        search = solver._Search(g)
+        for _ in range(3):
+            nv = 2 * n
+            inc = rng.getrandbits(nv) & rng.getrandbits(nv) & rng.getrandbits(nv)
+            out = rng.getrandbits(nv) & rng.getrandbits(nv) & ~inc
+            search.feasible_with(inc, out, n + 1)
+    assert len(checked) > 10_000
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.floats(0.1, 0.9), st.integers(0, 10 ** 6))
 def test_solver_matches_subset_scan(n, p, seed):
