@@ -290,8 +290,9 @@ class _Search:
         # positive and falls after, so only k = min(total - best - 1,
         # number of positive degrees) needs testing.
         degs = sorted(deg, reverse=True)
+        m_act = sum(degs) >> 1
         k = min(total - self.best_size - 1, len(degs) - degs.count(0))
-        if (sum(degs) >> 1) - sum(degs[:k]) > total - k - 1:
+        if m_act - sum(degs[:k]) > total - k - 1:
             return
 
         # branch on a 4-cycle candidate if the probe finds one, else on any
