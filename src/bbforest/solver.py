@@ -28,13 +28,17 @@ Before any search, ``max_forest`` asks whether degree counting alone
 rules out a forest of n + 2 vertices (``_count_refutes``), the instance
 form of the paper's degree-sum bound ``theorems.bound_g``. When it does,
 the starting incumbent n + 1 is optimal and the root closes on the count:
-every graph with minimum degree at least n/2 + 1 takes this path.
+every graph with minimum degree at least n/2 + 1 takes this path. When it
+does not, the search starts from a greedy forest (``_greedy_forest``) if
+that beats n + 1. The search splits its first node along the graph's
+connected components and solves the pieces separately (``_Search``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from bisect import bisect_left
 from itertools import accumulate, combinations, islice
 from typing import Iterator
 
@@ -127,6 +131,73 @@ def _merge(comps: tuple[int, ...], b: int,
     return tuple(rest), dead
 
 
+def _edge_cut_bound(deg: list[int], total: int, floor: int = 0) -> int:
+    """Edge-cut bound on the induced forests of an active graph.
+
+    ``deg`` holds the active degrees by global id, 0 for inactive ids, and
+    ``total`` counts the active vertices. An isolated vertex joins any
+    forest as a component of its own, so a largest forest takes them all.
+    On the p vertices of positive degree, a forest of t vertices in all
+    keeps t - (total - p) with at most that many minus one edges, while
+    dropping the other k = total - t leaves at least m_active minus their
+    k largest degrees; so t needs prefix(k) - k >= m_active - p + 1.
+    Sorted descending, prefix(k) - k grows with k up to p, so only k up to
+    min(total - floor - 1, p) needs testing, and the smallest k that
+    passes is found by bisection. Returns the largest t that passes, or
+    ``floor`` when no t above ``floor`` does.
+    """
+    degs = sorted(filter(None, deg), reverse=True)
+    pos = len(degs)
+    m = sum(degs) >> 1
+    if m < pos or not m:
+        return total
+    hi = min(total - floor - 1, pos)
+    need = m - pos + 1
+    if sum(degs[:hi]) - hi < need:
+        return floor
+    # prefix(k) - k for k = 1 .. hi
+    steps = list(accumulate(map((-1).__add__, degs[:hi])))
+    return total - 1 - bisect_left(steps, need)
+
+
+def _components(adj: tuple[int, ...]) -> list[int]:
+    """The connected components of a graph, as masks over its ids."""
+    parts = []
+    left = (1 << len(adj)) - 1
+    while left:
+        reach = front = left & -left
+        while front:
+            b = front & -front
+            front ^= b
+            new = adj[b.bit_length() - 1] & left & ~reach
+            reach |= new
+            front |= new
+        parts.append(reach)
+        left ^= reach
+    return parts
+
+
+def _greedy_forest(adj: tuple[int, ...]) -> int:
+    """A maximal induced forest, as a mask over the global ids.
+
+    Repeatedly joins the live vertex with the fewest active neighbours,
+    lowest id on ties; the vertices the join kills (see ``_merge``) leave.
+    """
+    nv = len(adj)
+    comps: tuple[int, ...] = ()
+    s = 0
+    live = (1 << nv) - 1
+    while live:
+        act = s | live
+        v = min((u for u in range(nv) if live >> u & 1),
+                key=lambda u: (adj[u] & act).bit_count())
+        b = 1 << v
+        comps, dead = _merge(comps, b, adj[v])
+        s |= b
+        live &= ~(b | dead)
+    return s
+
+
 class _Search:
     """Branch-and-bound over include/exclude vertex decisions.
 
@@ -156,6 +227,25 @@ class _Search:
     depends on the firing order, which is fixed, and the search stays
     deterministic.
 
+    A search's first node splits its active set along the graph's
+    connected components (``_split``). No edge joins two pieces, so a
+    forest that holds ``s`` is a union of one such forest per piece, and
+    the largest has the sum of the pieces' largest. Pieces with no
+    candidate are trees of ``s`` and count whole. The others are bounded
+    by ``_edge_cut_bound`` and solved one at a time, smallest first, each
+    as a sub-search through ``_branch`` that must beat the incumbent minus
+    what the earlier pieces found minus the later pieces' bounds. A piece
+    that cannot closes the node: the sum cannot beat the incumbent.
+    Otherwise the piece's optimum is known once its sub-search ends, or
+    once it reaches the piece's bound, so each piece adds exactly its
+    optimum, and the node finds the largest forest whenever that beats the
+    incumbent. A ``feasible_with`` query stops its last piece at the first
+    forest that brings the sum to the target; the earlier pieces gave
+    their optimum, so the node finds a target-size forest exactly when one
+    exists, and every answer is the unsplit search's. Below the first node
+    the bound alone sees the pieces that form: an active vertex with no
+    active neighbour is a component of every forest that takes it.
+
     Branch vertex: a candidate on a 4-cycle of the active graph when a
     bounded probe finds one, else the candidate of maximum active degree;
     ties break on lowest global id and the include branch is explored
@@ -163,8 +253,14 @@ class _Search:
     a fixed pair budget; it tests all later partners of a vertex at once
     with bit-parallel once/twice masks and charges the budget for each
     partner it passes. When it proves the active graph free of 4-cycles,
-    the subtree skips it: active sets only shrink below a node. All of
-    this is deterministic.
+    the subtree skips it: active sets only shrink below a node. A child
+    takes its parent's cycle while all four of its vertices stay active,
+    and that is the cycle a fresh probe would return. Every pair the
+    parent tried before the cycle's pair (a, c) had no 4-cycle in a larger
+    active set, so it has none now; each budget charge can only fall as
+    the active set shrinks; and the two lowest common neighbours of a and
+    c are still active, so they are still the lowest. All of this is
+    deterministic.
 
     The edge-cut bound and the branch pick read active degrees from a list
     indexed by global id, 0 for inactive ids. A node is handed its parent's
@@ -176,15 +272,17 @@ class _Search:
     neighbours, so the list holds exactly the popcounts a recount over the
     active set would give, and every prune and branch decision is the one
     the recount would make. ``solve`` hands no list: its first node to
-    reach the bound counts the degrees once.
+    reach the bound counts the degrees once, and so does each piece of a
+    split.
     """
 
-    __slots__ = ("n", "adj", "nodes", "best_size", "best", "stop_at",
-                 "stopped")
+    __slots__ = ("n", "adj", "pieces", "nodes", "best_size", "best",
+                 "stop_at", "stopped")
 
     def __init__(self, g: BalancedBipartiteGraph):
         self.n = g.n
         self.adj = _adjacency(g)
+        self.pieces: list[int] | None = None  # the graph's components
         self.nodes = 0
         self.best_size = 0
         self.best: int | None = None
@@ -211,7 +309,7 @@ class _Search:
             comps, d = _merge(comps, b, adj[b.bit_length() - 1])
             dead |= d
         cand &= ~dead
-        self._branch(inc, cand, comps, cand, True)
+        self._branch(inc, cand, comps, cand, 0)
         return True
 
     def _neighbours(self, mask: int) -> int:
@@ -224,8 +322,20 @@ class _Search:
             out |= adj[b.bit_length() - 1]
         return out
 
+    def _degrees(self, act: int) -> list[int]:
+        """Active degrees by global id, 0 outside ``act``."""
+        adj = self.adj
+        deg = [0] * (2 * self.n)
+        m = act
+        while m:
+            b = m & -m
+            m ^= b
+            u = b.bit_length() - 1
+            deg[u] = (adj[u] & act).bit_count()
+        return deg
+
     def _branch(self, s: int, r: int, comps: tuple[int, ...], dirty: int,
-                probe: bool, deg: list[int] | None = None,
+                c4: int, deg: list[int] | None = None,
                 gone: int = 0) -> None:
         self.nodes += 1
         adj = self.adj
@@ -263,13 +373,14 @@ class _Search:
             return
 
         if deg is None:
-            deg = [0] * (2 * self.n)
-            m = act
-            while m:
-                b = m & -m
-                m ^= b
-                u = b.bit_length() - 1
-                deg[u] = (adj[u] & act).bit_count()
+            if self.pieces is None:
+                self.pieces = _components(adj)
+            if len(self.pieces) > 1:
+                parts = [p for p in map(act.__and__, self.pieces) if p]
+                if len(parts) > 1:
+                    self._split(s, r, comps, parts)
+                    return
+            deg = self._degrees(act)
         elif gone:
             deg = deg.copy()
             while gone:
@@ -283,21 +394,12 @@ class _Search:
                     m ^= b
                     deg[b.bit_length() - 1] -= 1
 
-        # Forest edge cut: a size-t subset keeps at least m_active minus the
-        # k = total - t largest active degrees, while a forest on t vertices
-        # carries at most t - 1 edges. Prune when no t above the incumbent
-        # passes. Sorted descending, prefix(k) - k grows while degrees stay
-        # positive and falls after, so only k = min(total - best - 1,
-        # number of positive degrees) needs testing.
-        degs = sorted(deg, reverse=True)
-        m_act = sum(degs) >> 1
-        k = min(total - self.best_size - 1, len(degs) - degs.count(0))
-        if m_act - sum(degs[:k]) > total - k - 1:
+        if _edge_cut_bound(deg, total, self.best_size) <= self.best_size:
             return
 
         # branch on a 4-cycle candidate if the probe finds one, else on any
         # candidate; maximum active degree, lowest id first
-        cyc = self._find_c4(act) if probe else -1
+        cyc = self._find_c4(act, c4) if c4 >= 0 else -1
         pool = cyc & r if cyc > 0 else r
         best_deg = -1
         while pool:
@@ -313,14 +415,53 @@ class _Search:
         row = adj[v]
         merged, dead = _merge(comps, b, row)
         dead &= r ^ b
-        probe = cyc >= 0  # -1: no 4-cycle here, so none in the subtree
         self._branch(s | b, r ^ b ^ dead, merged, self._neighbours(dead),
-                     probe, deg, dead)
+                     cyc, deg, dead)
         if self.stopped:
             return
-        self._branch(s, r ^ b, comps, row, probe, deg, b)
+        self._branch(s, r ^ b, comps, row, cyc, deg, b)
 
-    def _find_c4(self, act: int) -> int:
+    def _split(self, s: int, r: int, comps: tuple[int, ...],
+               parts: list[int]) -> None:
+        """Solve a first node whose active set falls into ``parts`` piece by
+        piece (see the class docstring); the incumbent and the stop rule
+        are the node's own again on return."""
+        best_size, best, stop_at = self.best_size, self.best, self.stop_at
+        taken = 0  # the forest so far: pieces without candidates first
+        pieces = []
+        for a in parts:
+            if a & r:
+                deg = self._degrees(a)
+                size = a.bit_count()
+                pieces.append((size, a, deg, _edge_cut_bound(deg, size)))
+            else:
+                taken |= a
+        got = taken.bit_count()
+        later = sum(p[3] for p in pieces)
+        if got + later <= best_size:
+            return
+        pieces.sort()
+        for _, a, deg, bound in pieces:
+            later -= bound
+            self.best_size = best_size - got - later
+            self.best = None
+            self.stopped = False
+            # a query's last piece may stop where the sum meets the target
+            self.stop_at = (min(bound, max(1, stop_at - got))
+                            if stop_at and not later else bound)
+            self._branch(s & a, r & a, tuple(c for c in comps if c & a), 0,
+                         0, deg)
+            if self.best is None:
+                self.best_size, self.best = best_size, best
+                break
+            got += self.best_size
+            taken |= self.best
+        else:
+            self.best_size, self.best = got, taken
+        self.stop_at = stop_at
+        self.stopped = bool(stop_at) and self.best_size >= stop_at
+
+    def _find_c4(self, act: int, known: int = 0) -> int:
         """Bounded probe for a 4-cycle among active vertices.
 
         Pairs a < c of active V1 vertices count against the pair budget in
@@ -328,8 +469,12 @@ class _Search:
         pairs with nothing. Returns the mask of the first 4-cycle found
         within the budget (a, c and their two lowest common neighbours),
         0 when the budget runs out first, and -1 when the active graph has
-        no 4-cycle at all.
+        no 4-cycle at all. ``known``, a parent node's result, is returned
+        as it is while all four of its vertices are active: it is what the
+        probe would find (see the class docstring).
         """
+        if known and known & act == known:
+            return known
         adj = self.adj
         budget = _C4_PAIR_BUDGET
         m = act & ((1 << self.n) - 1)
@@ -444,10 +589,11 @@ def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
 
     When degree counting rules out n + 2 vertices, the starting incumbent
     n + 1 is optimal and the search is not run; the root counts as one
-    node. After the optimum f is known, the first leaf of the lex walk
-    pins the lexicographically smallest witness of size f, starting from
-    the search's own witness, so the witness never depends on branching
-    order and matches the subset-scan oracle.
+    node. Otherwise the search starts from the greedy forest when that is
+    larger than n + 1. After the optimum f is known, the first leaf of the
+    lex walk pins the lexicographically smallest witness of size f,
+    starting from the search's own witness, so the witness never depends
+    on branching order and matches the subset-scan oracle.
     """
     n = g.n
     if n > SOLVER_PART_CAP:
@@ -464,7 +610,11 @@ def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
         search.nodes = 1
         f, best = n + 1, incumbent
     else:
-        search.solve(0, (1 << 2 * n) - 1, n + 1, incumbent, 0)
+        greedy = _greedy_forest(search.adj)
+        if greedy.bit_count() > n + 1:
+            incumbent = greedy
+        search.solve(0, (1 << 2 * n) - 1, incumbent.bit_count(), incumbent,
+                     0)
         f, best = search.best_size, search.best
     witness = next(_lex_walk(search, f, best), None)
     if witness is None:

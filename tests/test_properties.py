@@ -4,8 +4,10 @@ No subset-scan oracle reaches these sizes, so the solver is checked against
 itself: relabelling the graph must not move f, deleting an edge must not
 lower it, and every witness must pass the independent forest check. The
 witness must be the first one the enumeration lists, and closing the root
-on the degree count, or switching the 4-cycle probe off, must give what the
-search gives. Graphs and relabellings come from fixed seeds.
+on the degree count, or switching off the 4-cycle probe, the edge-cut bound
+or the component split, must give what the search gives. A 4-cycle a child
+node takes over from its parent must be the one a fresh probe finds.
+Graphs and relabellings come from fixed seeds.
 """
 
 import random
@@ -111,7 +113,67 @@ NO_PROBE = [(make, name) for make, name in GRAPHS if make().n <= 20]
 def test_c4_probe_keeps_forest_number_and_witness(make, monkeypatch):
     g = make()
     res = max_forest(g)
-    monkeypatch.setattr(solver._Search, "_find_c4", lambda self, act: 0)
+    monkeypatch.setattr(solver._Search, "_find_c4",
+                        lambda self, act, known=0: 0)
     searched = max_forest(g)
     assert (res.forest_number, res.witness) == (searched.forest_number,
                                                 searched.witness)
+
+
+@pytest.mark.parametrize("make", [m for m, _ in NO_PROBE],
+                         ids=[name for _, name in NO_PROBE])
+def test_edge_cut_bound_keeps_forest_number_and_witness(make, monkeypatch):
+    g = make()
+    res = max_forest(g)
+    monkeypatch.setattr(solver, "_edge_cut_bound",
+                        lambda deg, total, floor=0: total)
+    searched = max_forest(g)
+    assert (res.forest_number, res.witness) == (searched.forest_number,
+                                                searched.witness)
+
+
+def _disjoint_union(*parts: BalancedBipartiteGraph) -> BalancedBipartiteGraph:
+    rows, offset = [], 0
+    for g in parts:
+        rows += [row << offset for row in g.adj1]
+        offset += g.n
+    return from_rows(offset, rows)
+
+
+# the graphs above with n <= 20 split only off isolated vertices
+SPLIT = NO_PROBE + [
+    (lambda: _disjoint_union(random_bipartite(8, 0.35, 30),
+                             random_bipartite(10, 0.3, 31)), "u8u10"),
+    (lambda: _disjoint_union(*(random_bipartite(6, 0.5, 32 + i)
+                               for i in range(3))), "u6x3"),
+]
+
+
+@pytest.mark.parametrize("make", [m for m, _ in SPLIT],
+                         ids=[name for _, name in SPLIT])
+def test_component_split_keeps_forest_number_and_witness(make, monkeypatch):
+    g = make()
+    res = max_forest(g)
+    monkeypatch.setattr(solver, "_components",
+                        lambda adj: [(1 << len(adj)) - 1])
+    searched = max_forest(g)
+    assert (res.forest_number, res.witness) == (searched.forest_number,
+                                                searched.witness)
+
+
+@pytest.mark.parametrize("make", [m for m, _ in NO_PROBE],
+                         ids=[name for _, name in NO_PROBE])
+def test_reused_c4_is_a_fresh_probe(make, monkeypatch):
+    find_c4 = solver._Search._find_c4
+    reused = []
+
+    def checking(self, act, known=0):
+        got = find_c4(self, act, known)
+        if known and known & act == known:
+            assert got == known == find_c4(self, act), (act, known)
+            reused.append(got)
+        return got
+
+    monkeypatch.setattr(solver._Search, "_find_c4", checking)
+    max_forest(make())
+    assert reused

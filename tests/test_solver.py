@@ -9,7 +9,8 @@ from bbforest import (InstanceTooLargeError, ParameterError,
                       PostconditionError, VertexSubset, complete_balanced,
                       decycling_number, enumerate_max_forests, from_rows,
                       is_induced_forest, max_forest, max_forest_bruteforce,
-                      prop1_construction, random_min_degree, thh1_l2)
+                      prop1_construction, random_min_degree, thh1_l2,
+                      verify_structure)
 
 from .helpers import (enumerate_forests_oracle, forest_oracle,
                       max_forest_oracle, random_bipartite)
@@ -140,7 +141,7 @@ def test_handed_degrees_match_the_active_graph(monkeypatch):
     branch = solver._Search._branch
     checked = []
 
-    def checking(self, s, r, comps, dirty, probe, deg=None, gone=0):
+    def checking(self, s, r, comps, dirty, c4, deg=None, gone=0):
         if deg is not None:
             act = s | r
             assert not gone & act and len(deg) == 2 * self.n
@@ -150,11 +151,11 @@ def test_handed_degrees_match_the_active_graph(monkeypatch):
                     for u in range(2 * self.n)]
             assert got == want, (s, r, gone)
             checked.append(1)
-        return branch(self, s, r, comps, dirty, probe, deg, gone)
+        return branch(self, s, r, comps, dirty, c4, deg, gone)
 
     monkeypatch.setattr(solver._Search, "_branch", checking)
     rng = random.Random(10)
-    for gi in range(30):
+    for gi in range(45):
         n = 6 + gi % 15
         g = random_bipartite(n, (0.15, 0.25, 0.6)[gi % 3], gi)
         max_forest(g)
@@ -165,6 +166,78 @@ def test_handed_degrees_match_the_active_graph(monkeypatch):
             out = rng.getrandbits(nv) & rng.getrandbits(nv) & ~inc
             search.feasible_with(inc, out, n + 1)
     assert len(checked) > 10_000
+
+
+def _edges(g, bits):
+    """Edges induced by a global-id mask."""
+    return sum((row & bits >> g.n).bit_count()
+               for i, row in enumerate(g.adj1) if bits >> i & 1)
+
+
+def test_split_answers_match_forest_scan(monkeypatch):
+    # disjoint unions of small graphs split at every search's first node;
+    # the optimum, the witness and every feasibility answer must be the
+    # subset scan's, and some splits must solve two pieces or more
+    split = solver._Search._split
+    solved = []
+
+    def counted(self, s, r, comps, parts):
+        solved.append(sum(1 for a in parts if a & r))
+        return split(self, s, r, comps, parts)
+
+    monkeypatch.setattr(solver._Search, "_split", counted)
+    rng = random.Random(11)
+    for gi in range(6):
+        sizes = ((3, 3), (2, 3, 2))[gi % 2]
+        rows, offset = [], 0
+        for k, n in enumerate(sizes):
+            part = random_bipartite(n, rng.choice((0.6, 0.8, 1.0)), 10 * gi + k)
+            rows += [row << offset for row in part.adj1]
+            offset += n
+        g = from_rows(offset, rows)
+        n = g.n
+        nv = 2 * n
+        res, brute = max_forest(g), max_forest_bruteforce(g)
+        assert (res.forest_number, res.witness) == (brute.forest_number,
+                                                    brute.witness), gi
+        forests = {bits for bits in range(1 << nv)
+                   if _edges(g, bits) < bits.bit_count() and
+                   forest_oracle(g, VertexSubset(bits & (1 << n) - 1,
+                                                 bits >> n))}
+        search = solver._Search(g)
+        for _ in range(40):
+            inc = rng.getrandbits(nv) & rng.getrandbits(nv)
+            out = rng.getrandbits(nv) & rng.getrandbits(nv) & ~inc
+            best = max((f.bit_count() for f in forests
+                        if f & inc == inc and not f & out), default=0)
+            target = max(1, rng.choice((best, best + 1, rng.randint(1, nv))))
+            got = search.feasible_with(inc, out, target)
+            assert (got is not None) == (best >= target), (gi, inc, out, target)
+            if got is not None:
+                assert got & inc == inc and not got & out
+                assert got.bit_count() >= target and got in forests
+    assert max(solved) >= 2
+
+
+def test_greedy_forest_is_a_forest_no_larger_than_f():
+    for gi in range(40):
+        n = 2 + gi % 19
+        g = random_bipartite(n, (0.15, 0.3, 0.6, 0.9)[gi % 4], gi)
+        s = solver._greedy_forest(solver._adjacency(g))
+        assert forest_oracle(g, VertexSubset(s & (1 << n) - 1, s >> n)), gi
+        assert s.bit_count() <= max_forest(g).forest_number, gi
+
+
+def test_greedy_forest_skipped_when_the_root_count_closes(monkeypatch):
+    def refuse(adj):
+        raise AssertionError("greedy start ran after the root count closed")
+
+    monkeypatch.setattr(solver, "_greedy_forest", refuse)
+    for n in (32, 48, 64):
+        res = max_forest(random_min_degree(n, (n + 3) // 2, n))
+        assert (res.forest_number, res.nodes_explored) == (n + 1, 1)
+    report = verify_structure(9, samples=3, seed=1, check="T2")
+    assert report.instances_checked == 3 and not report.counterexamples
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.floats(0.1, 0.9), st.integers(0, 10 ** 6))
