@@ -37,8 +37,8 @@ connected components and solves the pieces separately (``_Search``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from bisect import bisect_left
+from dataclasses import dataclass
 from itertools import accumulate, combinations, islice
 from typing import Iterator
 
@@ -276,13 +276,13 @@ class _Search:
     split.
     """
 
-    __slots__ = ("n", "adj", "pieces", "nodes", "best_size", "best",
+    __slots__ = ("n", "adj", "components", "nodes", "best_size", "best",
                  "stop_at", "stopped")
 
     def __init__(self, g: BalancedBipartiteGraph):
         self.n = g.n
         self.adj = _adjacency(g)
-        self.pieces: list[int] | None = None  # the graph's components
+        self.components: list[int] | None = None  # counted when needed
         self.nodes = 0
         self.best_size = 0
         self.best: int | None = None
@@ -373,10 +373,10 @@ class _Search:
             return
 
         if deg is None:
-            if self.pieces is None:
-                self.pieces = _components(adj)
-            if len(self.pieces) > 1:
-                parts = [p for p in map(act.__and__, self.pieces) if p]
+            if self.components is None:
+                self.components = _components(adj)
+            if len(self.components) > 1:
+                parts = [p for p in map(act.__and__, self.components) if p]
                 if len(parts) > 1:
                     self._split(s, r, comps, parts)
                     return
@@ -424,8 +424,9 @@ class _Search:
     def _split(self, s: int, r: int, comps: tuple[int, ...],
                parts: list[int]) -> None:
         """Solve a first node whose active set falls into ``parts`` piece by
-        piece (see the class docstring); the incumbent and the stop rule
-        are the node's own again on return."""
+        piece (see the class docstring). On return the incumbent holds the
+        node's largest forest if that beat it, and the stop rule is the
+        search's own again."""
         best_size, best, stop_at = self.best_size, self.best, self.stop_at
         taken = 0  # the forest so far: pieces without candidates first
         pieces = []
