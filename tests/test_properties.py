@@ -18,7 +18,7 @@ from bbforest import (BalancedBipartiteGraph, enumerate_max_forests,
                       from_rows, max_forest, random_min_degree)
 from bbforest import solver
 
-from .helpers import forest_oracle, random_bipartite
+from .helpers import disjoint_union, forest_oracle, random_bipartite
 
 GRAPHS = [
     (lambda: random_bipartite(16, 0.15, 10), "gnp16p15"),
@@ -132,19 +132,11 @@ def test_edge_cut_bound_keeps_forest_number_and_witness(make, monkeypatch):
                                                 searched.witness)
 
 
-def _disjoint_union(*parts: BalancedBipartiteGraph) -> BalancedBipartiteGraph:
-    rows, offset = [], 0
-    for g in parts:
-        rows += [row << offset for row in g.adj1]
-        offset += g.n
-    return from_rows(offset, rows)
-
-
 # the graphs above with n <= 20 split only off isolated vertices
 SPLIT = NO_PROBE + [
-    (lambda: _disjoint_union(random_bipartite(8, 0.35, 30),
+    (lambda: disjoint_union(random_bipartite(8, 0.35, 30),
                              random_bipartite(10, 0.3, 31)), "u8u10"),
-    (lambda: _disjoint_union(*(random_bipartite(6, 0.5, 32 + i)
+    (lambda: disjoint_union(*(random_bipartite(6, 0.5, 32 + i)
                                for i in range(3))), "u6x3"),
 ]
 

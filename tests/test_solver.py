@@ -12,8 +12,8 @@ from bbforest import (InstanceTooLargeError, ParameterError,
                       prop1_construction, random_min_degree, thh1_l2,
                       verify_structure)
 
-from .helpers import (enumerate_forests_oracle, forest_oracle,
-                      max_forest_oracle, random_bipartite)
+from .helpers import (disjoint_union, enumerate_forests_oracle,
+                      forest_oracle, max_forest_oracle, random_bipartite)
 
 
 def test_k22():
@@ -168,12 +168,6 @@ def test_handed_degrees_match_the_active_graph(monkeypatch):
     assert len(checked) > 10_000
 
 
-def _edges(g, bits):
-    """Edges induced by a global-id mask."""
-    return sum((row & bits >> g.n).bit_count()
-               for i, row in enumerate(g.adj1) if bits >> i & 1)
-
-
 def test_split_answers_match_forest_scan(monkeypatch):
     # disjoint unions of small graphs split at every search's first node;
     # the optimum, the witness and every feasibility answer must be the
@@ -189,21 +183,16 @@ def test_split_answers_match_forest_scan(monkeypatch):
     rng = random.Random(11)
     for gi in range(6):
         sizes = ((3, 3), (2, 3, 2))[gi % 2]
-        rows, offset = [], 0
-        for k, n in enumerate(sizes):
-            part = random_bipartite(n, rng.choice((0.6, 0.8, 1.0)), 10 * gi + k)
-            rows += [row << offset for row in part.adj1]
-            offset += n
-        g = from_rows(offset, rows)
+        g = disjoint_union(*(random_bipartite(n, rng.choice((0.6, 0.8, 1.0)),
+                                              10 * gi + k)
+                             for k, n in enumerate(sizes)))
         n = g.n
         nv = 2 * n
         res, brute = max_forest(g), max_forest_bruteforce(g)
         assert (res.forest_number, res.witness) == (brute.forest_number,
                                                     brute.witness), gi
-        forests = {bits for bits in range(1 << nv)
-                   if _edges(g, bits) < bits.bit_count() and
-                   forest_oracle(g, VertexSubset(bits & (1 << n) - 1,
-                                                 bits >> n))}
+        forests = {w.s1 | w.s2 << n for t in range(1, nv + 1)
+                   for w in enumerate_forests_oracle(g, t)}
         search = solver._Search(g)
         for _ in range(40):
             inc = rng.getrandbits(nv) & rng.getrandbits(nv)
@@ -238,6 +227,7 @@ def test_greedy_forest_skipped_when_the_root_count_closes(monkeypatch):
         assert (res.forest_number, res.nodes_explored) == (n + 1, 1)
     report = verify_structure(9, samples=3, seed=1, check="T2")
     assert report.instances_checked == 3 and not report.counterexamples
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.floats(0.1, 0.9), st.integers(0, 10 ** 6))
