@@ -30,14 +30,12 @@ form of the paper's degree-sum bound ``theorems.bound_g``. When it does,
 the starting incumbent n + 1 is optimal and the root closes on the count:
 every graph with minimum degree at least n/2 + 1 takes this path. When it
 does not, the search starts from a greedy forest (``_greedy_forest``) if
-that beats n + 1. The search splits its first node along the graph's
-connected components and solves the pieces separately (``_Search``).
+that beats n + 1.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, combinations, islice
 from typing import Iterator
@@ -131,50 +129,24 @@ def _merge(comps: tuple[int, ...], b: int,
     return tuple(rest), dead
 
 
-def _edge_cut_bound(deg: list[int], total: int, floor: int = 0) -> int:
-    """Edge-cut bound on the induced forests of an active graph.
+def _edge_cut_refutes(deg: list[int], total: int, floor: int) -> bool:
+    """True when the edge cut rules out an induced forest of more than
+    ``floor`` vertices in an active graph of ``total`` > ``floor`` vertices.
 
-    ``deg`` holds the active degrees by global id, 0 for inactive ids, and
-    ``total`` counts the active vertices. An isolated vertex joins any
-    forest as a component of its own, so a largest forest takes them all.
-    On the p vertices of positive degree, a forest of t vertices in all
-    keeps t - (total - p) with at most that many minus one edges, while
-    dropping the other k = total - t leaves at least m_active minus their
-    k largest degrees; so t needs prefix(k) - k >= m_active - p + 1.
-    Sorted descending, prefix(k) - k grows with k up to p, so only k up to
-    min(total - floor - 1, p) needs testing, and the smallest k that
-    passes is found by bisection. Returns the largest t that passes, or
-    ``floor`` when no t above ``floor`` does.
+    ``deg`` holds the active degrees by global id, 0 for inactive ids. An
+    isolated vertex joins any forest as a component of its own, so a
+    largest forest takes them all. On the p vertices of positive degree, a
+    forest of t vertices in all keeps t - (total - p) with at most that
+    many minus one edges, while dropping the other k = total - t leaves at
+    least m_active minus their k largest degrees; so t needs
+    prefix(k) - k >= m_active - p + 1. Sorted descending, prefix(k) - k
+    grows with k up to p, so only k = min(total - floor - 1, p) needs
+    testing.
     """
     degs = sorted(filter(None, deg), reverse=True)
     pos = len(degs)
-    m = sum(degs) >> 1
-    if m < pos or not m:
-        return total
-    hi = min(total - floor - 1, pos)
-    need = m - pos + 1
-    if sum(degs[:hi]) - hi < need:
-        return floor
-    # prefix(k) - k for k = 1 .. hi
-    steps = list(accumulate(map((-1).__add__, degs[:hi])))
-    return total - 1 - bisect_left(steps, need)
-
-
-def _components(adj: tuple[int, ...]) -> list[int]:
-    """The connected components of a graph, as masks over its ids."""
-    parts = []
-    left = (1 << len(adj)) - 1
-    while left:
-        reach = front = left & -left
-        while front:
-            b = front & -front
-            front ^= b
-            new = adj[b.bit_length() - 1] & left & ~reach
-            reach |= new
-            front |= new
-        parts.append(reach)
-        left ^= reach
-    return parts
+    k = min(total - floor - 1, pos)
+    return pos > 0 and sum(degs[:k]) - k < (sum(degs) >> 1) - pos + 1
 
 
 def _greedy_forest(adj: tuple[int, ...]) -> int:
@@ -227,24 +199,9 @@ class _Search:
     depends on the firing order, which is fixed, and the search stays
     deterministic.
 
-    A search's first node splits its active set along the graph's
-    connected components (``_split``). No edge joins two pieces, so a
-    forest that holds ``s`` is a union of one such forest per piece, and
-    the largest has the sum of the pieces' largest. Pieces with no
-    candidate are trees of ``s`` and count whole. The others are bounded
-    by ``_edge_cut_bound`` and solved one at a time, smallest first, each
-    as a sub-search through ``_branch`` that must beat the incumbent minus
-    what the earlier pieces found minus the later pieces' bounds. A piece
-    that cannot closes the node: the sum cannot beat the incumbent.
-    Otherwise the piece's optimum is known once its sub-search ends, or
-    once it reaches the piece's bound, so each piece adds exactly its
-    optimum, and the node finds the largest forest whenever that beats the
-    incumbent. A ``feasible_with`` query stops its last piece at the first
-    forest that brings the sum to the target; the earlier pieces gave
-    their optimum, so the node finds a target-size forest exactly when one
-    exists, and every answer is the unsplit search's. Below the first node
-    the bound alone sees the pieces that form: an active vertex with no
-    active neighbour is a component of every forest that takes it.
+    An active vertex with no active neighbour is a component of every
+    forest that takes it, so the edge-cut bound (``_edge_cut_refutes``)
+    lets a forest carry one edge fewer for each such vertex.
 
     Branch vertex: a candidate on a 4-cycle of the active graph when a
     bounded probe finds one, else the candidate of maximum active degree;
@@ -272,17 +229,15 @@ class _Search:
     neighbours, so the list holds exactly the popcounts a recount over the
     active set would give, and every prune and branch decision is the one
     the recount would make. ``solve`` hands no list: its first node to
-    reach the bound counts the degrees once, and so does each piece of a
-    split.
+    reach the bound counts the degrees once.
     """
 
-    __slots__ = ("n", "adj", "components", "nodes", "best_size", "best",
-                 "stop_at", "stopped")
+    __slots__ = ("n", "adj", "nodes", "best_size", "best", "stop_at",
+                 "stopped")
 
     def __init__(self, g: BalancedBipartiteGraph):
         self.n = g.n
         self.adj = _adjacency(g)
-        self.components: list[int] | None = None  # counted when needed
         self.nodes = 0
         self.best_size = 0
         self.best: int | None = None
@@ -321,18 +276,6 @@ class _Search:
             mask ^= b
             out |= adj[b.bit_length() - 1]
         return out
-
-    def _degrees(self, act: int) -> list[int]:
-        """Active degrees by global id, 0 outside ``act``."""
-        adj = self.adj
-        deg = [0] * (2 * self.n)
-        m = act
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
-            deg[u] = (adj[u] & act).bit_count()
-        return deg
 
     def _branch(self, s: int, r: int, comps: tuple[int, ...], dirty: int,
                 c4: int, deg: list[int] | None = None,
@@ -373,14 +316,13 @@ class _Search:
             return
 
         if deg is None:
-            if self.components is None:
-                self.components = _components(adj)
-            if len(self.components) > 1:
-                parts = [p for p in map(act.__and__, self.components) if p]
-                if len(parts) > 1:
-                    self._split(s, r, comps, parts)
-                    return
-            deg = self._degrees(act)
+            deg = [0] * (2 * self.n)
+            m = act
+            while m:
+                b = m & -m
+                m ^= b
+                u = b.bit_length() - 1
+                deg[u] = (adj[u] & act).bit_count()
         elif gone:
             deg = deg.copy()
             while gone:
@@ -394,7 +336,7 @@ class _Search:
                     m ^= b
                     deg[b.bit_length() - 1] -= 1
 
-        if _edge_cut_bound(deg, total, self.best_size) <= self.best_size:
+        if _edge_cut_refutes(deg, total, self.best_size):
             return
 
         # branch on a 4-cycle candidate if the probe finds one, else on any
@@ -420,47 +362,6 @@ class _Search:
         if self.stopped:
             return
         self._branch(s, r ^ b, comps, row, cyc, deg, b)
-
-    def _split(self, s: int, r: int, comps: tuple[int, ...],
-               parts: list[int]) -> None:
-        """Solve a first node whose active set falls into ``parts`` piece by
-        piece (see the class docstring). On return the incumbent holds the
-        node's largest forest if that beat it, and the stop rule is the
-        search's own again."""
-        best_size, best, stop_at = self.best_size, self.best, self.stop_at
-        taken = 0  # the forest so far: pieces without candidates first
-        pieces = []
-        for a in parts:
-            if a & r:
-                deg = self._degrees(a)
-                size = a.bit_count()
-                pieces.append((size, a, deg, _edge_cut_bound(deg, size)))
-            else:
-                taken |= a
-        got = taken.bit_count()
-        later = sum(p[3] for p in pieces)
-        if got + later <= best_size:
-            return
-        pieces.sort()
-        for _, a, deg, bound in pieces:
-            later -= bound
-            self.best_size = best_size - got - later
-            self.best = None
-            self.stopped = False
-            # a query's last piece may stop where the sum meets the target
-            self.stop_at = (min(bound, max(1, stop_at - got))
-                            if stop_at and not later else bound)
-            self._branch(s & a, r & a, tuple(c for c in comps if c & a), 0,
-                         0, deg)
-            if self.best is None:
-                self.best_size, self.best = best_size, best
-                break
-            got += self.best_size
-            taken |= self.best
-        else:
-            self.best_size, self.best = got, taken
-        self.stop_at = stop_at
-        self.stopped = bool(stop_at) and self.best_size >= stop_at
 
     def _find_c4(self, act: int, known: int = 0) -> int:
         """Bounded probe for a 4-cycle among active vertices.

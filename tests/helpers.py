@@ -86,13 +86,3 @@ def random_bipartite(n: int, p: float, seed: int) -> BalancedBipartiteGraph:
             if rng.random() < p:
                 rows[i] |= 1 << j
     return from_rows(n, rows)
-
-
-def disjoint_union(*parts: BalancedBipartiteGraph) -> BalancedBipartiteGraph:
-    """The graphs side by side: part k's ids follow those of parts 0..k-1
-    on each side, and no edge joins two parts."""
-    rows, offset = [], 0
-    for g in parts:
-        rows += [row << offset for row in g.adj1]
-        offset += g.n
-    return from_rows(offset, rows)

@@ -31,11 +31,11 @@ CASES = [
      (tuple(range(48)), (0,)), 0),
     (lambda: random_bipartite(12, 0.3, 7), 18, 41,
      ((1, 3, 4, 5, 7, 9), tuple(range(12))), 6),
-    (lambda: random_bipartite(16, 0.25, 5), 24, 435,
+    (lambda: random_bipartite(16, 0.25, 5), 24, 430,
      (_all_but(16, 1), (0, 1, 5, 6, 7, 9, 10, 12, 15)), 10),
     (lambda: random_min_degree(64, 33, 1), 65, 1,
      (tuple(range(64)), (0,)), 0),
-    (lambda: random_bipartite(18, 0.2, 7), 27, 360,
+    (lambda: random_bipartite(18, 0.2, 7), 27, 358,
      (tuple(range(18)), (0, 5, 7, 9, 12, 13, 14, 15, 17)), 9),
     (lambda: random_bipartite(18, 0.15, 7), 31, 129,
      (_all_but(18, 0, 7, 12, 16), _all_but(18, 16)), 6),

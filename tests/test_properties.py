@@ -4,10 +4,10 @@ No subset-scan oracle reaches these sizes, so the solver is checked against
 itself: relabelling the graph must not move f, deleting an edge must not
 lower it, and every witness must pass the independent forest check. The
 witness must be the first one the enumeration lists, and closing the root
-on the degree count, or switching off the 4-cycle probe, the edge-cut bound
-or the component split, must give what the search gives. A 4-cycle a child
-node takes over from its parent must be the one a fresh probe finds.
-Graphs and relabellings come from fixed seeds.
+on the degree count, or switching off the 4-cycle probe or the edge-cut
+bound, must give what the search gives. A 4-cycle a child node takes over
+from its parent must be the one a fresh probe finds. Graphs and
+relabellings come from fixed seeds.
 """
 
 import random
@@ -18,7 +18,7 @@ from bbforest import (BalancedBipartiteGraph, enumerate_max_forests,
                       from_rows, max_forest, random_min_degree)
 from bbforest import solver
 
-from .helpers import disjoint_union, forest_oracle, random_bipartite
+from .helpers import forest_oracle, random_bipartite
 
 GRAPHS = [
     (lambda: random_bipartite(16, 0.15, 10), "gnp16p15"),
@@ -125,29 +125,8 @@ def test_c4_probe_keeps_forest_number_and_witness(make, monkeypatch):
 def test_edge_cut_bound_keeps_forest_number_and_witness(make, monkeypatch):
     g = make()
     res = max_forest(g)
-    monkeypatch.setattr(solver, "_edge_cut_bound",
-                        lambda deg, total, floor=0: total)
-    searched = max_forest(g)
-    assert (res.forest_number, res.witness) == (searched.forest_number,
-                                                searched.witness)
-
-
-# the graphs above with n <= 20 split only off isolated vertices
-SPLIT = NO_PROBE + [
-    (lambda: disjoint_union(random_bipartite(8, 0.35, 30),
-                             random_bipartite(10, 0.3, 31)), "u8u10"),
-    (lambda: disjoint_union(*(random_bipartite(6, 0.5, 32 + i)
-                               for i in range(3))), "u6x3"),
-]
-
-
-@pytest.mark.parametrize("make", [m for m, _ in SPLIT],
-                         ids=[name for _, name in SPLIT])
-def test_component_split_keeps_forest_number_and_witness(make, monkeypatch):
-    g = make()
-    res = max_forest(g)
-    monkeypatch.setattr(solver, "_components",
-                        lambda adj: [(1 << len(adj)) - 1])
+    monkeypatch.setattr(solver, "_edge_cut_refutes",
+                        lambda deg, total, floor: False)
     searched = max_forest(g)
     assert (res.forest_number, res.witness) == (searched.forest_number,
                                                 searched.witness)

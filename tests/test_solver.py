@@ -12,8 +12,8 @@ from bbforest import (InstanceTooLargeError, ParameterError,
                       prop1_construction, random_min_degree, thh1_l2,
                       verify_structure)
 
-from .helpers import (disjoint_union, enumerate_forests_oracle,
-                      forest_oracle, max_forest_oracle, random_bipartite)
+from .helpers import (enumerate_forests_oracle, forest_oracle,
+                      max_forest_oracle, random_bipartite)
 
 
 def test_k22():
@@ -166,46 +166,6 @@ def test_handed_degrees_match_the_active_graph(monkeypatch):
             out = rng.getrandbits(nv) & rng.getrandbits(nv) & ~inc
             search.feasible_with(inc, out, n + 1)
     assert len(checked) > 10_000
-
-
-def test_split_answers_match_forest_scan(monkeypatch):
-    # disjoint unions of small graphs split at every search's first node;
-    # the optimum, the witness and every feasibility answer must be the
-    # subset scan's, and some splits must solve two pieces or more
-    split = solver._Search._split
-    solved = []
-
-    def counted(self, s, r, comps, parts):
-        solved.append(sum(1 for a in parts if a & r))
-        return split(self, s, r, comps, parts)
-
-    monkeypatch.setattr(solver._Search, "_split", counted)
-    rng = random.Random(11)
-    for gi in range(6):
-        sizes = ((3, 3), (2, 3, 2))[gi % 2]
-        g = disjoint_union(*(random_bipartite(n, rng.choice((0.6, 0.8, 1.0)),
-                                              10 * gi + k)
-                             for k, n in enumerate(sizes)))
-        n = g.n
-        nv = 2 * n
-        res, brute = max_forest(g), max_forest_bruteforce(g)
-        assert (res.forest_number, res.witness) == (brute.forest_number,
-                                                    brute.witness), gi
-        forests = {w.s1 | w.s2 << n for t in range(1, nv + 1)
-                   for w in enumerate_forests_oracle(g, t)}
-        search = solver._Search(g)
-        for _ in range(40):
-            inc = rng.getrandbits(nv) & rng.getrandbits(nv)
-            out = rng.getrandbits(nv) & rng.getrandbits(nv) & ~inc
-            best = max((f.bit_count() for f in forests
-                        if f & inc == inc and not f & out), default=0)
-            target = max(1, rng.choice((best, best + 1, rng.randint(1, nv))))
-            got = search.feasible_with(inc, out, target)
-            assert (got is not None) == (best >= target), (gi, inc, out, target)
-            if got is not None:
-                assert got & inc == inc and not got & out
-                assert got.bit_count() >= target and got in forests
-    assert max(solved) >= 2
 
 
 def test_greedy_forest_is_a_forest_no_larger_than_f():
