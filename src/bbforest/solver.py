@@ -30,7 +30,10 @@ form of the paper's degree-sum bound ``theorems.bound_g``. When it does,
 the starting incumbent n + 1 is optimal and the root closes on the count:
 every graph with minimum degree at least n/2 + 1 takes this path. When it
 does not, the search starts from a greedy forest (``_greedy_forest``) if
-that beats n + 1.
+that beats n + 1. The same count, over the forced-in set and the vertices
+still free, answers each ``feasible_with`` query it can before a search
+starts; on a structure sweep that is most of the lex walk's queries, each
+a plain size test or a degree count that needs no node.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ BRUTE_FORCE_VERTEX_CAP = 24
 SOLVER_PART_CAP = 64
 # pair probes per node when hunting a 4-cycle to branch on
 _C4_PAIR_BUDGET = 128
+# a vertex's id within its part fits in this many low bits of a sort key
+_ID_BITS = (SOLVER_PART_CAP - 1).bit_length()
+_ID_MASK = (1 << _ID_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -233,7 +239,7 @@ class _Search:
     """
 
     __slots__ = ("n", "adj", "nodes", "best_size", "best", "stop_at",
-                 "stopped")
+                 "stopped", "order")
 
     def __init__(self, g: BalancedBipartiteGraph):
         self.n = g.n
@@ -243,29 +249,30 @@ class _Search:
         self.best: int | None = None
         self.stop_at = 0
         self.stopped = False
+        self.order: tuple[list[int], list[int]] | None = None
 
-    def solve(self, inc: int, cand: int, best_size: int, best: int | None,
-              stop_at: int) -> bool:
-        """Run the search from a forced state: ``inc`` is included and only
-        ``cand`` may join. False when ``inc`` is already cyclic."""
+    def solve(self, s: int, r: int, comps: tuple[int, ...], best_size: int,
+              best: int | None, stop_at: int) -> None:
+        """Run the search from a forced state: ``s`` is included, with
+        component masks ``comps``, and only the live candidates ``r`` may
+        join."""
         self.best_size = best_size
         self.best = best
         self.stop_at = stop_at
         self.stopped = False
-        adj = self.adj
-        comps: tuple[int, ...] = ()
-        dead = 0
-        m = inc
-        while m:
-            b = m & -m
-            m ^= b
-            if b & dead:
-                return False
-            comps, d = _merge(comps, b, adj[b.bit_length() - 1])
-            dead |= d
-        cand &= ~dead
-        self._branch(inc, cand, comps, cand, 0)
-        return True
+        self._branch(s, r, comps, r, 0)
+
+    def degree_order(self) -> tuple[list[int], list[int]]:
+        """Per side, the keys ``degree << _ID_BITS | id`` (full degree, id
+        within the side) in ascending order; built on first use and kept,
+        so the root count and every later query share one sort."""
+        if self.order is None:
+            n = self.n
+            self.order = tuple(
+                sorted(row.bit_count() << _ID_BITS | u
+                       for u, row in enumerate(self.adj[lo:lo + n]))
+                for lo in (0, n))
+        return self.order
 
     def _neighbours(self, mask: int) -> int:
         """Union of the neighbourhoods of the vertices in ``mask``."""
@@ -411,10 +418,36 @@ class _Search:
     def feasible_with(self, inc: int, out: int, target: int) -> int | None:
         """Search for any induced forest of at least ``target`` vertices that
         contains the forced-in set and avoids the forced-out set; returns
-        its mask, or None when there is none."""
-        cand = ((1 << 2 * self.n) - 1) & ~inc & ~out
-        if not self.solve(inc, cand, target - 1, None, target):
+        its mask, or None when there is none.
+
+        Before any node, the degree count (``_count_refutes``) is asked
+        about the pool of vertices in neither set, then the forced-in set is
+        merged, and when the merge kills pool vertices the count is asked
+        again about the smaller pool. A smaller pool can only be refuted
+        more easily, so the first count merely spares the merge on the
+        queries it decides; the answers are those of one count after the
+        merge. A query decided here, or with a cyclic forced-in set,
+        explores no node."""
+        order = self.degree_order()
+        pool = ((1 << 2 * self.n) - 1) & ~(inc | out)
+        if _count_refutes(self.n, order, inc, pool, target):
             return None
+        adj = self.adj
+        comps: tuple[int, ...] = ()
+        dead = 0
+        m = inc
+        while m:
+            b = m & -m
+            m ^= b
+            if b & dead:
+                return None
+            comps, d = _merge(comps, b, adj[b.bit_length() - 1])
+            dead |= d
+        if dead & pool:
+            pool &= ~dead
+            if _count_refutes(self.n, order, inc, pool, target):
+                return None
+        self.solve(inc, pool, comps, target - 1, None, target)
         return self.best if self.best_size >= target else None
 
 
@@ -465,23 +498,51 @@ def _lex_walk(search: _Search, target: int,
             yield inc
 
 
-def _count_refutes(g: BalancedBipartiteGraph, t: int) -> bool:
-    """True when degree counting alone rules out an induced forest of
-    ``t`` >= 1 vertices.
+def _count_refutes(n: int, order: tuple[list[int], list[int]], inc: int,
+                   pool: int, t: int) -> bool:
+    """True when degree counting alone rules out an induced forest of ``t``
+    vertices that holds ``inc`` and lies in ``inc | pool``.
 
-    A forest with a vertices in V1 and b in V2 keeps, of each V1 vertex's
-    neighbours, all but at most n - b, so it has at least P1[a] - a(n - b)
-    edges, where P1 sums the a smallest V1 degrees; the same holds with the
-    sides swapped. A forest carries at most a + b - 1 edges, so ``t`` is
-    refuted when every split a + b = t breaks this. Every larger forest
-    holds one of exactly ``t`` vertices, so larger sizes are refuted too.
+    ``order`` is ``_Search.degree_order``. A forest with a vertices in V1
+    and b in V2 keeps, of each V1 vertex's neighbours, all but at most
+    n - b, so it has at least P1[a - a0] - a(n - b) edges, where a0 counts
+    the V1 vertices of ``inc`` and P1[j] sums their degrees and the j
+    smallest degrees of the pool's V1 part; the same holds with the sides
+    swapped. A forest carries at most a + b - 1 edges, so ``t`` is refuted
+    when every split a + b = t that ``inc`` and ``pool`` allow breaks this.
+    When no split is allowed, the pool is too small. Every larger forest
+    that holds ``inc`` holds one of exactly ``t`` vertices, so larger sizes
+    are refuted too. That needs t >= 1 and |inc| <= t; otherwise nothing is
+    refuted. With ``inc`` empty and the full pool this is the root count of
+    ``max_forest``.
     """
-    n = g.n
-    p1, p2 = ([0, *accumulate(sorted(row.bit_count() for row in rows))]
-              for rows in (g.adj1, g.adj2))
-    for a in range(max(0, t - n), min(t, n) + 1):
+    full = (1 << n) - 1
+    a0 = (inc & full).bit_count()
+    b0 = (inc >> n).bit_count()
+    if t < max(1, a0 + b0):
+        return False
+    free1 = pool & full
+    free2 = pool >> n
+    lo = max(a0, t - b0 - free2.bit_count())
+    hi = min(a0 + free1.bit_count(), t - b0)
+    if lo > hi:
+        return True
+    # P1 and P2: the forced vertices' degree sum, then the pool's degrees in
+    # ascending order; an empty forced part and a part the pool fills (the
+    # root's case) skip the filter
+    prefix = []
+    for keys, forced, free in zip(order, (inc & full, inc >> n),
+                                  (free1, free2)):
+        start = sum(k >> _ID_BITS for k in keys
+                    if forced >> (k & _ID_MASK) & 1) if forced else 0
+        degs = (map(_ID_BITS.__rrshift__, keys) if free == full
+                else (k >> _ID_BITS for k in keys
+                      if free >> (k & _ID_MASK) & 1))
+        prefix.append(list(accumulate(degs, initial=start)))
+    p1, p2 = prefix
+    for a in range(lo, hi + 1):
         b = t - a
-        if max(p1[a] - a * (n - b), p2[b] - b * (n - a)) < t:
+        if p1[a - a0] - a * (n - b) < t > p2[b - b0] - b * (n - a):
             return False
     return True
 
@@ -507,7 +568,8 @@ def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
     # a full part plus any single opposite vertex always induces a forest,
     # so the incumbent starts at n + 1
     incumbent = full1 | 1 << n
-    if _count_refutes(g, n + 2):
+    everyone = (1 << 2 * n) - 1
+    if _count_refutes(n, search.degree_order(), 0, everyone, n + 2):
         # the root closes on the count: the incumbent is optimal
         search.nodes = 1
         f, best = n + 1, incumbent
@@ -515,8 +577,7 @@ def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
         greedy = _greedy_forest(search.adj)
         if greedy.bit_count() > n + 1:
             incumbent = greedy
-        search.solve(0, (1 << 2 * n) - 1, incumbent.bit_count(), incumbent,
-                     0)
+        search.solve(0, everyone, (), incumbent.bit_count(), incumbent, 0)
         f, best = search.best_size, search.best
     witness = next(_lex_walk(search, f, best), None)
     if witness is None:

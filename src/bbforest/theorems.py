@@ -578,11 +578,12 @@ def verify_t8(n_values: Iterable[int] | None = None, samples: int = 25,
               seed: int = 1, jobs: int = 1) -> VerificationReport:
     """Seeded sweep of the relaxed-threshold claim: minimum degree
     (n+1)/2 with at most one floor-degree vertex per part still forces
-    forest number n + 1 (odd n)."""
+    forest number n + 1 (odd n in 3..63, up to the solver's part cap)."""
     values = tuple(n_values) if n_values is not None else (5, 7, 9)
     for n in values:
-        if n % 2 == 0 or not 3 <= n <= 15:
-            raise ParameterError(f"need odd n in 3..15, got {n}")
+        if n % 2 == 0 or not 3 <= n < SOLVER_PART_CAP:
+            raise ParameterError(
+                f"need odd n in 3..{SOLVER_PART_CAP - 1}, got {n}")
     if samples < 1:
         raise ParameterError(f"need samples >= 1, got {samples}")
     t0 = time.perf_counter()

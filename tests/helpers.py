@@ -46,17 +46,10 @@ def forest_oracle(g: BalancedBipartiteGraph, s: VertexSubset) -> bool:
 
 
 def max_forest_oracle(g: BalancedBipartiteGraph) -> int:
-    """Reference forest number by scanning all subsets, largest first."""
-    total = 2 * g.n
-    full1 = (1 << g.n) - 1
-    for size in range(total, 0, -1):
-        for bits in range(1 << total):
-            if bits.bit_count() != size:
-                continue
-            s = VertexSubset(bits & full1, bits >> g.n)
-            if forest_oracle(g, s):
-                return size
-    return 0
+    """Reference forest number: the largest size at which the subset scan
+    of ``enumerate_forests_oracle`` finds an induced forest."""
+    return next((size for size in range(2 * g.n, 0, -1)
+                 if enumerate_forests_oracle(g, size)), 0)
 
 
 def enumerate_forests_oracle(g: BalancedBipartiteGraph,

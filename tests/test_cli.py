@@ -332,6 +332,23 @@ def test_verify_part_size_out_of_range_names_n(capsys, tid, n):
         f"error: need 2 <= n <= 64, the solver's part cap, got {n}\n")
 
 
+def test_verify_t8_accepts_odd_n_up_to_63(capsys):
+    # every such instance closes on the root degree count
+    assert run(["verify", "--theorem", "T8", "--n", "63", "--n", "17",
+                "--samples", "2", "--no-timing"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["params"]["n_values"] == [63, 17]
+    assert (payload["instances_checked"], payload["verdict"]) == (4, "pass")
+
+
+@pytest.mark.parametrize("n", ["1", "2", "64", "65"])
+def test_verify_t8_part_size_out_of_range_names_the_bound(capsys, n):
+    assert run(["verify", "--theorem", "T8", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need odd n in 3..63, got {n}\n"
+
+
 @pytest.mark.parametrize("argv, err", [
     (["T1", "--n", "5", "--n", "6"], "--theorem T1 takes one --n"),
     (["T2", "--n", "5", "--n", "7"], "--theorem T2 takes one --n"),

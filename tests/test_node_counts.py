@@ -35,13 +35,13 @@ CASES = [
      (_all_but(16, 1), (0, 1, 5, 6, 7, 9, 10, 12, 15)), 10),
     (lambda: random_min_degree(64, 33, 1), 65, 1,
      (tuple(range(64)), (0,)), 0),
-    (lambda: random_bipartite(18, 0.2, 7), 27, 358,
+    (lambda: random_bipartite(18, 0.2, 7), 27, 353,
      (tuple(range(18)), (0, 5, 7, 9, 12, 13, 14, 15, 17)), 9),
     (lambda: random_bipartite(18, 0.15, 7), 31, 129,
      (_all_but(18, 0, 7, 12, 16), _all_but(18, 16)), 6),
-    (lambda: random_bipartite(20, 0.3, 7), 24, 3271,
+    (lambda: random_bipartite(20, 0.3, 7), 24, 3266,
      (tuple(range(20)), (7, 8, 13, 19)), 16),
-    (lambda: random_bipartite(28, 0.2, 7), 36, 10000,
+    (lambda: random_bipartite(28, 0.2, 7), 36, 9996,
      (tuple(range(28)), (2, 5, 6, 9, 15, 19, 23, 26)), 20),
     (lambda: random_bipartite(28, 0.15, 7), 39, 25979,
      (tuple(range(28)), (2, 4, 5, 7, 9, 10, 15, 16, 17, 23, 26)), 18),
@@ -71,7 +71,7 @@ def test_node_count_pinned(make, f, nodes, witness, pin_calls, monkeypatch):
                          DENSE_SEARCH_CASES, ids=["rmd32", "rmd48", "rmd64"])
 def test_dense_search_node_count_pinned(make, f, nodes, witness, pin_calls,
                                         monkeypatch):
-    monkeypatch.setattr(solver, "_count_refutes", lambda g, t: False)
+    monkeypatch.setattr(solver, "_count_refutes", lambda *args: False)
     _check_pinned(make, f, nodes, witness, pin_calls, monkeypatch)
 
 

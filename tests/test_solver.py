@@ -401,6 +401,12 @@ def test_c4_probe_matches_pair_scan():
     assert outcomes == {-1, 0, 1}
 
 
+def _root_count_refutes(g, t):
+    n = g.n
+    return solver._count_refutes(n, solver._Search(g).degree_order(), 0,
+                                 (1 << 2 * n) - 1, t)
+
+
 def test_count_refutes_only_sizes_above_the_forest_number():
     refuted = 0
     for n in range(1, 7):
@@ -408,9 +414,38 @@ def test_count_refutes_only_sizes_above_the_forest_number():
             g = random_bipartite(n, tenths / 10, 10 * n + tenths)
             f = max_forest_oracle(g)
             for t in range(1, 2 * n + 1):
-                if solver._count_refutes(g, t):
+                if _root_count_refutes(g, t):
                     assert f < t, (g, t)
                     refuted += 1
+    assert refuted
+
+
+def test_count_refutes_only_forced_queries_no_forest_meets():
+    # random forced-in and forced-out sets against a scan of every induced
+    # forest; the pool drops the vertices that would close a cycle with the
+    # forced-in set, as the search's merge does
+    rng = random.Random(12)
+    refuted = 0
+    for gi in range(30):
+        n = 1 + gi % 6
+        g = random_bipartite(n, rng.choice((0.3, 0.5, 0.7, 0.9)), gi)
+        nv = 2 * n
+        full1 = (1 << n) - 1
+        forests = {bits for bits in range(1 << nv)
+                   if forest_oracle(g, VertexSubset(bits & full1, bits >> n))}
+        order = solver._Search(g).degree_order()
+        for _ in range(60):
+            inc = rng.getrandbits(nv) & rng.getrandbits(nv)
+            out = rng.getrandbits(nv) & rng.getrandbits(nv) & ~inc
+            pool = sum(1 << v for v in range(nv)
+                       if not (inc | out) >> v & 1
+                       and (inc | 1 << v) in forests)
+            best = max((f.bit_count() for f in forests
+                        if f & inc == inc and not f & out), default=0)
+            for t in range(1, nv + 1):
+                if solver._count_refutes(n, order, inc, pool, t):
+                    assert best < t, (gi, inc, out, t)
+                    refuted += inc != 0
     assert refuted
 
 
@@ -418,9 +453,9 @@ def test_count_refutes_n_plus_two_above_the_threshold():
     # the instance form of BOUNDS' g(n, k) >= n + 2: minimum degree n/2 + 1
     # leaves no room for a forest of n + 2 vertices
     for n in range(2, 65):
-        assert solver._count_refutes(
-            random_min_degree(n, (n + 3) // 2, n), n + 2), n
-        assert solver._count_refutes(complete_balanced(n), n + 2), n
+        assert _root_count_refutes(random_min_degree(n, (n + 3) // 2, n),
+                                   n + 2), n
+        assert _root_count_refutes(complete_balanced(n), n + 2), n
 
 
 def test_count_never_refutes_a_forest_number_of_n_plus_two():
@@ -428,4 +463,4 @@ def test_count_never_refutes_a_forest_number_of_n_plus_two():
     graphs += [thh1_l2(n, k) for n in range(4, 64, 2)
                for k in range(2, n // 2 + 1)]
     for g in graphs:
-        assert not solver._count_refutes(g, g.n + 2), g
+        assert not _root_count_refutes(g, g.n + 2), g
