@@ -528,16 +528,22 @@ def _count_refutes(n: int, order: tuple[list[int], list[int]], inc: int,
     if lo > hi:
         return True
     # P1 and P2: the forced vertices' degree sum, then the pool's degrees in
-    # ascending order; an empty forced part and a part the pool fills (the
-    # root's case) skip the filter
+    # ascending order; a part the pool fills (the root's case) holds no
+    # forced vertex and needs no filter
     prefix = []
     for keys, forced, free in zip(order, (inc & full, inc >> n),
                                   (free1, free2)):
-        start = sum(k >> _ID_BITS for k in keys
-                    if forced >> (k & _ID_MASK) & 1) if forced else 0
-        degs = (map(_ID_BITS.__rrshift__, keys) if free == full
-                else (k >> _ID_BITS for k in keys
-                      if free >> (k & _ID_MASK) & 1))
+        start = 0
+        if free == full:
+            degs = map(_ID_BITS.__rrshift__, keys)
+        else:
+            degs = []
+            for k in keys:
+                bit = 1 << (k & _ID_MASK)
+                if forced & bit:
+                    start += k >> _ID_BITS
+                elif free & bit:
+                    degs.append(k >> _ID_BITS)
         prefix.append(list(accumulate(degs, initial=start)))
     p1, p2 = prefix
     for a in range(lo, hi + 1):

@@ -401,52 +401,45 @@ def test_c4_probe_matches_pair_scan():
     assert outcomes == {-1, 0, 1}
 
 
+def test_count_refutes_only_sizes_above_the_forest_number():
+    # nothing forced and the full pool (the root count), then random
+    # forced-in and forced-out sets, against a scan of every induced forest;
+    # the pool drops the vertices that would close a cycle with the
+    # forced-in set, as the search's merge does
+    rng = random.Random(12)
+    refuted = forced_refuted = 0
+    for n in range(1, 7):
+        for tenths in range(1, 11):
+            g = random_bipartite(n, tenths / 10, 10 * n + tenths)
+            nv = 2 * n
+            forests = {bits for bits in range(1 << nv)
+                       if forest_oracle(g, VertexSubset(bits & (1 << n) - 1,
+                                                        bits >> n))}
+            order = solver._Search(g).degree_order()
+            assert max(f.bit_count() for f in forests) == max_forest_oracle(g)
+            queries = [(0, 0)]
+            for _ in range(20):
+                inc = rng.getrandbits(nv) & rng.getrandbits(nv)
+                queries.append(
+                    (inc, rng.getrandbits(nv) & rng.getrandbits(nv) & ~inc))
+            for inc, out in queries:
+                pool = sum(1 << v for v in range(nv)
+                           if not (inc | out) >> v & 1
+                           and (inc | 1 << v) in forests)
+                best = max((f.bit_count() for f in forests
+                            if f & inc == inc and not f & out), default=0)
+                for t in range(1, nv + 1):
+                    if solver._count_refutes(n, order, inc, pool, t):
+                        assert best < t, (g, inc, out, t)
+                        refuted += 1
+                        forced_refuted += inc != 0
+    assert forced_refuted and refuted > forced_refuted
+
+
 def _root_count_refutes(g, t):
     n = g.n
     return solver._count_refutes(n, solver._Search(g).degree_order(), 0,
                                  (1 << 2 * n) - 1, t)
-
-
-def test_count_refutes_only_sizes_above_the_forest_number():
-    refuted = 0
-    for n in range(1, 7):
-        for tenths in range(1, 11):
-            g = random_bipartite(n, tenths / 10, 10 * n + tenths)
-            f = max_forest_oracle(g)
-            for t in range(1, 2 * n + 1):
-                if _root_count_refutes(g, t):
-                    assert f < t, (g, t)
-                    refuted += 1
-    assert refuted
-
-
-def test_count_refutes_only_forced_queries_no_forest_meets():
-    # random forced-in and forced-out sets against a scan of every induced
-    # forest; the pool drops the vertices that would close a cycle with the
-    # forced-in set, as the search's merge does
-    rng = random.Random(12)
-    refuted = 0
-    for gi in range(30):
-        n = 1 + gi % 6
-        g = random_bipartite(n, rng.choice((0.3, 0.5, 0.7, 0.9)), gi)
-        nv = 2 * n
-        full1 = (1 << n) - 1
-        forests = {bits for bits in range(1 << nv)
-                   if forest_oracle(g, VertexSubset(bits & full1, bits >> n))}
-        order = solver._Search(g).degree_order()
-        for _ in range(60):
-            inc = rng.getrandbits(nv) & rng.getrandbits(nv)
-            out = rng.getrandbits(nv) & rng.getrandbits(nv) & ~inc
-            pool = sum(1 << v for v in range(nv)
-                       if not (inc | out) >> v & 1
-                       and (inc | 1 << v) in forests)
-            best = max((f.bit_count() for f in forests
-                        if f & inc == inc and not f & out), default=0)
-            for t in range(1, nv + 1):
-                if solver._count_refutes(n, order, inc, pool, t):
-                    assert best < t, (gi, inc, out, t)
-                    refuted += inc != 0
-    assert refuted
 
 
 def test_count_refutes_n_plus_two_above_the_threshold():
