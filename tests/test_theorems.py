@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 import bbforest.theorems as theorems
 from bbforest import (ParameterError, SolveResult, VerificationReport,
                       VertexSubset, bound_g, bound_h, bound_t8, check_bounds,
-                      complete_balanced, max_forest, merge_reports, parse_bbg,
-                      profile_structure, prop1_construction, thm3_lambda2,
-                      thm3_lambda_half, verify_constructions,
+                      complete_balanced, from_rows, max_forest, merge_reports,
+                      parse_bbg, profile_structure, prop1_construction,
+                      thm3_lambda2, thm3_lambda_half, verify_constructions,
                       verify_structure, verify_t1_exhaustive,
                       verify_t1_random, verify_t8)
 
@@ -303,3 +303,50 @@ def test_construction_failures_name_each_check(monkeypatch, tid, attr, fake,
     assert sorted(c["detail"] for c in rep.counterexamples) == details
     # every record replays: the instance is embedded as BBG text
     assert all(parse_bbg(c["bbg"]).n >= 4 for c in rep.counterexamples)
+
+
+def _one_witness(w):
+    # an enumeration that finds the single witness ``w``
+    return lambda g, forest_number: iter([w])
+
+
+# degrees V1 2, 3, 3, 5, 5 and V2 5, 3, 4, 3, 3: below T8's floor of 3 at
+# n = 5, with two floor-degree vertices in each part
+T8_BELOW_FLOOR = from_rows(5, ["11000", "10101", "10110", "11111", "11111"])
+
+# run, patched theorems global, stand-in, details (sorted); the details
+# were recorded before the seeded sweeps shared one instance worker
+SEEDED_FAILURES = [
+    ("T2", lambda: verify_structure(5, samples=1, check="T2"),
+     "enumerate_max_forests", _one_witness(VertexSubset(0b111, 0b111)),
+     ["witness with smaller part 3 outside [1, 2] (seed 1)"]),
+    ("T4", lambda: verify_structure(5, samples=1, check="T4"),
+     "enumerate_max_forests", _one_witness(VertexSubset(0b11, 0b1111)),
+     ["smaller part 2 witness on odd n=5 (seed 1)"]),
+    ("C1", lambda: verify_structure(5, samples=1, check="C1"),
+     "enumerate_max_forests", _one_witness(VertexSubset(0b11, 0b1111)),
+     ["witness with smaller part 2 != 1 on odd n=5 (seed 1)"]),
+    ("C1", lambda: verify_structure(3, samples=1, check="C1"),
+     "is_induced_forest", lambda g, w: w.min_part_size() != 1,
+     ["one-sided subset of size 4 is not a forest (seed 1)"] * 6
+     + ["solver witness failed the independent forest check"]),
+    ("T8", lambda: verify_t8([5], samples=1),
+     "random_th7", lambda n, seed: T8_BELOW_FLOOR,
+     ["forest number 7, expected 6 (seed 1)",
+      "minimum degree below 3 (seed 1)",
+      "more than one floor-degree vertex in a part (seed 1)",
+      "more than one floor-degree vertex in a part (seed 1)"]),
+]
+
+
+@pytest.mark.parametrize("tid, sweep, attr, fake, details", SEEDED_FAILURES,
+                         ids=[f"{c[0]}-{c[2]}" for c in SEEDED_FAILURES])
+def test_seeded_failures_name_each_check(monkeypatch, tid, sweep, attr, fake,
+                                         details):
+    monkeypatch.setattr(theorems, attr, fake)
+    rep = sweep()
+    assert rep.theorem_id == tid
+    assert rep.verdict == "fail"
+    assert rep.instances_checked == 1
+    assert sorted(c["detail"] for c in rep.counterexamples) == details
+    assert all(parse_bbg(c["bbg"]).n >= 3 for c in rep.counterexamples)
