@@ -5,7 +5,8 @@ construction family), verify (run a claim sweep), profile (witness
 structure of one instance), bounds (inequality sweep).
 
 Exit codes: 0 success / claim holds, 1 a sweep found counterexamples,
-2 usage or input errors, 3 an unexpected internal error.
+2 usage or input errors, 3 an unexpected internal error or a failed
+postcondition.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .core import emit_bbg, parse_bbg
-from .errors import BBForestError, MalformedInputError
+from .errors import BBForestError, MalformedInputError, PostconditionError
 from .generators import _FAMILIES, FAMILIES, GeneratorSpec, build
 from .solver import BRUTE_FORCE_VERTEX_CAP, max_forest, max_forest_bruteforce
 from .theorems import (ENUMERATION_BUDGET, THEOREM_IDS, VerificationReport,
@@ -209,8 +210,7 @@ _SEEDED = ("samples", "seed", "jobs")
 
 
 def _t1_exhaustive(tid: str, ns: list[int] | None) -> VerificationReport:
-    parts = [verify_t1_exhaustive(n, allow_n5=(n == 5))
-             for n in ns or (2, 3, 4)]
+    parts = [verify_t1_exhaustive(n) for n in ns or (2, 3, 4)]
     return parts[0] if len(parts) == 1 else merge_reports(parts)
 
 
@@ -316,10 +316,11 @@ def run(argv: list[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BBForestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
+        if (isinstance(exc, BBForestError)
+                and not isinstance(exc, PostconditionError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         # a bug, not bad input: exit 1 stays reserved for counterexamples
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

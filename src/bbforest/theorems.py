@@ -284,15 +284,15 @@ def _qualifying_graphs(n: int, delta: int) -> Iterator[BalancedBipartiteGraph]:
             yield g
 
 
-def verify_t1_exhaustive(n: int, *, allow_n5: bool = False) -> VerificationReport:
+def verify_t1_exhaustive(n: int) -> VerificationReport:
     """Check every labeled instance with minimum degree >= n/2 + 1 for
     forest number exactly n + 1, using the subset-scan oracle.
 
-    n in {2, 3, 4} by default; n = 5 must be opted into (33.5M matrices).
+    n in 2..5; the scan walks only rows of degree >= n/2 + 1, so n = 5
+    checks its 1 546 qualifying graphs in under a second.
     """
-    if n not in (2, 3, 4) and not (n == 5 and allow_n5):
-        raise ParameterError(
-            f"exhaustive sweep covers n in 2..4 (n=5 behind allow_n5), got {n}")
+    if not 2 <= n <= 5:
+        raise ParameterError(f"exhaustive sweep covers n in 2..5, got {n}")
     t0 = time.perf_counter()
     delta = _threshold(n)
     checked = 0
@@ -305,31 +305,136 @@ def verify_t1_exhaustive(n: int, *, allow_n5: bool = False) -> VerificationRepor
     return _finish("T1", params, checked, counterexamples, t0)
 
 
-def _t1_random_instance(args: tuple[int, int, int]) -> list[dict]:
-    n, delta, seed = args
-    g = random_min_degree(n, delta, seed)
-    return _recheck(g, max_forest(g), n + 1, f" (seed {seed})")
+# ---------------------------------------------------------------------------
+# seeded sweeps (T1, T2 / T4 / C1, T8)
+# ---------------------------------------------------------------------------
+
+# structure claim -> (the smaller-part sizes an optimal witness may have at
+# part size n, None for any; the detail for a witness outside them)
+_STRUCTURE = {
+    "T2": (lambda n: {1, 2, n // 2} if n % 2 == 0 else {1, 2},
+           "witness with smaller part {lam} outside {allowed}"),
+    "T4": (lambda n: None if n % 2 == 0 else set(range(n + 1)) - {2},
+           "smaller part {lam} witness on odd n={n}"),
+    "C1": (lambda n: {1}, "witness with smaller part {lam} != 1 on odd n={n}"),
+}
+
+
+def _seeded_instance(args: tuple[str, int, int]) -> tuple[list[dict], int]:
+    # one seeded instance of a claim: its counterexamples and the number of
+    # maximum forests listed. The generators, solver and forest check are
+    # named at call time, so a replaced module attribute takes effect.
+    tid, n, seed = args
+    where = f" (seed {seed})"
+    issues: list[dict] = []
+    if tid == "T8":
+        g = random_th7(n, seed)
+        floor = (n + 1) // 2
+        if min_degree(g) < floor:
+            issues.append(_cex(g, None, f"minimum degree below {floor}{where}"))
+        for rows in (g.adj1, g.adj2):
+            if sum(1 for row in rows if row.bit_count() == floor) > 1:
+                issues.append(_cex(g, None,
+                    f"more than one floor-degree vertex in a part{where}"))
+    else:
+        g = random_min_degree(n, _threshold(n), seed)
+    res = max_forest(g)
+    issues.extend(_recheck(g, res, n + 1, where))
+    if tid not in _STRUCTURE or res.forest_number != n + 1:
+        return issues, 0
+    allowed_at, detail = _STRUCTURE[tid]
+    allowed = allowed_at(n)
+    count = 0
+    for w in enumerate_max_forests(g, forest_number=n + 1):
+        count += 1
+        lam = w.min_part_size()
+        if allowed is not None and lam not in allowed:
+            issues.append(_cex(g, w, detail.format(
+                lam=lam, allowed=sorted(allowed), n=n) + where))
+    if tid == "C1":
+        # converse direction: every one-sided selection of size n + 1
+        # must induce a forest
+        full = (1 << n) - 1
+        for i in range(n):
+            for cand in (VertexSubset(1 << i, full), VertexSubset(full, 1 << i)):
+                if not is_induced_forest(g, cand):
+                    issues.append(_cex(g, cand,
+                        f"one-sided subset of size {n + 1} is not a forest{where}"))
+    return issues, count
+
+
+def _sweep(tid: str, sizes: Sequence[int], samples: int, seed: int,
+           jobs: int) -> tuple[list[dict], int]:
+    # sample i of each part size runs with seed + i; returns the joined
+    # counterexamples and the number of maximum forests listed
+    if samples < 1:
+        raise ParameterError(f"need samples >= 1, got {samples}")
+    args = [(tid, n, seed + i) for n in sizes for i in range(samples)]
+    counterexamples: list[dict] = []
+    witnesses = 0
+    for issues, count in _run_instances(_seeded_instance, args, jobs):
+        counterexamples.extend(issues)
+        witnesses += count
+    return counterexamples, witnesses
 
 
 def verify_t1_random(n: int, samples: int = 100, seed: int = 1,
                      jobs: int = 1) -> VerificationReport:
     """Seeded random sweep of the minimum-degree claim at part size n."""
     _check_part_size(n)
-    if samples < 1:
-        raise ParameterError(f"need samples >= 1, got {samples}")
     t0 = time.perf_counter()
-    delta = _threshold(n)
-    args = [(n, delta, seed + i) for i in range(samples)]
-    counterexamples: list[dict] = []
-    for issues in _run_instances(_t1_random_instance, args, jobs):
-        counterexamples.extend(issues)
+    counterexamples, _ = _sweep("T1", (n,), samples, seed, jobs)
     params = {"n": n, "samples": samples, "seed": seed,
-              "min_degree_threshold": delta}
+              "min_degree_threshold": _threshold(n)}
     return _finish("T1", params, samples, counterexamples, t0)
 
 
+def verify_structure(n: int, samples: int = 25, seed: int = 1,
+                     check: str = "T2", jobs: int = 1) -> VerificationReport:
+    """Enumerate all optimal witnesses over seeded qualifying instances and
+    test their smaller-part sizes.
+
+    check selects the claim: "T2" (sizes limited to {1, 2, n/2}), "T4"
+    (size 2 never occurs when n is odd), "C1" (odd n: size 1 exclusively,
+    and conversely every one-sided selection is a forest; requires odd n).
+    """
+    if check not in _STRUCTURE:
+        raise ParameterError(
+            f"check must be one of {', '.join(_STRUCTURE)}, got {check!r}")
+    _check_part_size(n)
+    if check == "C1" and n % 2 == 0:
+        raise ParameterError("C1 concerns odd n only")
+    t0 = time.perf_counter()
+    counterexamples, witnesses = _sweep(check, (n,), samples, seed, jobs)
+    params = {"n": n, "samples": samples, "seed": seed, "check": check,
+              "min_degree_threshold": _threshold(n),
+              "witnesses_enumerated": witnesses}
+    # no smaller-part size is ruled out at this n
+    if _STRUCTURE[check][0](n) is None:
+        params["note"] = "vacuous for even n"
+    return _finish(check, params, samples, counterexamples, t0)
+
+
+def verify_t8(n_values: Iterable[int] | None = None, samples: int = 25,
+              seed: int = 1, jobs: int = 1) -> VerificationReport:
+    """Seeded sweep of the relaxed-threshold claim: minimum degree
+    (n+1)/2 with at most one floor-degree vertex per part still forces
+    forest number n + 1 (odd n in 3..63, up to the solver's part cap)."""
+    values = tuple(n_values) if n_values is not None else (5, 7, 9)
+    for n in values:
+        if n % 2 == 0 or not 3 <= n < SOLVER_PART_CAP:
+            raise ParameterError(
+                f"need odd n in 3..{SOLVER_PART_CAP - 1}, got {n}")
+    if not values:
+        raise ParameterError("need at least one n")
+    t0 = time.perf_counter()
+    counterexamples, _ = _sweep("T8", values, samples, seed, jobs)
+    params = {"n_values": list(values), "samples": samples, "seed": seed}
+    return _finish("T8", params, len(values) * samples, counterexamples, t0)
+
+
 # ---------------------------------------------------------------------------
-# structure of optimal witnesses (T2 / T4 / C1)
+# structure of the optimal witnesses of one instance
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -383,75 +488,6 @@ def profile_structure(g: BalancedBipartiteGraph,
             per[lam] = w
     return StructureProfile(f, frozenset(per), dict(sorted(per.items())),
                             True)
-
-
-def _structure_instance(args: tuple[int, int, int, str]) -> dict:
-    n, delta, seed, check = args
-    g = random_min_degree(n, delta, seed)
-    res = max_forest(g)
-    issues = _recheck(g, res, n + 1, f" (seed {seed})")
-    if res.forest_number != n + 1:
-        return {"cex": issues, "witnesses": 0}
-    allowed = {1, 2}
-    if n % 2 == 0:
-        allowed.add(n // 2)
-    count = 0
-    for w in enumerate_max_forests(g, forest_number=res.forest_number):
-        count += 1
-        lam = w.min_part_size()
-        if check == "T2":
-            if lam not in allowed:
-                issues.append(_cex(g, w,
-                    f"witness with smaller part {lam} outside {sorted(allowed)} (seed {seed})"))
-        elif check == "T4":
-            if n % 2 == 1 and lam == 2:
-                issues.append(_cex(g, w,
-                    f"smaller part 2 witness on odd n={n} (seed {seed})"))
-        elif check == "C1":
-            if lam != 1:
-                issues.append(_cex(g, w,
-                    f"witness with smaller part {lam} != 1 on odd n={n} (seed {seed})"))
-    if check == "C1":
-        # converse direction: every one-sided selection of size n + 1
-        # must induce a forest
-        full = (1 << n) - 1
-        for i in range(n):
-            for cand in (VertexSubset(1 << i, full), VertexSubset(full, 1 << i)):
-                if not is_induced_forest(g, cand):
-                    issues.append(_cex(g, cand,
-                        f"one-sided subset of size {n + 1} is not a forest (seed {seed})"))
-    return {"cex": issues, "witnesses": count}
-
-
-def verify_structure(n: int, samples: int = 25, seed: int = 1,
-                     check: str = "T2", jobs: int = 1) -> VerificationReport:
-    """Enumerate all optimal witnesses over seeded qualifying instances and
-    test their smaller-part sizes.
-
-    check selects the claim: "T2" (sizes limited to {1, 2, n/2}), "T4"
-    (size 2 never occurs when n is odd), "C1" (odd n: size 1 exclusively,
-    and conversely every one-sided selection is a forest; requires odd n).
-    """
-    if check not in ("T2", "T4", "C1"):
-        raise ParameterError(f"check must be one of T2, T4, C1, got {check!r}")
-    _check_part_size(n)
-    if check == "C1" and n % 2 == 0:
-        raise ParameterError("C1 concerns odd n only")
-    if samples < 1:
-        raise ParameterError(f"need samples >= 1, got {samples}")
-    t0 = time.perf_counter()
-    delta = _threshold(n)
-    args = [(n, delta, seed + i, check) for i in range(samples)]
-    counterexamples: list[dict] = []
-    witnesses = 0
-    for out in _run_instances(_structure_instance, args, jobs):
-        counterexamples.extend(out["cex"])
-        witnesses += out["witnesses"]
-    params = {"n": n, "samples": samples, "seed": seed, "check": check,
-              "min_degree_threshold": delta, "witnesses_enumerated": witnesses}
-    if check == "T4" and n % 2 == 0:
-        params["note"] = "vacuous for even n"
-    return _finish(check, params, samples, counterexamples, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +568,8 @@ def verify_constructions(theorem_id: str,
         raise ParameterError(f"{theorem_id} does not read "
                              f"{'ns' if by_pairs else 'pairs'}")
     values = tuple(given) if given is not None else defaults
+    if not values:
+        raise ParameterError(f"need at least one {'pair' if by_pairs else 'n'}")
     counterexamples: list[dict] = []
     for size in values:
         case = make_case(size)
@@ -553,43 +591,3 @@ def verify_constructions(theorem_id: str,
     params = ({"pairs": [list(p) for p in values]} if by_pairs
               else {"n_values": list(values)})
     return _finish(theorem_id, params, len(values), counterexamples, t0)
-
-
-# ---------------------------------------------------------------------------
-# T8: relaxed threshold with one floor-degree vertex per part
-# ---------------------------------------------------------------------------
-
-def _t8_instance(args: tuple[int, int]) -> list[dict]:
-    n, seed = args
-    g = random_th7(n, seed)
-    floor = (n + 1) // 2
-    issues = []
-    if min_degree(g) < floor:
-        issues.append(_cex(g, None, f"minimum degree below {floor} (seed {seed})"))
-    for rows in (g.adj1, g.adj2):
-        if sum(1 for row in rows if row.bit_count() == floor) > 1:
-            issues.append(_cex(g, None,
-                f"more than one floor-degree vertex in a part (seed {seed})"))
-    issues.extend(_recheck(g, max_forest(g), n + 1, f" (seed {seed})"))
-    return issues
-
-
-def verify_t8(n_values: Iterable[int] | None = None, samples: int = 25,
-              seed: int = 1, jobs: int = 1) -> VerificationReport:
-    """Seeded sweep of the relaxed-threshold claim: minimum degree
-    (n+1)/2 with at most one floor-degree vertex per part still forces
-    forest number n + 1 (odd n in 3..63, up to the solver's part cap)."""
-    values = tuple(n_values) if n_values is not None else (5, 7, 9)
-    for n in values:
-        if n % 2 == 0 or not 3 <= n < SOLVER_PART_CAP:
-            raise ParameterError(
-                f"need odd n in 3..{SOLVER_PART_CAP - 1}, got {n}")
-    if samples < 1:
-        raise ParameterError(f"need samples >= 1, got {samples}")
-    t0 = time.perf_counter()
-    args = [(n, seed + i) for n in values for i in range(samples)]
-    counterexamples: list[dict] = []
-    for issues in _run_instances(_t8_instance, args, jobs):
-        counterexamples.extend(issues)
-    params = {"n_values": list(values), "samples": samples, "seed": seed}
-    return _finish("T8", params, len(args), counterexamples, t0)

@@ -1,5 +1,5 @@
-"""The benchmark's tracer finds every hook it patches, and a structure sweep
-run through the CLI passes through the patched names.
+"""The benchmark's tracer finds every hook it patches, and the seeded sweeps
+(T1, T2 and T8) run through the CLI pass through the patched names.
 
 ``perfbench/tracing.py`` replaces module attributes (``cli.verify_structure``,
 ``theorems.max_forest``, ``theorems.enumerate_max_forests`` and others) with
@@ -11,6 +11,8 @@ would silently read zero.
 import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
+
+import pytest
 
 import bbforest.cli
 import bbforest.core
@@ -28,7 +30,7 @@ def _load_tracing():
     return module
 
 
-def test_tracer_hooks_see_a_structure_sweep(capsys):
+def _traced_verify(capsys, *argv):
     # the modules already imported here, not a fresh import: re-importing
     # the package would leave other tests holding stale modules
     bb = SimpleNamespace(cli=bbforest.cli, core=bbforest.core,
@@ -38,11 +40,16 @@ def test_tracer_hooks_see_a_structure_sweep(capsys):
     tracer.install(bb)
     try:
         assert tracer.missing == []
-        assert bbforest.cli.run(["verify", "--theorem", "T2", "--n", "5",
+        assert bbforest.cli.run(["verify", "--theorem", *argv,
                                  "--samples", "1", "--no-timing"]) == 0
     finally:
         tracer.uninstall()
     assert '"verdict": "pass"' in capsys.readouterr().out
+    return tracer
+
+
+def test_tracer_hooks_see_a_structure_sweep(capsys):
+    tracer = _traced_verify(capsys, "T2", "--n", "5")
     names = {span[0] for span in tracer.spans}
     assert {"theorems.verify_structure", "solver.max_forest",
             "solver.enumerate"} <= names
@@ -51,3 +58,12 @@ def test_tracer_hooks_see_a_structure_sweep(capsys):
                  if s[0] == "theorems.verify_structure")
     assert all(s[3] == sweep for s in tracer.spans
                if s[0] in ("solver.max_forest", "solver.enumerate"))
+
+
+@pytest.mark.parametrize("tid, spans", [
+    ("T1", {"solver.max_forest", "generators.random_min_degree"}),
+    ("T8", {"solver.max_forest"}),
+])
+def test_tracer_hooks_see_the_other_seeded_sweeps(capsys, tid, spans):
+    tracer = _traced_verify(capsys, tid, "--n", "5")
+    assert spans <= {span[0] for span in tracer.spans}

@@ -123,6 +123,8 @@ def test_verify_report_pinned(capsys, argv, expected):
     assert code == 0
     assert (report["theorem_id"], report["params"],
             report["instances_checked"], report["verdict"]) == expected
+    # dicts compare equal in any key order; the JSON output does not
+    assert list(report["params"]) == list(expected[1])
 
 
 def test_every_claim_and_family_is_pinned():

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import bbforest.cli as cli
+import bbforest.solver as solver
 from bbforest import (THEOREM_IDS, VerificationReport, emit_bbg,
                       prop1_construction, random_th7)
 from bbforest.cli import run
@@ -169,6 +170,13 @@ def test_verify_t1_exhaustive_merges_sizes(capsys):
     assert [r["n"] for r in payload["params"]["runs"]] == [2, 3, 4]
 
 
+@pytest.mark.parametrize("n", ["1", "6"])
+def test_verify_t1_exhaustive_names_its_range(capsys, n):
+    assert run(["verify", "--theorem", "T1", "--exhaustive", "--n", n]) == 2
+    assert capsys.readouterr().err == (
+        f"error: exhaustive sweep covers n in 2..5, got {n}\n")
+
+
 def test_verify_t1_random_default(capsys):
     assert run(["verify", "--theorem", "T1", "--n", "5",
                 "--samples", "5", "--no-timing"]) == 0
@@ -301,6 +309,16 @@ def test_unexpected_exception_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_solve", broken)
     assert run(["solve"]) == 3
     assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
+
+
+def test_postcondition_failure_exits_three(monkeypatch, capsys):
+    # a failed self-check is a bug, not bad input
+    monkeypatch.setattr(solver, "_lex_walk", lambda *args: iter(()))
+    monkeypatch.setattr("sys.stdin", io.StringIO(K22))
+    assert run(["solve"]) == 3
+    assert capsys.readouterr().err == (
+        "error: internal: PostconditionError: witness pinning found no "
+        "forest of 3 vertices\n")
 
 
 def test_help_exits_zero(capsys):

@@ -82,7 +82,8 @@ def test_merge_reports():
         merge_reports([a, VerificationReport("P1", {}, 1, [])])
 
 
-@pytest.mark.parametrize("n,qualifying", [(2, 1), (3, 1), (4, 209)])
+@pytest.mark.parametrize("n,qualifying",
+                         [(2, 1), (3, 1), (4, 209), (5, 1546)])
 def test_t1_exhaustive_counts(n, qualifying):
     rep = verify_t1_exhaustive(n)
     assert rep.verdict == "pass"
@@ -106,11 +107,10 @@ def test_t1_exhaustive_n4_count_independently():
     assert count == 209
 
 
-def test_t1_exhaustive_gates_n5():
-    with pytest.raises(ParameterError):
-        verify_t1_exhaustive(5)
-    with pytest.raises(ParameterError):
-        verify_t1_exhaustive(6, allow_n5=True)
+def test_t1_exhaustive_rejects_n_outside_2_to_5():
+    for n in (1, 6):
+        with pytest.raises(ParameterError, match=f"covers n in 2..5, got {n}"):
+            verify_t1_exhaustive(n)
 
 
 def test_t1_random_pass():
@@ -206,6 +206,16 @@ def test_construction_sweep_rejects_the_size_argument_it_does_not_read(
         tid, sizes):
     with pytest.raises(ParameterError, match="does not read"):
         verify_constructions(tid, **sizes)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: verify_t8(n_values=[]),
+    lambda: verify_constructions("P1", ns=[]),
+    lambda: verify_constructions("T7l1", pairs=[]),
+], ids=["T8", "P1", "T7l1"])
+def test_sweeps_reject_an_empty_size_list(sweep):
+    with pytest.raises(ParameterError, match="need at least one"):
+        sweep()
 
 
 def test_t8_sweep():
