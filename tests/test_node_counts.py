@@ -9,11 +9,15 @@ pinning pass makes. No wall time is bounded.
 The dense graphs (minimum degree (n + 3) // 2) close at the root on the
 degree count, so they are pinned a second time with the count declining,
 which keeps the branch and bound itself pinned on a dense graph.
+
+The enumeration of every maximum forest is pinned apart from ``max_forest``:
+its witness count, its feasibility queries and the nodes its own search
+explores, on graphs of the T2 sweep at n = 9 and on one sparse graph.
 """
 
 import pytest
 
-from bbforest import max_forest, random_min_degree
+from bbforest import enumerate_max_forests, max_forest, random_min_degree
 from bbforest import solver
 
 from .helpers import random_bipartite
@@ -59,6 +63,17 @@ DENSE_SEARCH_CASES = [
 ]
 
 
+# (graph, forest number, witnesses, feasibility queries, search nodes) of
+# listing every maximum forest
+ENUMERATION_CASES = [
+    (lambda: random_min_degree(9, 6, 1), 10, 18, 143, 137),
+    (lambda: random_min_degree(9, 6, 2), 10, 18, 143, 97),
+    (lambda: random_min_degree(9, 6, 3), 10, 18, 143, 127),
+    (lambda: random_bipartite(9, 0.3, 4), 14, 27, 263, 239),
+]
+ENUMERATION_IDS = ["rmd9s1", "rmd9s2", "rmd9s3", "gnp9p30"]
+
+
 @pytest.mark.parametrize("make, f, nodes, witness, pin_calls", CASES,
                          ids=["rmd32", "rmd48", "gnp12", "gnp16", "rmd64",
                               "gnp18p20", "gnp18p15", "gnp20p30", "gnp28p20",
@@ -88,3 +103,32 @@ def _check_pinned(make, f, nodes, witness, pin_calls, monkeypatch):
     assert (res.forest_number, res.nodes_explored) == (f, nodes)
     assert res.witness.indices() == witness
     assert len(calls) == pin_calls
+
+
+def enumerate_counted(g, f, monkeypatch):
+    """List every forest of ``f`` vertices in ``g``; returns the witnesses,
+    the arguments of each feasibility query and the nodes the enumeration's
+    search explored."""
+    calls = []
+    searches = []
+    feasible_with = solver._Search.feasible_with
+
+    def counted(self, *args):
+        calls.append(args)
+        searches.append(self)
+        return feasible_with(self, *args)
+
+    monkeypatch.setattr(solver._Search, "feasible_with", counted)
+    witnesses = list(enumerate_max_forests(g, forest_number=f))
+    assert len(set(searches)) == 1
+    return witnesses, calls, searches[0].nodes
+
+
+@pytest.mark.parametrize("make, f, witnesses, queries, nodes",
+                         ENUMERATION_CASES, ids=ENUMERATION_IDS)
+def test_enumeration_cost_pinned(make, f, witnesses, queries, nodes,
+                                 monkeypatch):
+    g = make()
+    assert max_forest(g).forest_number == f
+    listed, calls, explored = enumerate_counted(g, f, monkeypatch)
+    assert (len(listed), len(calls), explored) == (witnesses, queries, nodes)
