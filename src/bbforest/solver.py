@@ -30,10 +30,11 @@ form of the paper's degree-sum bound ``theorems.bound_g``. When it does,
 the starting incumbent n + 1 is optimal and the root closes on the count:
 every graph with minimum degree at least n/2 + 1 takes this path. When it
 does not, the search starts from a greedy forest (``_greedy_forest``) if
-that beats n + 1. The same count, over the forced-in set and the vertices
-still free, answers each ``feasible_with`` query it can before a search
-starts; on a structure sweep that is most of the lex walk's queries, each
-a plain size test or a degree count that needs no node.
+that beats n + 1. A ``feasible_with`` query goes the same way: the count
+over the forced-in set and the vertices still free, then the same greedy,
+grown from the forced-in set until it reaches the target, and only then
+the search. On a structure sweep the count refutes most of the lex walk's
+queries and the greedy answers most of the rest, neither with a node.
 """
 
 from __future__ import annotations
@@ -155,24 +156,33 @@ def _edge_cut_refutes(deg: list[int], total: int, floor: int) -> bool:
     return pos > 0 and sum(degs[:k]) - k < (sum(degs) >> 1) - pos + 1
 
 
-def _greedy_forest(adj: tuple[int, ...]) -> int:
-    """A maximal induced forest, as a mask over the global ids.
+def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
+                   live: int, stop: int) -> int:
+    """Grow the forest ``s``, with component masks ``comps`` (see
+    ``_merge``), from the live vertices ``live``; returns its mask over the
+    global ids.
 
-    Repeatedly joins the live vertex with the fewest active neighbours,
-    lowest id on ties; the vertices the join kills (see ``_merge``) leave.
+    Repeatedly joins the live vertex with the fewest active (``s | live``)
+    neighbours, lowest id on ties; the vertices the join kills leave. Stops
+    once the forest holds ``stop`` vertices, or, with ``stop`` 0, when no
+    live vertex is left: the forest is then maximal within ``s | live``.
     """
-    nv = len(adj)
-    comps: tuple[int, ...] = ()
-    s = 0
-    live = (1 << nv) - 1
-    while live:
+    size = s.bit_count()
+    while live and (not stop or size < stop):
         act = s | live
-        v = min((u for u in range(nv) if live >> u & 1),
-                key=lambda u: (adj[u] & act).bit_count())
-        b = 1 << v
-        comps, dead = _merge(comps, b, adj[v])
-        s |= b
-        live &= ~(b | dead)
+        fewest = len(adj)
+        m = live
+        while m:
+            b = m & -m
+            m ^= b
+            d = (adj[b.bit_length() - 1] & act).bit_count()
+            if d < fewest:
+                fewest = d
+                v = b
+        comps, dead = _merge(comps, v, adj[v.bit_length() - 1])
+        s |= v
+        live &= ~(v | dead)
+        size += 1
     return s
 
 
@@ -426,8 +436,12 @@ class _Search:
         again about the smaller pool. A smaller pool can only be refuted
         more easily, so the first count merely spares the merge on the
         queries it decides; the answers are those of one count after the
-        merge. A query decided here, or with a cyclic forced-in set,
-        explores no node."""
+        merge. Then the greedy (``_greedy_forest``) grows the forced-in set
+        from the pool; a forest of ``target`` vertices it reaches is the
+        answer. Only a query none of these decide runs the search, and a
+        query with a cyclic forced-in set explores no node either. Which
+        forest is returned never changes the lex walk's leaves, only the
+        queries it goes on to make."""
         order = self.degree_order()
         pool = ((1 << 2 * self.n) - 1) & ~(inc | out)
         if _count_refutes(self.n, order, inc, pool, target):
@@ -447,6 +461,9 @@ class _Search:
             pool &= ~dead
             if _count_refutes(self.n, order, inc, pool, target):
                 return None
+        found = _greedy_forest(adj, inc, comps, pool, target)
+        if found.bit_count() >= target:
+            return found
         self.solve(inc, pool, comps, target - 1, None, target)
         return self.best if self.best_size >= target else None
 
@@ -461,14 +478,17 @@ def _lex_walk(search: _Search, target: int,
     carries a known such forest ``cache`` (None: not known yet). An id in
     ``cache`` is included without a query; its exclude sibling waits on the
     stack with no cache and costs one ``feasible_with`` call if the walk
-    resumes it. For an id outside ``cache`` the exclude side is known to be
-    feasible, so only the include side is asked.
+    resumes it, unless its forced-in set and the ids still undecided
+    together fall short of ``target``: that sibling holds no such forest
+    and is not queued. For an id outside ``cache`` the exclude side is
+    known to be feasible, so only the include side is asked.
 
     ``feasible_with(inc, out, t)`` finds a forest of at least t vertices,
     and every subset of a forest is one, so while ``inc`` holds at most t
     vertices it answers whether a forest of exactly t exists. Every branch
     queried is either on the path to a leaf or the dead sibling of a branch
-    that is, and each is queried once.
+    that is, and each is queried once; no branch too small for ``target``
+    is queried.
     """
     nv = 2 * search.n
     # (next id, included mask, excluded mask, known forest or None)
@@ -484,7 +504,8 @@ def _lex_walk(search: _Search, target: int,
             b = 1 << v
             v += 1
             if cache & b:
-                stack.append((v, inc, out | b, None))
+                if k + nv - v >= target:
+                    stack.append((v, inc, out | b, None))
             else:
                 found = search.feasible_with(inc | b, out, target)
                 if found is None:
@@ -580,7 +601,7 @@ def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
         search.nodes = 1
         f, best = n + 1, incumbent
     else:
-        greedy = _greedy_forest(search.adj)
+        greedy = _greedy_forest(search.adj, 0, (), everyone, 0)
         if greedy.bit_count() > n + 1:
             incumbent = greedy
         search.solve(0, everyone, (), incumbent.bit_count(), incumbent, 0)

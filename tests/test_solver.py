@@ -172,14 +172,21 @@ def test_greedy_forest_is_a_forest_no_larger_than_f():
     for gi in range(40):
         n = 2 + gi % 19
         g = random_bipartite(n, (0.15, 0.3, 0.6, 0.9)[gi % 4], gi)
-        s = solver._greedy_forest(solver._adjacency(g))
+        s = solver._greedy_forest(solver._adjacency(g), 0, (),
+                                  (1 << 2 * n) - 1, 0)
         assert forest_oracle(g, VertexSubset(s & (1 << n) - 1, s >> n)), gi
         assert s.bit_count() <= max_forest(g).forest_number, gi
 
 
 def test_greedy_forest_skipped_when_the_root_count_closes(monkeypatch):
-    def refuse(adj):
-        raise AssertionError("greedy start ran after the root count closed")
+    # feasibility queries may complete greedily, the enumeration's first one
+    # with nothing forced too; the root start alone runs to a maximal forest
+    greedy = solver._greedy_forest
+
+    def refuse(adj, s, comps, live, stop):
+        if not stop:
+            raise AssertionError("greedy start ran after the root count closed")
+        return greedy(adj, s, comps, live, stop)
 
     monkeypatch.setattr(solver, "_greedy_forest", refuse)
     for n in (32, 48, 64):
