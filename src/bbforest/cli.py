@@ -23,9 +23,10 @@ from .errors import BBForestError, MalformedInputError, PostconditionError
 from .generators import _FAMILIES, FAMILIES, GeneratorSpec, build
 from .solver import BRUTE_FORCE_VERTEX_CAP, max_forest, max_forest_bruteforce
 from .theorems import (ENUMERATION_BUDGET, THEOREM_IDS, VerificationReport,
-                       check_bounds, merge_reports, profile_structure,
-                       verify_constructions, verify_structure,
-                       verify_t1_exhaustive, verify_t1_random, verify_t8)
+                       _check_sizes, check_bounds, merge_reports,
+                       profile_structure, verify_constructions,
+                       verify_structure, verify_t1_exhaustive,
+                       verify_t1_random, verify_t8)
 
 __all__ = ["main", "run"]
 
@@ -273,6 +274,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if n is not None and len(n) > 1:
             raise BBForestError(f"{mode} takes one --n")
         n = n[0] if n else claim.n
+    elif n is not None:
+        _check_sizes(tuple(n), "--n")
     return _print_report(claim.run(tid, n, **options), args)
 
 

@@ -150,6 +150,16 @@ def _cex(g: BalancedBipartiteGraph | None, witness: VertexSubset | None,
     return entry
 
 
+def _check_sizes(values: tuple, what: str) -> None:
+    # a sweep's size list must be non-empty and name each size once: a
+    # repeated size would run and count its instances twice
+    if not values:
+        raise ParameterError(f"need at least one {what}")
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ParameterError(f"{what} {v} given twice")
+
+
 def _finish(theorem_id: str, params: dict, checked: int,
             counterexamples: list[dict], t0: float) -> VerificationReport:
     return VerificationReport(theorem_id, params, checked, counterexamples,
@@ -425,8 +435,7 @@ def verify_t8(n_values: Iterable[int] | None = None, samples: int = 25,
         if n % 2 == 0 or not 3 <= n < SOLVER_PART_CAP:
             raise ParameterError(
                 f"need odd n in 3..{SOLVER_PART_CAP - 1}, got {n}")
-    if not values:
-        raise ParameterError("need at least one n")
+    _check_sizes(values, "n")
     t0 = time.perf_counter()
     counterexamples, _ = _sweep("T8", values, samples, seed, jobs)
     params = {"n_values": list(values), "samples": samples, "seed": seed}
@@ -568,8 +577,7 @@ def verify_constructions(theorem_id: str,
         raise ParameterError(f"{theorem_id} does not read "
                              f"{'ns' if by_pairs else 'pairs'}")
     values = tuple(given) if given is not None else defaults
-    if not values:
-        raise ParameterError(f"need at least one {'pair' if by_pairs else 'n'}")
+    _check_sizes(values, "pair" if by_pairs else "n")
     counterexamples: list[dict] = []
     for size in values:
         case = make_case(size)

@@ -218,6 +218,17 @@ def test_sweeps_reject_an_empty_size_list(sweep):
         sweep()
 
 
+@pytest.mark.parametrize("sweep, err", [
+    (lambda: verify_t8(n_values=[5, 7, 5]), "n 5 given twice"),
+    (lambda: verify_constructions("P1", ns=[3, 3]), "n 3 given twice"),
+    (lambda: verify_constructions("T7l1", pairs=[(5, 2), (5, 3), (5, 2)]),
+     r"pair \(5, 2\) given twice"),
+], ids=["T8", "P1", "T7l1"])
+def test_sweeps_reject_a_repeated_size(sweep, err):
+    with pytest.raises(ParameterError, match=err):
+        sweep()
+
+
 def test_t8_sweep():
     rep = verify_t8(n_values=(5, 7), samples=4, seed=9)
     assert rep.verdict == "pass"
