@@ -373,11 +373,6 @@ def test_verify_t8_part_size_out_of_range_names_the_bound(capsys, n):
     (["T4", "--n", "5", "--n", "7"], "--theorem T4 takes one --n"),
     (["C1", "--n", "5", "--n", "7"], "--theorem C1 takes one --n"),
     (["BOUNDS", "--n", "10", "--n", "20"], "--theorem BOUNDS takes one --n"),
-    # a repeated size would run and count its instances twice
-    (["T8", "--n", "5", "--n", "7", "--n", "5", "--samples", "2"],
-     "--n 5 given twice"),
-    (["P1", "--n", "5", "--n", "5"], "--n 5 given twice"),
-    (["T1", "--exhaustive", "--n", "5", "--n", "5"], "--n 5 given twice"),
     (["P1", "--k", "2"], "--theorem P1 does not read --k"),
     (["T2", "--n", "5", "--k", "2"], "--theorem T2 does not read --k"),
     (["T8", "--k", "2"], "--theorem T8 does not read --k"),
@@ -393,6 +388,11 @@ def test_verify_t8_part_size_out_of_range_names_the_bound(capsys, n):
     (["BOUNDS", "--jobs", "2"], "--theorem BOUNDS does not read --jobs"),
     (["T2", "--exhaustive"], "--theorem T2 does not read --exhaustive"),
     (["P1", "--exhaustive"], "--theorem P1 does not read --exhaustive"),
+    # a repeated size would run and count its instances twice
+    (["T8", "--n", "5", "--n", "7", "--n", "5", "--samples", "2"],
+     "--n 5 given twice"),
+    (["P1", "--n", "5", "--n", "5"], "--n 5 given twice"),
+    (["T1", "--exhaustive", "--n", "5", "--n", "5"], "--n 5 given twice"),
 ])
 def test_verify_rejects_options_the_claim_does_not_read(capsys, argv, err):
     assert run(["verify", "--theorem", *argv, "--no-timing"]) == 2
