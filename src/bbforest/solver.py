@@ -6,14 +6,15 @@ search (``max_forest``) for anything up to the single-word part cap. Both
 return the lexicographically smallest optimal witness under the global
 vertex order (V1 ids first), so their results are directly comparable.
 
-There is one search, ``_Search``. It finds the optimum, and it answers
-``feasible_with``: is there a forest of a target size that holds one set
-and avoids another? A lex walk (``_lex_walk``) decides the ids in
-increasing order, include first, and asks the search whether a branch
-still holds a forest of the target size. Its leaves are every such forest,
-in lexicographic order. ``max_forest`` takes the first leaf as its witness,
-and ``enumerate_max_forests`` lists them all. Each witness costs at most
-about 4n queries, and no bound on the number of forests is imposed.
+There is one search, ``_Search``, entered one way, ``largest``: the
+largest forest above a floor that holds one set and avoids another. The
+optimum asks it with nothing forced and floor n + 1; ``feasible_with``
+stops it at a target size. A lex walk (``_lex_walk``) decides the ids in
+increasing order, include first, and asks ``feasible_with`` whether a
+branch still holds a forest of the target size. Its leaves are every such
+forest, in lexicographic order. ``max_forest`` takes the first leaf as its
+witness, and ``enumerate_max_forests`` lists them all. Each witness costs
+at most about 4n queries; the number of forests is not bounded.
 
 Vertices live in a single 2n-bit space, V1 ids first, with one adjacency
 row per vertex (``_adjacency``). The search's included forest is a tuple
@@ -24,17 +25,16 @@ component: it is dead, since joining would close a cycle. Components only
 merge, so a dead vertex stays dead, and no acyclicity test or union-find
 is needed.
 
-Before any search, ``max_forest`` asks whether degree counting alone
-rules out a forest of n + 2 vertices (``_count_refutes``), the instance
-form of the paper's degree-sum bound ``theorems.bound_g``. When it does,
-the starting incumbent n + 1 is optimal and the root closes on the count:
-every graph with minimum degree at least n/2 + 1 takes this path. When it
-does not, the search starts from a greedy forest (``_greedy_forest``) if
-that beats n + 1. A ``feasible_with`` query goes the same way: the count
-over the forced-in set and the vertices still free, then the same greedy,
-grown from the forced-in set until it reaches the target, and only then
-the search. On a structure sweep the count refutes most of the lex walk's
-queries and the greedy answers most of the rest, neither with a node.
+Before any node, ``largest`` asks whether degree counting alone rules out
+a forest above the floor (``_count_refutes``), over the forced-in set and
+the vertices still free; then it grows a greedy forest
+(``_greedy_forest``) from the forced-in set, and only then searches, from
+the greedy forest as incumbent. At the optimum's root the count is the
+instance form of the paper's degree-sum bound ``theorems.bound_g``: every
+graph with minimum degree at least n/2 + 1 closes there, on f = n + 1. On
+a structure sweep the count refutes most of the lex walk's queries and
+the greedy, stopped at the target, answers most of the rest, neither
+with a node.
 """
 
 from __future__ import annotations
@@ -196,9 +196,9 @@ class _Search:
 
     The search answers two questions only: the largest forest inside the
     active set that holds ``s``, and whether one of a target size exists
-    (``feasible_with``). Propagation may therefore discard forests as long
-    as one of the same size survives. A live candidate v with at most two
-    active neighbours joins. Let F be a target-size forest that holds
+    (``largest`` with a stop). Propagation may therefore discard forests as
+    long as one of the same size survives. A live candidate v with at most
+    two active neighbours joins. Let F be a target-size forest that holds
     ``s``, avoids v and lies in ``s | r``. If at most one neighbour of v
     lies in F, F + v is a larger forest. Otherwise v has two neighbours u
     and w in F, and F + v closes one cycle, through the u-w path P of F.
@@ -244,14 +244,19 @@ class _Search:
     non-empty, zeroes each removed id and decrements its active
     neighbours, so the list holds exactly the popcounts a recount over the
     active set would give, and every prune and branch decision is the one
-    the recount would make. ``solve`` hands no list: its first node to
-    reach the bound counts the degrees once.
+    the recount would make. ``solve`` counts the degrees over its forced
+    state's active set and hands them to the first node with nothing
+    removed, so that node's propagation kills take the same decrement.
     """
 
     __slots__ = ("n", "adj", "nodes", "best_size", "best", "stop_at",
                  "stopped", "order")
 
     def __init__(self, g: BalancedBipartiteGraph):
+        # rows fit one word, and degree_order's keys an id in _ID_BITS bits
+        if g.n > SOLVER_PART_CAP:
+            raise InstanceTooLargeError(
+                f"part size {g.n} exceeds the solver cap of {SOLVER_PART_CAP}")
         self.n = g.n
         self.adj = _adjacency(g)
         self.nodes = 0
@@ -270,7 +275,10 @@ class _Search:
         self.best = best
         self.stop_at = stop_at
         self.stopped = False
-        self._branch(s, r, comps, r, 0)
+        act = s | r
+        deg = [(row & act).bit_count() if act >> u & 1 else 0
+               for u, row in enumerate(self.adj)]
+        self._branch(s, r, comps, r, 0, deg, 0)
 
     def degree_order(self) -> tuple[list[int], list[int]]:
         """Per side, the keys ``degree << _ID_BITS | id`` (full degree, id
@@ -295,8 +303,7 @@ class _Search:
         return out
 
     def _branch(self, s: int, r: int, comps: tuple[int, ...], dirty: int,
-                c4: int, deg: list[int] | None = None,
-                gone: int = 0) -> None:
+                c4: int, deg: list[int], gone: int) -> None:
         self.nodes += 1
         adj = self.adj
 
@@ -332,15 +339,7 @@ class _Search:
                 self.stopped = True
             return
 
-        if deg is None:
-            deg = [0] * (2 * self.n)
-            m = act
-            while m:
-                b = m & -m
-                m ^= b
-                u = b.bit_length() - 1
-                deg[u] = (adj[u] & act).bit_count()
-        elif gone:
+        if gone:
             deg = deg.copy()
             while gone:
                 b = gone & -gone
@@ -426,9 +425,19 @@ class _Search:
         return -1
 
     def feasible_with(self, inc: int, out: int, target: int) -> int | None:
-        """Search for any induced forest of at least ``target`` vertices that
-        contains the forced-in set and avoids the forced-out set; returns
-        its mask, or None when there is none.
+        """Some induced forest of at least ``target`` >= 1 vertices that
+        contains the forced-in set and avoids the forced-out set, as a
+        mask, or None when there is none. Which forest is returned never
+        changes the lex walk's leaves, only the queries it goes on to
+        make."""
+        return self.largest(inc, out, target - 1, target)
+
+    def largest(self, inc: int, out: int, floor: int,
+                stop: int) -> int | None:
+        """The largest induced forest of more than ``floor`` vertices that
+        contains the forced-in set and avoids the forced-out set, as a
+        mask, or None when there is none; with ``stop`` > 0, the first one
+        found of at least ``stop`` vertices.
 
         Before any node, the degree count (``_count_refutes``) is asked
         about the pool of vertices in neither set, then the forced-in set is
@@ -437,14 +446,13 @@ class _Search:
         more easily, so the first count merely spares the merge on the
         queries it decides; the answers are those of one count after the
         merge. Then the greedy (``_greedy_forest``) grows the forced-in set
-        from the pool; a forest of ``target`` vertices it reaches is the
-        answer. Only a query none of these decide runs the search, and a
-        query with a cyclic forced-in set explores no node either. Which
-        forest is returned never changes the lex walk's leaves, only the
-        queries it goes on to make."""
+        from the pool, up to ``stop`` vertices; reaching them, it is the
+        answer. Otherwise the search runs from the greedy forest or the
+        floor, whichever is larger. A cyclic forced-in set explores no
+        node."""
         order = self.degree_order()
         pool = ((1 << 2 * self.n) - 1) & ~(inc | out)
-        if _count_refutes(self.n, order, inc, pool, target):
+        if _count_refutes(self.n, order, inc, pool, floor + 1):
             return None
         adj = self.adj
         comps: tuple[int, ...] = ()
@@ -459,13 +467,14 @@ class _Search:
             dead |= d
         if dead & pool:
             pool &= ~dead
-            if _count_refutes(self.n, order, inc, pool, target):
+            if _count_refutes(self.n, order, inc, pool, floor + 1):
                 return None
-        found = _greedy_forest(adj, inc, comps, pool, target)
-        if found.bit_count() >= target:
-            return found
-        self.solve(inc, pool, comps, target - 1, None, target)
-        return self.best if self.best_size >= target else None
+        greedy = _greedy_forest(adj, inc, comps, pool, stop)
+        size = greedy.bit_count()
+        if stop and size >= stop:
+            return greedy
+        self.solve(inc, pool, comps, max(size, floor), greedy, stop)
+        return self.best if self.best_size > floor else None
 
 
 def _lex_walk(search: _Search, target: int,
@@ -577,35 +586,21 @@ def _count_refutes(n: int, order: tuple[list[int], list[int]], inc: int,
 def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
     """Exact maximum induced forest via branch-and-bound.
 
-    When degree counting rules out n + 2 vertices, the starting incumbent
-    n + 1 is optimal and the search is not run; the root counts as one
-    node. Otherwise the search starts from the greedy forest when that is
-    larger than n + 1. After the optimum f is known, the first leaf of the
-    lex walk pins the lexicographically smallest witness of size f,
-    starting from the search's own witness, so the witness never depends
-    on branching order and matches the subset-scan oracle.
+    A full part plus any single opposite vertex always induces a forest,
+    so the search (``_Search.largest``) asks for more than n + 1 vertices;
+    without such a forest f = n + 1, and a root that closes on the degree
+    count still counts as one node. After the optimum f is known, the
+    first leaf of the lex walk pins the lexicographically smallest witness
+    of size f, starting from the search's own witness, so the witness
+    never depends on branching order and matches the subset-scan oracle.
     """
     n = g.n
-    if n > SOLVER_PART_CAP:
-        raise InstanceTooLargeError(
-            f"part size {n} exceeds the solver cap of {SOLVER_PART_CAP}")
     t0 = time.perf_counter()
     full1 = (1 << n) - 1
     search = _Search(g)
-    # a full part plus any single opposite vertex always induces a forest,
-    # so the incumbent starts at n + 1
-    incumbent = full1 | 1 << n
-    everyone = (1 << 2 * n) - 1
-    if _count_refutes(n, search.degree_order(), 0, everyone, n + 2):
-        # the root closes on the count: the incumbent is optimal
-        search.nodes = 1
-        f, best = n + 1, incumbent
-    else:
-        greedy = _greedy_forest(search.adj, 0, (), everyone, 0)
-        if greedy.bit_count() > n + 1:
-            incumbent = greedy
-        search.solve(0, everyone, (), incumbent.bit_count(), incumbent, 0)
-        f, best = search.best_size, search.best
+    best = search.largest(0, 0, n + 1, 0) or full1 | 1 << n
+    search.nodes = max(search.nodes, 1)
+    f = max(search.best_size, n + 1)
     witness = next(_lex_walk(search, f, best), None)
     if witness is None:
         raise PostconditionError(
@@ -626,24 +621,27 @@ def enumerate_max_forests(g: BalancedBipartiteGraph, cap: int = 0, *,
     forest number falls in; below the optimum, every forest of that size
     is listed. Both are checked at call time, before anything is yielded.
 
-    The witnesses are the leaves of the lex walk over one exact search.
-    Every ``feasible_with`` query it makes either lies on the path to a
-    witness or is the dead sibling of a branch that does, so each witness
-    costs at most about 4n queries; the walk's first query, at the root,
-    proves that a forest of the given size exists.
+    The witnesses are the leaves of the lex walk over one exact search,
+    which first finds the forest number, as ``max_forest`` does, when none
+    is given. Every ``feasible_with`` query the walk makes either lies on
+    the path to a witness or is the dead sibling of a branch that does, so
+    each witness costs at most about 4n queries; the walk's first query,
+    at the root, proves that a forest of the given size exists.
     """
     n = g.n
     nv = 2 * n
     if cap < 0:
         raise ParameterError(f"need cap >= 0, got {cap}")
-    if forest_number is None:
-        forest_number = max_forest(g).forest_number
-    elif not n + 1 <= forest_number <= nv:
+    if forest_number is not None and not n + 1 <= forest_number <= nv:
         raise ParameterError(
             f"forest number {forest_number} outside [{n + 1}, {nv}] "
             f"for part size {n}")
+    search = _Search(g)
+    if forest_number is None:
+        search.largest(0, 0, n + 1, 0)
+        forest_number = max(search.best_size, n + 1)
     full1 = (1 << n) - 1
-    walk = _lex_walk(_Search(g), forest_number, None)
+    walk = _lex_walk(search, forest_number, None)
     return (VertexSubset(s & full1, s >> n)
             for s in islice(walk, cap or None))
 

@@ -166,13 +166,12 @@ def _finish(theorem_id: str, params: dict, checked: int,
                               (time.perf_counter() - t0) * 1000.0)
 
 
-def merge_reports(reports: Sequence[VerificationReport],
-                  theorem_id: str | None = None) -> VerificationReport:
+def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
     """Associatively merge reports of one theorem: counts add up and
     counterexamples concatenate in input order."""
     if not reports:
         raise ParameterError("nothing to merge")
-    tid = theorem_id or reports[0].theorem_id
+    tid = reports[0].theorem_id
     if any(r.theorem_id != tid for r in reports):
         raise ParameterError("cannot merge reports of different theorems")
     cex: list[dict] = []

@@ -12,7 +12,9 @@ which keeps the branch and bound itself pinned on a dense graph.
 
 The enumeration of every maximum forest is pinned apart from ``max_forest``:
 its witness count, its feasibility queries and the nodes its own search
-explores, on graphs of the T2 sweep at n = 9 and on one sparse graph.
+explores, on graphs of the T2 sweep at n = 9 and on one sparse graph. Run
+without the forest number, the enumeration finds it on its one search and
+then makes the same queries.
 """
 
 import pytest
@@ -106,9 +108,10 @@ def _check_pinned(make, f, nodes, witness, pin_calls, monkeypatch):
 
 
 def enumerate_counted(g, f, monkeypatch):
-    """List every forest of ``f`` vertices in ``g``; returns the witnesses,
-    the arguments of each feasibility query and the nodes the enumeration's
-    search explored."""
+    """List every forest of ``f`` vertices in ``g``, or with ``f`` None
+    every maximum forest; returns the witnesses, the arguments of each
+    feasibility query and the nodes the enumeration's one search
+    explored."""
     calls = []
     searches = []
     feasible_with = solver._Search.feasible_with
@@ -118,8 +121,9 @@ def enumerate_counted(g, f, monkeypatch):
         searches.append(self)
         return feasible_with(self, *args)
 
-    monkeypatch.setattr(solver._Search, "feasible_with", counted)
-    witnesses = list(enumerate_max_forests(g, forest_number=f))
+    with monkeypatch.context() as patched:
+        patched.setattr(solver._Search, "feasible_with", counted)
+        witnesses = list(enumerate_max_forests(g, forest_number=f))
     assert len(set(searches)) == 1
     return witnesses, calls, searches[0].nodes
 
@@ -132,6 +136,7 @@ def test_enumeration_cost_pinned(make, f, witnesses, queries, nodes,
     assert max_forest(g).forest_number == f
     listed, calls, explored = enumerate_counted(g, f, monkeypatch)
     assert (len(listed), len(calls), explored) == (witnesses, queries, nodes)
+    assert enumerate_counted(g, None, monkeypatch)[:2] == (listed, calls)
     # no query is hopeless: a branch whose forced-in set and free vertices
     # together fall short of the target cannot hold it, so the walk must
     # not queue it

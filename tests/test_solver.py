@@ -136,21 +136,21 @@ def test_feasible_with_matches_forest_scan():
 
 def test_handed_degrees_match_the_active_graph(monkeypatch):
     # a node is handed its parent's active degrees and the ids the parent's
-    # decision removed; with those ids taken out here, each active id must
-    # hold its popcount in the node's own active set and every other id 0
+    # decision removed (a search's first node: solve's count and no id);
+    # with those ids taken out here, each active id must hold its popcount
+    # in the node's own active set and every other id 0
     branch = solver._Search._branch
     checked = []
 
-    def checking(self, s, r, comps, dirty, c4, deg=None, gone=0):
-        if deg is not None:
-            act = s | r
-            assert not gone & act and len(deg) == 2 * self.n
-            got = [deg[u] - (self.adj[u] & gone).bit_count()
-                   if act >> u & 1 else 0 for u in range(2 * self.n)]
-            want = [(self.adj[u] & act).bit_count() if act >> u & 1 else 0
-                    for u in range(2 * self.n)]
-            assert got == want, (s, r, gone)
-            checked.append(1)
+    def checking(self, s, r, comps, dirty, c4, deg, gone):
+        act = s | r
+        assert not gone & act and len(deg) == 2 * self.n
+        got = [deg[u] - (self.adj[u] & gone).bit_count()
+               if act >> u & 1 else 0 for u in range(2 * self.n)]
+        want = [(self.adj[u] & act).bit_count() if act >> u & 1 else 0
+                for u in range(2 * self.n)]
+        assert got == want, (s, r, gone)
+        checked.append(1)
         return branch(self, s, r, comps, dirty, c4, deg, gone)
 
     monkeypatch.setattr(solver._Search, "_branch", checking)
@@ -241,6 +241,10 @@ def test_solver_part_cap():
     with pytest.raises(InstanceTooLargeError) as err:
         max_forest(from_rows(65, rows))
     assert "64" in str(err.value)
+    # the enumeration refuses at call time too, with or without f
+    for f in (None, 66):
+        with pytest.raises(InstanceTooLargeError):
+            enumerate_max_forests(complete_balanced(65), forest_number=f)
 
 
 def test_enumerate_k22():
