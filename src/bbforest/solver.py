@@ -13,8 +13,10 @@ stops it at a target size. A lex walk (``_lex_walk``) decides the ids in
 increasing order, include first, and asks ``feasible_with`` whether a
 branch still holds a forest of the target size. Its leaves are every such
 forest, in lexicographic order. ``max_forest`` takes the first leaf as its
-witness, and ``enumerate_max_forests`` lists them all. Each witness costs
-at most about 4n queries; the number of forests is not bounded.
+witness, starting the walk from the optimum's forest made lexicographically
+smaller by single exchanges (``_descend``), and ``enumerate_max_forests``
+lists them all. Each witness costs at most about 4n queries; the number of
+forests is not bounded.
 
 Vertices live in a single 2n-bit space, V1 ids first, with one adjacency
 row per vertex (``_adjacency``). The search's included forest is a tuple
@@ -29,7 +31,9 @@ Before any node, ``largest`` asks whether degree counting alone rules out
 a forest above the floor (``_count_refutes``), over the forced-in set and
 the vertices still free; then it grows a greedy forest
 (``_greedy_forest``) from the forced-in set, and only then searches, from
-the greedy forest as incumbent. At the optimum's root the count is the
+the greedy forest as incumbent. Without a stop size, the question that
+must prove optimality, (1, 2)-swaps improve the greedy forest first
+(``_swap_forest``). At the optimum's root the count is the
 instance form of the paper's degree-sum bound ``theorems.bound_g``: every
 graph with minimum degree at least n/2 + 1 closes there, on f = n + 1. On
 a structure sweep the count refutes most of the lex walk's queries and
@@ -184,6 +188,146 @@ def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
         live &= ~(v | dead)
         size += 1
     return s
+
+
+def _components(adj: tuple[int, ...],
+                s: int) -> tuple[tuple[int, ...], int] | None:
+    """``_merge`` every vertex of ``s`` in turn; returns the component
+    masks and every vertex with two neighbours in one component (the
+    set's own vertices among them), or None when ``s`` is cyclic: a
+    vertex seen by two pieces before it joins closes a cycle."""
+    comps: tuple[int, ...] = ()
+    dead = 0
+    while s:
+        b = s & -s
+        s ^= b
+        if b & dead:
+            return None
+        comps, d = _merge(comps, b, adj[b.bit_length() - 1])
+        dead |= d
+    return comps, dead
+
+
+def _freeing(adj: tuple[int, ...], s: int, keep: int,
+             outside: int) -> Iterator[tuple[int, int]]:
+    """For each vertex y of ``outside`` in ascending id, the vertices x of
+    ``keep`` (a part of the forest ``s``) for which s - x + y is a forest,
+    as ``(y, mask)`` when there is one.
+
+    s - x + y is a forest exactly when no two neighbours of y share a
+    component of s - x. Two neighbours u and w share one exactly when they
+    lie in the same tree of s and x is not on the tree path between them,
+    ends included. So a y with two neighbours in each of two trees is freed
+    by no x, and a y with at most one neighbour per tree by every x, since
+    it joins s as it is. Otherwise y is blocked by one tree, and its
+    freeing set is the intersection of the paths between pairs of its
+    neighbours in that tree. One BFS roots each tree at its lowest id and
+    records each vertex's root path anc[v], v included. The u-w path is
+    then anc[u] ^ anc[w] plus their lowest common ancestor, the vertex
+    whose root path is anc[u] & anc[w]; the tree's root is the lowest bit
+    of any of its root paths.
+    """
+    anc: dict[int, int] = {}
+    last: dict[int, int] = {}  # a root path -> the vertex it ends at
+    trees: dict[int, int] = {}  # a tree's root -> the tree
+    left = s
+    while left:
+        root = left & -left
+        left ^= root
+        anc[root] = last[root] = root
+        queue = [root]
+        for v in queue:
+            a = anc[v]
+            m = adj[v.bit_length() - 1] & left
+            left ^= m
+            while m:
+                b = m & -m
+                m ^= b
+                anc[b] = p = a | b
+                last[p] = b
+                queue.append(b)
+        trees[root] = sum(queue)
+    while outside:
+        y = outside & -outside
+        outside ^= y
+        nb = adj[y.bit_length() - 1] & s
+        pair = 0  # y's neighbours in the one tree holding two of them
+        m = nb
+        while m:
+            a = anc[m & -m]
+            t = trees[a & -a]
+            m &= ~t
+            if (nb & t).bit_count() > 1:
+                if pair:
+                    break
+                pair = nb & t
+        else:
+            free = keep
+            paths = [anc[u] for u in _bits(pair)]
+            for i, a in enumerate(paths):
+                for c in paths[i + 1:]:
+                    free &= a ^ c | last[a & c]
+            if free:
+                yield y, free
+
+
+def _bits(m: int) -> list[int]:
+    """The bits of ``m``, lowest first."""
+    out = []
+    while m:
+        b = m & -m
+        m ^= b
+        out.append(b)
+    return out
+
+
+def _swap_forest(adj: tuple[int, ...], s: int, inc: int, pool: int) -> int:
+    """Improve the maximal forest ``s``, which holds ``inc`` and lies in
+    ``inc | pool``, by (1, 2)-swaps until none is left: drop one vertex x
+    outside ``inc``, add two pool vertices y and z, then grow the forest
+    greedily again (the 2-improvement of Andrade, Resende and Werneck,
+    J. Heuristics 18, 2012, with the forest test for the independence
+    test). Each of y and z must be freed by x (``_freeing``), so only an x
+    that frees two is a candidate; for it, the pieces of s - x take y by
+    ``_merge``, and z may follow when that merge leaves it alive. x, y and
+    z are scanned in ascending id and the first swap found is made, so the
+    result depends only on the arguments. Every swap grows the forest,
+    so there are at most 2n of them."""
+    while True:
+        frees = list(_freeing(adj, s, s & ~inc, pool & ~s))
+        once = twice = 0
+        for _, f in frees:
+            twice |= once & f
+            once |= f
+        for x in _bits(twice):
+            ys = [y for y, f in frees if f & x]
+            comps = _components(adj, s ^ x)[0]
+            for i, y in enumerate(ys):
+                dead = _merge(comps, y, adj[y.bit_length() - 1])[1]
+                z = next((z for z in ys[i + 1:] if not z & dead), 0)
+                if z:
+                    break
+            if z:
+                break
+        else:
+            return s
+        s ^= x | y | z
+        comps, dead = _components(adj, s)
+        s = _greedy_forest(adj, s, comps, pool & ~(s | dead), 0)
+
+
+def _descend(adj: tuple[int, ...], s: int) -> int:
+    """Make the forest ``s`` smaller in lexicographic order at its size:
+    while some vertex y outside it is freed (``_freeing``) by dropping a
+    vertex w > y, add the lowest such y and drop the highest such w."""
+    while True:
+        for y, free in _freeing(adj, s, s, ((1 << len(adj)) - 1) & ~s):
+            free &= -(y << 1)
+            if free:
+                s ^= y | 1 << free.bit_length() - 1
+                break
+        else:
+            return s
 
 
 class _Search:
@@ -447,33 +591,32 @@ class _Search:
         queries it decides; the answers are those of one count after the
         merge. Then the greedy (``_greedy_forest``) grows the forced-in set
         from the pool, up to ``stop`` vertices; reaching them, it is the
-        answer. Otherwise the search runs from the greedy forest or the
-        floor, whichever is larger. A cyclic forced-in set explores no
-        node."""
+        answer; with ``stop`` 0, (1, 2)-swaps (``_swap_forest``) improve
+        it. Then the search runs from that forest or the floor, whichever
+        is larger. A larger incumbent only prunes more: propagation and
+        the branch pick do not read it, so the nodes explored are a subset
+        of those a smaller one would explore. A cyclic forced-in set
+        explores no node."""
         order = self.degree_order()
         pool = ((1 << 2 * self.n) - 1) & ~(inc | out)
         if _count_refutes(self.n, order, inc, pool, floor + 1):
             return None
         adj = self.adj
-        comps: tuple[int, ...] = ()
-        dead = 0
-        m = inc
-        while m:
-            b = m & -m
-            m ^= b
-            if b & dead:
-                return None
-            comps, d = _merge(comps, b, adj[b.bit_length() - 1])
-            dead |= d
+        merged = _components(adj, inc)
+        if merged is None:
+            return None
+        comps, dead = merged
         if dead & pool:
             pool &= ~dead
             if _count_refutes(self.n, order, inc, pool, floor + 1):
                 return None
         greedy = _greedy_forest(adj, inc, comps, pool, stop)
-        size = greedy.bit_count()
-        if stop and size >= stop:
+        if not stop:
+            greedy = _swap_forest(adj, greedy, inc, pool)
+        elif greedy.bit_count() >= stop:
             return greedy
-        self.solve(inc, pool, comps, max(size, floor), greedy, stop)
+        self.solve(inc, pool, comps, max(greedy.bit_count(), floor), greedy,
+                   stop)
         return self.best if self.best_size > floor else None
 
 
@@ -591,14 +734,18 @@ def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
     without such a forest f = n + 1, and a root that closes on the degree
     count still counts as one node. After the optimum f is known, the
     first leaf of the lex walk pins the lexicographically smallest witness
-    of size f, starting from the search's own witness, so the witness
-    never depends on branching order and matches the subset-scan oracle.
+    of size f, so the witness never depends on branching order and matches
+    the subset-scan oracle. The walk starts from the search's forest after
+    a lexicographic descent (``_descend``), which changes only the queries
+    it makes; without a forest above n + 1 it starts from all of V1 plus
+    vertex n, already the smallest (n + 1)-set.
     """
     n = g.n
     t0 = time.perf_counter()
     full1 = (1 << n) - 1
     search = _Search(g)
-    best = search.largest(0, 0, n + 1, 0) or full1 | 1 << n
+    best = search.largest(0, 0, n + 1, 0)
+    best = _descend(search.adj, best) if best else full1 | 1 << n
     search.nodes = max(search.nodes, 1)
     f = max(search.best_size, n + 1)
     witness = next(_lex_walk(search, f, best), None)

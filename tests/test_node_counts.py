@@ -15,11 +15,16 @@ its witness count, its feasibility queries and the nodes its own search
 explores, on graphs of the T2 sweep at n = 9 and on one sparse graph. Run
 without the forest number, the enumeration finds it on its one search and
 then makes the same queries.
+
+The local search (``_swap_forest``, ``_descend``) only serves the optimum:
+a query, which has a target size, never runs it, and the optimum search
+never explores more nodes with it than without it.
 """
 
 import pytest
 
-from bbforest import enumerate_max_forests, max_forest, random_min_degree
+from bbforest import (enumerate_max_forests, max_forest, random_min_degree,
+                      verify_structure)
 from bbforest import solver
 
 from .helpers import random_bipartite
@@ -52,6 +57,8 @@ CASES = [
     (lambda: random_bipartite(28, 0.15, 7), 39, 25979,
      (tuple(range(28)), (2, 4, 5, 7, 9, 10, 15, 16, 17, 23, 26)), 18),
 ]
+CASE_IDS = ["rmd32", "rmd48", "gnp12", "gnp16", "rmd64", "gnp18p20",
+            "gnp18p15", "gnp20p30", "gnp28p20", "gnp28p15"]
 
 
 # the rmd cases above with the root's degree count declining: the search runs
@@ -77,9 +84,7 @@ ENUMERATION_IDS = ["rmd9s1", "rmd9s2", "rmd9s3", "gnp9p30"]
 
 
 @pytest.mark.parametrize("make, f, nodes, witness, pin_calls", CASES,
-                         ids=["rmd32", "rmd48", "gnp12", "gnp16", "rmd64",
-                              "gnp18p20", "gnp18p15", "gnp20p30", "gnp28p20",
-                              "gnp28p15"])
+                         ids=CASE_IDS)
 def test_node_count_pinned(make, f, nodes, witness, pin_calls, monkeypatch):
     _check_pinned(make, f, nodes, witness, pin_calls, monkeypatch)
 
@@ -142,3 +147,31 @@ def test_enumeration_cost_pinned(make, f, witnesses, queries, nodes,
     # not queue it
     for inc, out, target in calls:
         assert 2 * g.n - out.bit_count() >= target, (inc, out)
+
+
+@pytest.mark.parametrize("make", [case[0] for case in CASES], ids=CASE_IDS)
+def test_swap_never_adds_optimum_nodes(make, monkeypatch):
+    g = make()
+
+    def optimum_nodes():
+        search = solver._Search(g)
+        search.largest(0, 0, g.n + 1, 0)
+        return search.nodes
+
+    swapped = optimum_nodes()
+    monkeypatch.setattr(solver, "_swap_forest", lambda adj, s, inc, pool: s)
+    assert swapped <= optimum_nodes()
+
+
+def test_queries_never_run_the_local_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a query ran the local search")
+
+    monkeypatch.setattr(solver, "_swap_forest", refuse)
+    monkeypatch.setattr(solver, "_descend", refuse)
+    for make, f, witnesses, queries, nodes in ENUMERATION_CASES:
+        listed, calls, explored = enumerate_counted(make(), f, monkeypatch)
+        assert (len(listed), len(calls), explored) == (witnesses, queries,
+                                                        nodes)
+    report = verify_structure(9, samples=3, seed=1, check="T2")
+    assert report.instances_checked == 3 and not report.counterexamples

@@ -4,18 +4,26 @@ No subset-scan oracle reaches these sizes, so the solver is checked against
 itself: relabelling the graph must not move f, deleting an edge must not
 lower it, and every witness must pass the independent forest check. The
 witness must be the first one the enumeration lists, and closing the root
-on the degree count, or switching off the 4-cycle probe or the edge-cut
-bound, must give what the search gives. A 4-cycle a child node takes over
-from its parent must be the one a fresh probe finds. Graphs and
-relabellings come from fixed seeds.
+on the degree count, or switching off the 4-cycle probe, the edge-cut
+bound, the (1, 2)-swap or the lexicographic descent, must give what the
+search gives. A 4-cycle a child node takes over from its parent must be
+the one a fresh probe finds. Graphs and relabellings come from fixed
+seeds.
+
+The two local-search helpers are checked by brute force at 2n <= 14: the
+swap must leave a maximal forest with no drop-one-add-two exchange, and
+the descent one with no exchange that adds a vertex below the one it
+drops.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
-from bbforest import (BalancedBipartiteGraph, enumerate_max_forests,
-                      from_rows, max_forest, random_min_degree)
+from bbforest import (BalancedBipartiteGraph, VertexSubset,
+                      enumerate_max_forests, from_rows, max_forest,
+                      random_min_degree)
 from bbforest import solver
 
 from .helpers import forest_oracle, random_bipartite
@@ -148,3 +156,78 @@ def test_reused_c4_is_a_fresh_probe(make, monkeypatch):
     monkeypatch.setattr(solver._Search, "_find_c4", checking)
     max_forest(make())
     assert reused
+
+
+@pytest.mark.parametrize("helper, identity", [
+    ("_swap_forest", lambda adj, s, inc, pool: s),
+    ("_descend", lambda adj, s: s)], ids=["swap", "descent"])
+@pytest.mark.parametrize("make", [m for m, _ in GRAPHS],
+                         ids=[name for _, name in GRAPHS])
+def test_local_search_keeps_forest_number_and_witness(make, helper, identity,
+                                                      monkeypatch):
+    g = make()
+    res = max_forest(g)
+    monkeypatch.setattr(solver, helper, identity)
+    searched = max_forest(g)
+    assert (res.forest_number, res.witness) == (searched.forest_number,
+                                                searched.witness)
+
+
+def _is_forest(g: BalancedBipartiteGraph, s: int) -> bool:
+    return forest_oracle(g, VertexSubset(s & (1 << g.n) - 1, s >> g.n))
+
+
+def _ids(m: int) -> list[int]:
+    return [v for v in range(m.bit_length()) if m >> v & 1]
+
+
+def _swapped_forests():
+    """(graph, forced-in set, pool, start, swapped forest) for random
+    graphs at 2n <= 14, sparse and dense, with random forced-in forests and
+    forced-out sets. The pool is what ``largest`` would hand the swap, and
+    the start a maximal forest grown from the forced-in set over the pool
+    in random order."""
+    rng = random.Random(16)
+    for gi in range(320):
+        n = 3 + gi % 5
+        nv = 2 * n
+        g = random_bipartite(n, (0.2, 0.3, 0.5, 0.7)[gi % 4], gi)
+        adj = solver._adjacency(g)
+        for _ in range(3):
+            inc = rng.getrandbits(nv) & rng.getrandbits(nv) & rng.getrandbits(nv)
+            out = rng.getrandbits(nv) & rng.getrandbits(nv) & ~inc
+            if not _is_forest(g, inc):
+                continue
+            pool = (1 << nv) - 1 & ~(inc | out | solver._components(adj, inc)[1])
+            start = inc
+            for v in rng.sample(_ids(pool), pool.bit_count()):
+                if _is_forest(g, start | 1 << v):
+                    start |= 1 << v
+            yield g, inc, pool, start, solver._swap_forest(adj, start, inc,
+                                                           pool)
+
+
+def test_swap_leaves_a_maximal_two_improved_forest():
+    grown = 0
+    for g, inc, pool, start, s in _swapped_forests():
+        assert _is_forest(g, s) and s & inc == inc and not s & ~(inc | pool)
+        grown += s != start
+        outside = [1 << v for v in _ids(pool & ~s)]
+        assert not any(_is_forest(g, s | y) for y in outside), (g, s)
+        for x in _ids(s & ~inc):
+            for y, z in combinations(outside, 2):
+                assert not _is_forest(g, s ^ 1 << x | y | z), (g, s, x)
+    assert grown
+
+
+def test_descent_keeps_size_and_leaves_no_lower_exchange():
+    moved = 0
+    for g, _, _, _, s in _swapped_forests():
+        d = solver._descend(solver._adjacency(g), s)
+        assert _is_forest(g, d) and d.bit_count() == s.bit_count()
+        assert _ids(d) <= _ids(s)
+        moved += d != s
+        for w in _ids(d):
+            for y in _ids(~d & (1 << w) - 1):
+                assert not _is_forest(g, d ^ (1 << w | 1 << y)), (g, d, w, y)
+    assert moved
