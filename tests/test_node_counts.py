@@ -42,23 +42,25 @@ CASES = [
      (tuple(range(48)), (0,)), 0),
     (lambda: random_bipartite(12, 0.3, 7), 18, 41,
      ((1, 3, 4, 5, 7, 9), tuple(range(12))), 6),
-    (lambda: random_bipartite(16, 0.25, 5), 24, 430,
-     (_all_but(16, 1), (0, 1, 5, 6, 7, 9, 10, 12, 15)), 10),
+    (lambda: random_bipartite(16, 0.25, 5), 24, 346,
+     (_all_but(16, 1), (0, 1, 5, 6, 7, 9, 10, 12, 15)), 9),
     (lambda: random_min_degree(64, 33, 1), 65, 1,
      (tuple(range(64)), (0,)), 0),
     (lambda: random_bipartite(18, 0.2, 7), 27, 353,
      (tuple(range(18)), (0, 5, 7, 9, 12, 13, 14, 15, 17)), 9),
-    (lambda: random_bipartite(18, 0.15, 7), 31, 129,
-     (_all_but(18, 0, 7, 12, 16), _all_but(18, 16)), 6),
-    (lambda: random_bipartite(20, 0.3, 7), 24, 3266,
-     (tuple(range(20)), (7, 8, 13, 19)), 16),
+    (lambda: random_bipartite(18, 0.15, 7), 31, 45,
+     (_all_but(18, 0, 7, 12, 16), _all_but(18, 16)), 5),
+    (lambda: random_bipartite(20, 0.3, 7), 24, 3507,
+     (tuple(range(20)), (7, 8, 13, 19)), 17),
     (lambda: random_bipartite(28, 0.2, 7), 36, 9986,
      (tuple(range(28)), (2, 5, 6, 9, 15, 19, 23, 26)), 20),
     (lambda: random_bipartite(28, 0.15, 7), 39, 25979,
      (tuple(range(28)), (2, 4, 5, 7, 9, 10, 15, 16, 17, 23, 26)), 18),
+    (lambda: random_bipartite(32, 0.2, 7), 40, 27834,
+     (_all_but(32, 28), (7, 9, 10, 15, 17, 21, 22, 26, 30)), 23),
 ]
 CASE_IDS = ["rmd32", "rmd48", "gnp12", "gnp16", "rmd64", "gnp18p20",
-            "gnp18p15", "gnp20p30", "gnp28p20", "gnp28p15"]
+            "gnp18p15", "gnp20p30", "gnp28p20", "gnp28p15", "gnp32p20"]
 
 
 # the rmd cases above with the root's degree count declining: the search runs
