@@ -287,39 +287,47 @@ def _swap_forest(adj: tuple[int, ...], s: int, inc: int, pool: int) -> int:
     outside ``inc``, add two pool vertices y and z, then grow the forest
     greedily again (the 2-improvement of Andrade, Resende and Werneck,
     J. Heuristics 18, 2012, with the forest test for the independence
-    test). Each of y and z must be freed by x (``_freeing``), so only an x
-    that frees two is a candidate; for it, the pieces of s - x take y by
-    ``_merge``, and z may follow when that merge leaves it alive. x, y and
-    z are scanned in ascending id and the first swap found is made, so the
-    result depends only on the arguments. Every swap grows the forest,
-    so there are at most 2n of them."""
+    test). The swap made is the first in ascending ids (``_first_swap``),
+    so the result depends only on the arguments. Every swap grows the
+    forest, so there are at most 2n of them."""
     while True:
         frees = list(_freeing(adj, s, s & ~inc, pool & ~s))
-        once = twice = 0
-        for _, f in frees:
-            twice |= once & f
-            once |= f
-        for x in _bits(twice):
-            ys = [y for y, f in frees if f & x]
-            comps = _components(adj, s ^ x)[0]
-            for i, y in enumerate(ys):
-                dead = _merge(comps, y, adj[y.bit_length() - 1])[1]
-                z = next((z for z in ys[i + 1:] if not z & dead), 0)
-                if z:
-                    break
-            if z:
-                break
-        else:
+        move = _first_swap(adj, s, frees)
+        if not move:
             return s
-        s ^= x | y | z
+        s ^= move
         comps, dead = _components(adj, s)
         s = _greedy_forest(adj, s, comps, pool & ~(s | dead), 0)
+
+
+def _first_swap(adj: tuple[int, ...], s: int,
+                frees: list[tuple[int, int]]) -> int:
+    """The first (1, 2)-swap of the maximal forest ``s``, scanning x, then
+    y, then z in ascending id, as the mask x | y | z, or 0 when there is
+    none; ``frees`` is what ``_freeing`` yields for the vertices that may
+    join. Each of y and z must be freed by x, so only an x that frees two
+    is a candidate; for it, the pieces of s - x take y by ``_merge``, and z
+    may follow when that merge leaves it alive."""
+    once = twice = 0
+    for _, f in frees:
+        twice |= once & f
+        once |= f
+    for x in _bits(twice):
+        ys = [y for y, f in frees if f & x]
+        comps = _components(adj, s ^ x)[0]
+        for i, y in enumerate(ys):
+            dead = _merge(comps, y, adj[y.bit_length() - 1])[1]
+            for z in ys[i + 1:]:
+                if not z & dead:
+                    return x | y | z
+    return 0
 
 
 def _descend(adj: tuple[int, ...], s: int) -> int:
     """Make the forest ``s`` smaller in lexicographic order at its size:
     while some vertex y outside it is freed (``_freeing``) by dropping a
-    vertex w > y, add the lowest such y and drop the highest such w."""
+    vertex w > y, add the lowest such y and drop the highest such w. Each
+    move lowers the sum of the ids, so the descent ends."""
     while True:
         for y, free in _freeing(adj, s, s, ((1 << len(adj)) - 1) & ~s):
             free &= -(y << 1)
