@@ -33,9 +33,9 @@ the vertices still free; then it grows a greedy forest
 (``_greedy_forest``) from the forced-in set, and only then searches, from
 the greedy forest as incumbent. Without a stop size, the question that
 must prove optimality, (1, 2)-swaps improve the greedy forest first
-(``_swap_forest``). At the optimum's root the count is the
-instance form of the paper's degree-sum bound ``theorems.bound_g``: every
-graph with minimum degree at least n/2 + 1 closes there, on f = n + 1. On
+(``_swap_forest``). At the optimum's root the count is the instance form
+of the paper's degree-sum bound ``theorems.bound_g``: every graph with
+minimum degree at least n/2 + 1 closes there, on f = n + 1. On
 a structure sweep the count refutes most of the lex walk's queries and
 the greedy, stopped at the target, answers most of the rest, neither
 with a node.
