@@ -3,7 +3,8 @@
 A graph is its n x n biadjacency matrix: row i is vertex i of V1, column j
 is vertex j of V2. A row is a bitmask over V2, written as n characters '0' or
 '1' where character j is bit j (``_decode_row``, ``_encode_row``). ``adj2``,
-the transpose, is built only in ``from_rows``.
+the transpose, is read off the joined rows by ``_columns``, for both
+``from_rows`` and ``parse_bbg``.
 
 Vertices are 0-indexed within each part. Wherever a single ordering over all
 2n vertices is needed (witness tie-breaks, enumeration order), part-one
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import MalformedInputError, ParameterError
+from .errors import MalformedInputError, ParameterError, PostconditionError
 
 __all__ = [
     "BalancedBipartiteGraph",
@@ -44,7 +45,7 @@ class BalancedBipartiteGraph:
     """Immutable bipartite graph with parts V1 and V2 of n vertices each.
 
     ``adj1[i]`` is a bitmask over V2 columns giving the neighbours of vertex
-    i of V1; ``adj2`` is the transpose, built by ``from_rows``.
+    i of V1; ``adj2`` is the transpose, built by ``_columns``.
     Instances compare by value and are safe to share between threads.
     """
 
@@ -81,13 +82,11 @@ class VertexSubset:
 
     @classmethod
     def from_indices(cls, v1: Iterable[int], v2: Iterable[int]) -> "VertexSubset":
-        s1 = 0
-        s2 = 0
-        for i in v1:
-            s1 |= 1 << i
-        for j in v2:
-            s2 |= 1 << j
-        return cls(s1, s2)
+        # a set sums each bit once, so a repeated index adds nothing
+        return cls(sum({1 << i for i in v1}), sum({1 << j for j in v2}))
+
+
+_NOT_BITS = str.maketrans("", "", "01")  # rows are valid when this leaves ''
 
 
 def _decode_row(row: str | int, n: int) -> int:
@@ -100,7 +99,7 @@ def _decode_row(row: str | int, n: int) -> int:
         raise MalformedInputError(f"expected {n} columns, got {len(row)}")
     # checked before int(), which also takes '_', signs, whitespace and
     # non-ASCII digits
-    bad = row.replace("0", "").replace("1", "")
+    bad = row.translate(_NOT_BITS)
     if bad:
         raise MalformedInputError(f"invalid character {bad[0]!r}")
     return int(row[::-1], 2)
@@ -108,6 +107,12 @@ def _decode_row(row: str | int, n: int) -> int:
 
 def _encode_row(mask: int, n: int) -> str:
     return format(mask, f"0{n}b")[::-1]
+
+
+def _columns(block: str, n: int) -> tuple[int, ...]:
+    # row i, column j of n joined rows is block[i * n + j], so column j from
+    # the last row up is every n-th character back from n * n - n + j
+    return tuple([int(block[n * n - n + j::-n], 2) for j in range(n)])
 
 
 def from_rows(n: int, rows: Sequence[int] | Sequence[str]) -> BalancedBipartiteGraph:
@@ -122,11 +127,8 @@ def from_rows(n: int, rows: Sequence[int] | Sequence[str]) -> BalancedBipartiteG
             adj1.append(_decode_row(row, n))
         except MalformedInputError as err:
             raise MalformedInputError(f"row {i}: {err}") from None
-    # format() writes bit n - 1 first, so over the rows in reverse order the
-    # k-th column of these strings reads in binary as column n - 1 - k
-    bits = [format(row, f"0{n}b") for row in reversed(adj1)]
-    adj2 = tuple(int("".join(col), 2) for col in zip(*bits))[::-1]
-    return BalancedBipartiteGraph(n, tuple(adj1), adj2)
+    block = "".join([_encode_row(row, n) for row in adj1])
+    return BalancedBipartiteGraph(n, tuple(adj1), _columns(block, n))
 
 
 def min_degree(g: BalancedBipartiteGraph) -> int:
@@ -143,13 +145,7 @@ def _check_subset(g: BalancedBipartiteGraph, s: VertexSubset) -> None:
 def induced_edge_count(g: BalancedBipartiteGraph, s: VertexSubset) -> int:
     """Number of edges of the subgraph induced by ``s``."""
     _check_subset(g, s)
-    total = 0
-    m = s.s1
-    while m:
-        b = m & -m
-        m ^= b
-        total += (g.adj1[b.bit_length() - 1] & s.s2).bit_count()
-    return total
+    return sum((g.adj1[i] & s.s2).bit_count() for i in _bit_indices(s.s1))
 
 
 def _forest_masks(adj1: Sequence[int], n: int, s1: int, s2: int) -> bool:
@@ -232,13 +228,17 @@ def parse_bbg(text: str) -> BalancedBipartiteGraph:
             f"expected {n} rows, found {len(lines) - 2}", line=len(lines) + 1)
     if len(lines) > n + 2:
         raise MalformedInputError("unexpected trailing content", line=n + 3)
-    rows = []
-    for i in range(n):
-        try:
-            rows.append(_decode_row(lines[2 + i], n))
-        except MalformedInputError as err:
-            raise MalformedInputError(str(err), line=3 + i) from None
-    return from_rows(n, rows)
+    rows = lines[2:]
+    block = "".join(rows)
+    if set(map(len, rows)) != {n} or block.translate(_NOT_BITS):
+        for i, row in enumerate(rows):
+            try:
+                _decode_row(row, n)
+            except MalformedInputError as err:
+                raise MalformedInputError(str(err), line=3 + i) from None
+        raise PostconditionError("the row block failed its check but every row passed")
+    adj1 = tuple([int(row[::-1], 2) for row in rows])
+    return BalancedBipartiteGraph(n, adj1, _columns(block, n))
 
 
 def emit_bbg(g: BalancedBipartiteGraph) -> str:

@@ -79,3 +79,46 @@ def random_bipartite(n: int, p: float, seed: int) -> BalancedBipartiteGraph:
             if rng.random() < p:
                 rows[i] |= 1 << j
     return from_rows(n, rows)
+
+
+def bbg_oracle(text: str) -> BalancedBipartiteGraph | tuple[str, int]:
+    """Reference BBG v1 reader: the graph, or the (message, line) that
+    ``parse_bbg`` must raise.
+
+    It reads one line at a time and sets each matrix entry from its own
+    character, so it shares no parsing or transpose code with the package.
+    """
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()
+    if lines[0] != "BBG 1":
+        return "expected header 'BBG 1'", 1
+    if not text.endswith("\n"):
+        return "missing final newline", len(lines)
+    if len(lines) < 2:
+        return "missing part size", 2
+    size = lines[1]
+    if size == "" or not all("0" <= c <= "9" for c in size):
+        return f"part size must be a decimal integer, got {size!r}", 2
+    if len(size) > 1 and size[0] == "0":
+        return f"part size has leading zeros: {size!r}", 2
+    n = int(size)
+    if n == 0:
+        return "part size must be positive", 2
+    rows = lines[2:]
+    if len(rows) < n:
+        return f"expected {n} rows, found {len(rows)}", len(lines) + 1
+    if len(rows) > n:
+        return "unexpected trailing content", n + 3
+    adj1 = [0] * n
+    adj2 = [0] * n
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            return f"expected {n} columns, got {len(row)}", 3 + i
+        for j, c in enumerate(row):
+            if c not in ("0", "1"):
+                return f"invalid character {c!r}", 3 + i
+            if c == "1":
+                adj1[i] |= 1 << j
+                adj2[j] |= 1 << i
+    return BalancedBipartiteGraph(n, tuple(adj1), tuple(adj2))

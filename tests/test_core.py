@@ -2,15 +2,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bbforest.core
 from bbforest import (BalancedBipartiteGraph, MalformedInputError,
-                      ParameterError, VertexSubset, emit_bbg, from_rows,
-                      induced_edge_count, is_induced_forest, min_degree,
-                      parse_bbg)
+                      ParameterError, PostconditionError, VertexSubset,
+                      emit_bbg, from_rows, induced_edge_count,
+                      is_induced_forest, min_degree, parse_bbg)
 
-from .helpers import forest_oracle, random_bipartite
+from .helpers import bbg_oracle, forest_oracle, random_bipartite
 
 # rows outside {0, 1} that int(row[::-1], 2) would still accept
 INT_ACCEPTED_ROWS = ["1_1", "1+", "1-", " 1", "1\t", "\uff110"]
+# part sizes past one 64-bit word, which only the solver caps
+SIZES = st.integers(1, 64) | st.sampled_from([65, 100])
+# characters an edit writes into emitted text: int() takes several of them
+EDIT_CHARS = "01_+- \t\r\x00x2\uff11\u0661"
 
 
 def _second_row_is(row: str) -> list[str]:
@@ -126,13 +131,58 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert f"line {line}:" in str(err.value)
 
 
-@given(st.integers(1, 64), st.floats(0, 1), st.integers(0, 10 ** 6))
+@pytest.mark.parametrize("text,message", [
+    # two bad rows: the first one is named, whichever check each fails
+    ("BBG 1\n3\n111\n1x1\n11\n", "line 4: invalid character 'x'"),
+    ("BBG 1\n3\n111\n11\n1x1\n", "line 4: expected 3 columns, got 2"),
+    # a length error and a bad character on one row: the length is named
+    ("BBG 1\n2\n11\n1x1\n", "line 4: expected 2 columns, got 3"),
+    ("BBG 1\n2\n11\nx\n", "line 4: expected 2 columns, got 1"),
+])
+def test_parse_names_first_bad_row(text, message):
+    with pytest.raises(MalformedInputError, match=f"^{message}$"):
+        parse_bbg(text)
+    assert bbg_oracle(text) == (message.split(": ", 1)[1], 4)
+
+
+def test_parse_never_returns_a_rejected_block(monkeypatch):
+    # a row check that lets the bad row through must not yield a graph
+    monkeypatch.setattr(bbforest.core, "_decode_row", lambda row, n: 0)
+    with pytest.raises(PostconditionError):
+        parse_bbg("BBG 1\n2\n11\n1x\n")
+
+
+@given(st.integers(1, 12), st.floats(0, 1), st.integers(0, 10 ** 6), st.data())
+def test_parse_matches_reference_reader(n, p, seed, data):
+    text = emit_bbg(random_bipartite(n, p, seed))
+    edit = data.draw(st.sampled_from(["substitute", "delete", "newline", "drop line"]))
+    if edit == "drop line":
+        lines = text.splitlines(keepends=True)
+        del lines[data.draw(st.integers(0, len(lines) - 1))]
+        text = "".join(lines)
+    else:
+        k = data.draw(st.integers(0, len(text) - (edit != "newline")))
+        new = {"substitute": data.draw(st.sampled_from(EDIT_CHARS)),
+               "delete": "", "newline": "\n"}[edit]
+        text = text[:k] + new + text[k + (edit != "newline"):]
+    expected = bbg_oracle(text)
+    if isinstance(expected, BalancedBipartiteGraph):
+        assert parse_bbg(text) == expected
+    else:
+        message, line = expected
+        with pytest.raises(MalformedInputError) as err:
+            parse_bbg(text)
+        assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+
+
+@given(SIZES, st.floats(0, 1), st.integers(0, 10 ** 6))
 def test_emit_parse_round_trip(n, p, seed):
     g = random_bipartite(n, p, seed)
-    assert parse_bbg(emit_bbg(g)) == g
+    text = emit_bbg(g)
+    assert parse_bbg(text) == g == bbg_oracle(text)
 
 
-@given(st.integers(1, 64), st.floats(0, 1), st.integers(0, 10 ** 6))
+@given(SIZES, st.floats(0, 1), st.integers(0, 10 ** 6))
 def test_transpose_consistent(n, p, seed):
     g = random_bipartite(n, p, seed)
     for i in range(n):
