@@ -45,7 +45,7 @@ class BalancedBipartiteGraph:
     """Immutable bipartite graph with parts V1 and V2 of n vertices each.
 
     ``adj1[i]`` is a bitmask over V2 columns giving the neighbours of vertex
-    i of V1; ``adj2`` is the transpose, built by ``_columns``.
+    i of V1; ``adj2`` is the transpose, built by ``from_rows`` or ``parse_bbg``.
     Instances compare by value and are safe to share between threads.
     """
 
