@@ -12,11 +12,12 @@ optimum asks it with nothing forced and floor n + 1; ``feasible_with``
 stops it at a target size. A lex walk (``_lex_walk``) decides the ids in
 increasing order, include first, and asks ``feasible_with`` whether a
 branch still holds a forest of the target size. Its leaves are every such
-forest, in lexicographic order. ``max_forest`` takes the first leaf as its
-witness, starting the walk from the optimum's forest made lexicographically
-smaller by single exchanges (``_descend``), and ``enumerate_max_forests``
-lists them all. Each witness costs at most about 4n queries; the number of
-forests is not bounded.
+forest, in lexicographic order. Given no size, ``_walk`` finds the
+optimum and starts the walk from its forest made lexicographically
+smaller by single exchanges (``_descend``). ``max_forest`` takes the
+first leaf as its witness and ``enumerate_max_forests`` lists every leaf.
+Each witness costs at most about 4n queries; the number of forests is not
+bounded.
 
 Vertices live in a single 2n-bit space, V1 ids first, with one adjacency
 row per vertex (``_adjacency``). The search's included forest is a tuple
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, combinations
 from typing import Iterator
 
 from .core import BalancedBipartiteGraph, VertexSubset, _forest_masks
@@ -405,7 +406,7 @@ class _Search:
                  "stopped", "order")
 
     def __init__(self, g: BalancedBipartiteGraph):
-        # rows fit one word, and degree_order's keys an id in _ID_BITS bits
+        # rows fit one word, and order's keys an id in _ID_BITS bits
         if g.n > SOLVER_PART_CAP:
             raise InstanceTooLargeError(
                 f"part size {g.n} exceeds the solver cap of {SOLVER_PART_CAP}")
@@ -416,7 +417,12 @@ class _Search:
         self.best: int | None = None
         self.stop_at = 0
         self.stopped = False
-        self.order: tuple[list[int], list[int]] | None = None
+        # per side, the keys degree << _ID_BITS | id (full degree, id within
+        # the side) in ascending order, shared by every count
+        self.order = tuple(
+            sorted(row.bit_count() << _ID_BITS | u
+                   for u, row in enumerate(self.adj[lo:lo + g.n]))
+            for lo in (0, g.n))
 
     def solve(self, s: int, r: int, comps: tuple[int, ...], best_size: int,
               best: int | None, stop_at: int) -> None:
@@ -431,18 +437,6 @@ class _Search:
         deg = [(row & act).bit_count() if act >> u & 1 else 0
                for u, row in enumerate(self.adj)]
         self._branch(s, r, comps, r, 0, deg, 0)
-
-    def degree_order(self) -> tuple[list[int], list[int]]:
-        """Per side, the keys ``degree << _ID_BITS | id`` (full degree, id
-        within the side) in ascending order; built on first use and kept,
-        so the root count and every later query share one sort."""
-        if self.order is None:
-            n = self.n
-            self.order = tuple(
-                sorted(row.bit_count() << _ID_BITS | u
-                       for u, row in enumerate(self.adj[lo:lo + n]))
-                for lo in (0, n))
-        return self.order
 
     def _neighbours(self, mask: int) -> int:
         """Union of the neighbourhoods of the vertices in ``mask``."""
@@ -605,7 +599,7 @@ class _Search:
         the branch pick do not read it, so the nodes explored are a subset
         of those a smaller one would explore. A cyclic forced-in set
         explores no node."""
-        order = self.degree_order()
+        order = self.order
         pool = ((1 << 2 * self.n) - 1) & ~(inc | out)
         if _count_refutes(self.n, order, inc, pool, floor + 1):
             return None
@@ -679,12 +673,32 @@ def _lex_walk(search: _Search, target: int,
             yield inc
 
 
+def _walk(search: _Search, f: int | None) -> tuple[int, Iterator[int]]:
+    """The forest size ``f`` and the lex walk over its forests.
+
+    Given no ``f``, the search finds the forest number: a full part plus
+    any single opposite vertex induces a forest, so it asks for more than
+    n + 1 vertices, and a root that closes on the degree count still counts
+    as one node. The walk then starts from the search's forest after a
+    lexicographic descent (``_descend``), which changes only its queries,
+    or from all of V1 plus vertex n, the smallest (n + 1)-set.
+    """
+    if f is not None:
+        return f, _lex_walk(search, f, None)
+    n = search.n
+    best = search.largest(0, 0, n + 1, 0)
+    best = _descend(search.adj, best) if best else (1 << n) - 1 | 1 << n
+    search.nodes = max(search.nodes, 1)
+    f = max(search.best_size, n + 1)
+    return f, _lex_walk(search, f, best)
+
+
 def _count_refutes(n: int, order: tuple[list[int], list[int]], inc: int,
                    pool: int, t: int) -> bool:
     """True when degree counting alone rules out an induced forest of ``t``
     vertices that holds ``inc`` and lies in ``inc | pool``.
 
-    ``order`` is ``_Search.degree_order``. A forest with a vertices in V1
+    ``order`` is ``_Search.order``. A forest with a vertices in V1
     and b in V2 keeps, of each V1 vertex's neighbours, all but at most
     n - b, so it has at least P1[a - a0] - a(n - b) edges, where a0 counts
     the V1 vertices of ``inc`` and P1[j] sums their degrees and the j
@@ -737,68 +751,51 @@ def _count_refutes(n: int, order: tuple[list[int], list[int]], inc: int,
 def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
     """Exact maximum induced forest via branch-and-bound.
 
-    A full part plus any single opposite vertex always induces a forest,
-    so the search (``_Search.largest``) asks for more than n + 1 vertices;
-    without such a forest f = n + 1, and a root that closes on the degree
-    count still counts as one node. After the optimum f is known, the
-    first leaf of the lex walk pins the lexicographically smallest witness
-    of size f, so the witness never depends on branching order and matches
-    the subset-scan oracle. The walk starts from the search's forest after
-    a lexicographic descent (``_descend``), which changes only the queries
-    it makes; without a forest above n + 1 it starts from all of V1 plus
-    vertex n, already the smallest (n + 1)-set.
+    The search finds the forest number f (``_walk``), and the first leaf of
+    the lex walk pins the lexicographically smallest witness of size f, so
+    the witness never depends on branching order and matches the
+    subset-scan oracle. It is the first witness ``enumerate_max_forests``
+    lists, on the same queries.
     """
     n = g.n
     t0 = time.perf_counter()
-    full1 = (1 << n) - 1
     search = _Search(g)
-    best = search.largest(0, 0, n + 1, 0)
-    best = _descend(search.adj, best) if best else full1 | 1 << n
-    search.nodes = max(search.nodes, 1)
-    f = max(search.best_size, n + 1)
-    witness = next(_lex_walk(search, f, best), None)
+    f, walk = _walk(search, None)
+    witness = next(walk, None)
     if witness is None:
         raise PostconditionError(
             f"witness pinning found no forest of {f} vertices")
-    return SolveResult(f, VertexSubset(witness & full1, witness >> n),
+    return SolveResult(f, VertexSubset(witness & (1 << n) - 1, witness >> n),
                        2 * n - f, search.nodes, time.perf_counter() - t0)
 
 
-def enumerate_max_forests(g: BalancedBipartiteGraph, cap: int = 0, *,
+def enumerate_max_forests(g: BalancedBipartiteGraph, *,
                           forest_number: int | None = None
                           ) -> Iterator[VertexSubset]:
     """Yield every maximum induced forest in lexicographic witness order.
 
     Witnesses are emitted strictly increasing under the global vertex order
-    and free of duplicates. ``cap`` > 0 stops after that many witnesses;
-    cap = 0 means unbounded, and a negative cap is an error. A given
-    ``forest_number`` must lie in [n + 1, 2n], the range every graph's
-    forest number falls in; below the optimum, every forest of that size
-    is listed. Both are checked at call time, before anything is yielded.
+    and free of duplicates; the iterator is lazy, so ``itertools.islice``
+    takes the first few. A given ``forest_number`` must lie in [n + 1, 2n],
+    the range every graph's forest number falls in; below the optimum,
+    every forest of that size is listed. It is checked at call time, before
+    anything is yielded.
 
-    The witnesses are the leaves of the lex walk over one exact search,
-    which first finds the forest number, as ``max_forest`` does, when none
-    is given. Every ``feasible_with`` query the walk makes either lies on
-    the path to a witness or is the dead sibling of a branch that does, so
-    each witness costs at most about 4n queries; the walk's first query,
-    at the root, proves that a forest of the given size exists.
+    The witnesses are the leaves of the lex walk over one exact search
+    (``_walk``). Without a forest number, it is the walk ``max_forest``
+    runs, so the first witness is its witness, on the same queries. Every
+    ``feasible_with`` query either lies on the path to a witness or is the
+    dead sibling of a branch that does, so each witness costs at most about
+    4n queries.
     """
     n = g.n
-    nv = 2 * n
-    if cap < 0:
-        raise ParameterError(f"need cap >= 0, got {cap}")
-    if forest_number is not None and not n + 1 <= forest_number <= nv:
+    if forest_number is not None and not n + 1 <= forest_number <= 2 * n:
         raise ParameterError(
-            f"forest number {forest_number} outside [{n + 1}, {nv}] "
+            f"forest number {forest_number} outside [{n + 1}, {2 * n}] "
             f"for part size {n}")
-    search = _Search(g)
-    if forest_number is None:
-        search.largest(0, 0, n + 1, 0)
-        forest_number = max(search.best_size, n + 1)
+    walk = _walk(_Search(g), forest_number)[1]
     full1 = (1 << n) - 1
-    walk = _lex_walk(search, forest_number, None)
-    return (VertexSubset(s & full1, s >> n)
-            for s in islice(walk, cap or None))
+    return (VertexSubset(s & full1, s >> n) for s in walk)
 
 
 def decycling_number(g: BalancedBipartiteGraph) -> int:

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (BalancedBipartiteGraph, VertexSubset, emit_bbg, from_rows,
                    is_induced_forest, min_degree)
-from .errors import ParameterError
+from .errors import ParameterError, PostconditionError
 from .generators import (complete_balanced, prop1_construction,
                          random_min_degree, random_th7, thh1_l1, thh1_l2,
                          thm3_lambda2, thm3_lambda_half)
@@ -475,27 +475,26 @@ def profile_structure(g: BalancedBipartiteGraph,
                       budget: int = ENUMERATION_BUDGET) -> StructureProfile:
     """Fold every maximum forest into its smaller-part size.
 
-    Keeps the lexicographically first witness per observed value. When
-    C(2n, f) exceeds ``budget``, the profile degrades to the single solver
-    witness and is marked non-exhaustive. The count bounds the number of
-    maximum forests: a disjoint union of n/2 copies of K2,2 has 4^(n/2),
-    over a million at n = 20.
+    Keeps the lexicographically first witness per observed value. One walk
+    lists the forests (``enumerate_max_forests``): its first is the solver
+    witness, whose size is f. When C(2n, f) exceeds ``budget``, the profile
+    stops there, with that witness alone, and is marked non-exhaustive. The
+    count bounds the number of maximum forests: a disjoint union of n/2
+    copies of K2,2 has 4^(n/2), over a million at n = 20.
     """
     if budget < 0:
         raise ParameterError(f"need budget >= 0, got {budget}")
-    res = max_forest(g)
-    f = res.forest_number
-    if math.comb(2 * g.n, f) > budget:
-        lam = res.witness.min_part_size()
-        return StructureProfile(f, frozenset({lam}), {lam: res.witness},
-                                False)
+    walk = enumerate_max_forests(g)
+    first = next(walk, None)
+    if first is None:
+        raise PostconditionError("the walk found no maximum forest")
+    f = first.size
+    exhaustive = math.comb(2 * g.n, f) <= budget
     per: dict[int, VertexSubset] = {}
-    for w in enumerate_max_forests(g, forest_number=f):
-        lam = w.min_part_size()
-        if lam not in per:
-            per[lam] = w
+    for w in itertools.chain([first], walk if exhaustive else ()):
+        per.setdefault(w.min_part_size(), w)
     return StructureProfile(f, frozenset(per), dict(sorted(per.items())),
-                            True)
+                            exhaustive)
 
 
 # ---------------------------------------------------------------------------

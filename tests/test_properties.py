@@ -96,8 +96,7 @@ def test_forest_number_metamorphic(seed, make):
 def test_witness_is_first_enumerated(make):
     g = make()
     res = max_forest(g)
-    first = next(enumerate_max_forests(g, cap=1,
-                                       forest_number=res.forest_number))
+    first = next(enumerate_max_forests(g, forest_number=res.forest_number))
     assert first == res.witness
 
 
