@@ -14,7 +14,9 @@ The enumeration of every maximum forest is pinned apart from ``max_forest``:
 its witness count, its feasibility queries and the nodes its own search
 explores, on graphs of the T2 sweep at n = 9 and on one sparse graph. Run
 without the forest number, the enumeration finds it on its one search and
-then makes the same queries.
+starts its walk from the optimum's forest, as ``max_forest`` does: it lists
+the same witnesses with one query fewer, since it need not prove at the
+root that a forest of that size exists.
 
 The local search (``_swap_forest``, ``_descend``) only serves the optimum:
 a query, which has a target size, never runs it, and the optimum search
@@ -75,12 +77,13 @@ DENSE_SEARCH_CASES = [
 
 
 # (graph, forest number, witnesses, feasibility queries, search nodes) of
-# listing every maximum forest
+# listing every maximum forest, then the queries and nodes of listing them
+# without the forest number
 ENUMERATION_CASES = [
-    (lambda: random_min_degree(9, 6, 1), 10, 18, 60, 84),
-    (lambda: random_min_degree(9, 6, 2), 10, 18, 60, 50),
-    (lambda: random_min_degree(9, 6, 3), 10, 18, 60, 23),
-    (lambda: random_bipartite(9, 0.3, 4), 14, 27, 140, 148),
+    (lambda: random_min_degree(9, 6, 1), 10, 18, 60, 84, 59, 77),
+    (lambda: random_min_degree(9, 6, 2), 10, 18, 60, 50, 59, 51),
+    (lambda: random_min_degree(9, 6, 3), 10, 18, 60, 23, 59, 18),
+    (lambda: random_bipartite(9, 0.3, 4), 14, 27, 140, 148, 139, 163),
 ]
 ENUMERATION_IDS = ["rmd9s1", "rmd9s2", "rmd9s3", "gnp9p30"]
 
@@ -135,15 +138,20 @@ def enumerate_counted(g, f, monkeypatch):
     return witnesses, calls, searches[0].nodes
 
 
-@pytest.mark.parametrize("make, f, witnesses, queries, nodes",
+@pytest.mark.parametrize("make, f, witnesses, queries, nodes, "
+                         "unknown_f_queries, unknown_f_nodes",
                          ENUMERATION_CASES, ids=ENUMERATION_IDS)
 def test_enumeration_cost_pinned(make, f, witnesses, queries, nodes,
+                                 unknown_f_queries, unknown_f_nodes,
                                  monkeypatch):
     g = make()
     assert max_forest(g).forest_number == f
     listed, calls, explored = enumerate_counted(g, f, monkeypatch)
     assert (len(listed), len(calls), explored) == (witnesses, queries, nodes)
-    assert enumerate_counted(g, None, monkeypatch)[:2] == (listed, calls)
+    unknown = enumerate_counted(g, None, monkeypatch)
+    assert unknown[0] == listed
+    assert (len(unknown[1]), unknown[2]) == (unknown_f_queries,
+                                             unknown_f_nodes)
     # no query is hopeless: a branch whose forced-in set and free vertices
     # together fall short of the target cannot hold it, so the walk must
     # not queue it
@@ -171,7 +179,7 @@ def test_queries_never_run_the_local_search(monkeypatch):
 
     monkeypatch.setattr(solver, "_swap_forest", refuse)
     monkeypatch.setattr(solver, "_descend", refuse)
-    for make, f, witnesses, queries, nodes in ENUMERATION_CASES:
+    for make, f, witnesses, queries, nodes, *_ in ENUMERATION_CASES:
         listed, calls, explored = enumerate_counted(make(), f, monkeypatch)
         assert (len(listed), len(calls), explored) == (witnesses, queries,
                                                         nodes)
