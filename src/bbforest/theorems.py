@@ -378,6 +378,8 @@ def _sweep(tid: str, sizes: Sequence[int], samples: int, seed: int,
     # counterexamples and the number of maximum forests listed
     if samples < 1:
         raise ParameterError(f"need samples >= 1, got {samples}")
+    if jobs < 1:
+        raise ParameterError(f"need jobs >= 1, got {jobs}")
     args = [(tid, n, seed + i) for n in sizes for i in range(samples)]
     counterexamples: list[dict] = []
     witnesses = 0

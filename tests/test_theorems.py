@@ -1,17 +1,23 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bbforest.solver as solver
 import bbforest.theorems as theorems
-from bbforest import (ParameterError, SolveResult, VerificationReport,
-                      VertexSubset, bound_g, bound_h, bound_t8, check_bounds,
-                      complete_balanced, from_rows, max_forest, merge_reports,
-                      parse_bbg, profile_structure, prop1_construction,
+from bbforest import (ENUMERATION_BUDGET, ParameterError, PostconditionError,
+                      SolveResult, VerificationReport, VertexSubset, bound_g,
+                      bound_h, bound_t8, check_bounds, complete_balanced,
+                      enumerate_max_forests, from_rows, max_forest,
+                      merge_reports, parse_bbg, profile_structure,
+                      prop1_construction, random_min_degree, thh1_l1,
                       thm3_lambda2, thm3_lambda_half, verify_constructions,
                       verify_structure, verify_t1_exhaustive,
                       verify_t1_random, verify_t8)
+
+from .helpers import random_bipartite
 
 
 def test_bound_values_frozen():
@@ -166,6 +172,17 @@ def test_structure_sweeps_pass_above_n_12(check, n):
     assert rep.params["witnesses_enumerated"] >= 3
 
 
+@pytest.mark.parametrize("sweep", [
+    lambda jobs: verify_t1_random(5, samples=2, jobs=jobs),
+    lambda jobs: verify_structure(5, samples=1, jobs=jobs),
+    lambda jobs: verify_t8([5], samples=1, jobs=jobs),
+], ids=["T1", "T2", "T8"])
+@pytest.mark.parametrize("jobs", (0, -3))
+def test_seeded_sweeps_reject_jobs_below_one(sweep, jobs):
+    with pytest.raises(ParameterError, match="jobs"):
+        sweep(jobs)
+
+
 def test_structure_rejects_bad_params():
     with pytest.raises(ParameterError):
         verify_structure(6, check="C1")      # even n
@@ -266,6 +283,68 @@ def test_profile_structure_degrades_on_budget():
     assert not prof.exhaustive
     assert prof.forest_number == 11
     assert prof.lambdas == frozenset({1})
+
+
+def _profile_reference(g, budget=ENUMERATION_BUDGET):
+    # the profile as two calls make it: the solve, then every forest of its
+    # size, or only the solver's witness when C(2n, f) exceeds the budget
+    res = max_forest(g)
+    f = res.forest_number
+    exhaustive = math.comb(2 * g.n, f) <= budget
+    per = {}
+    for w in (enumerate_max_forests(g, forest_number=f) if exhaustive
+              else [res.witness]):
+        per.setdefault(w.min_part_size(), w)
+    return {"forest_number": f, "lambdas": sorted(per),
+            "witness_per_lambda": {
+                str(lam): {"v1": list(w.indices()[0]),
+                           "v2": list(w.indices()[1])}
+                for lam, w in sorted(per.items())},
+            "exhaustive": exhaustive}
+
+
+# (graph, budget); random_min_degree(15, 9, 1) is over the default budget
+GNP_PROFILES = [(2, 0.5, 1), (3, 0.5, 2), (4, 0.3, 3), (5, 0.6, 4),
+                (6, 0.4, 5), (7, 0.3, 6), (8, 0.5, 7), (9, 0.3, 4),
+                (10, 0.2, 8), (12, 0.3, 7)]
+PROFILE_CASES = (
+    [(lambda n=n, p=p, s=s: random_bipartite(n, p, s), ENUMERATION_BUDGET)
+     for n, p, s in GNP_PROFILES]
+    + [(lambda n=n: random_min_degree(n, (n + 3) // 2, 1), ENUMERATION_BUDGET)
+       for n in (5, 8, 9, 15)]
+    + [(lambda: thm3_lambda2(6)[0], ENUMERATION_BUDGET),
+       (lambda: thm3_lambda_half(8)[0], ENUMERATION_BUDGET),
+       (lambda: thh1_l1(5, 2), ENUMERATION_BUDGET),
+       (lambda: prop1_construction(6), ENUMERATION_BUDGET),
+       (lambda: complete_balanced(10), 10),
+       (lambda: random_bipartite(8, 0.5, 7), 10)])
+PROFILE_IDS = ([f"gnp{n}p{round(100 * p)}s{s}" for n, p, s in GNP_PROFILES]
+               + [f"rmd{n}" for n in (5, 8, 9, 15)]
+               + ["t6l2", "t6lhalf", "t7l1", "p1", "k10-budget10",
+                  "gnp8-budget10"])
+
+
+@pytest.mark.parametrize("make, budget", PROFILE_CASES, ids=PROFILE_IDS)
+def test_profile_structure_matches_solve_then_enumerate(make, budget,
+                                                        monkeypatch):
+    g = make()
+    expected = _profile_reference(g, budget)
+    searches = []
+
+    class Counted(solver._Search):
+        def __init__(self, g):
+            searches.append(g)
+            super().__init__(g)
+
+    monkeypatch.setattr(solver, "_Search", Counted)
+    assert profile_structure(g, budget).to_dict() == expected
+    assert len(searches) == 1
+
+
+def test_profile_structure_raises_on_an_empty_walk(monkeypatch):
+    monkeypatch.setattr(solver, "_lex_walk", lambda *args: iter(()))
+    with pytest.raises(PostconditionError):
+        profile_structure(complete_balanced(3))
 
 
 def test_jobs_parameter_gives_identical_report():
