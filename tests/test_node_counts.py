@@ -16,7 +16,8 @@ explores, on graphs of the T2 sweep at n = 9 and on one sparse graph. Run
 without the forest number, the enumeration finds it on its one search and
 starts its walk from the optimum's forest, as ``max_forest`` does: it lists
 the same witnesses with one query fewer, since it need not prove at the
-root that a forest of that size exists.
+root that a forest of that size exists. ``max_forest`` stops that walk at
+its first leaf, so its queries are the first ones the enumeration makes.
 
 The local search (``_swap_forest``, ``_descend``) only serves the optimum:
 a query, which has a target size, never runs it, and the optimum search
@@ -103,18 +104,30 @@ def test_dense_search_node_count_pinned(make, f, nodes, witness, pin_calls,
 
 
 def _check_pinned(make, f, nodes, witness, pin_calls, monkeypatch):
-    calls = []
-    feasible_with = solver._Search.feasible_with
-
-    def counted(self, *args):
-        calls.append(args)
-        return feasible_with(self, *args)
-
-    monkeypatch.setattr(solver._Search, "feasible_with", counted)
-    res = max_forest(make())
+    res, calls, _ = counted_queries(monkeypatch, lambda: max_forest(make()))
     assert (res.forest_number, res.nodes_explored) == (f, nodes)
     assert res.witness.indices() == witness
     assert len(calls) == pin_calls
+
+
+def counted_queries(monkeypatch, run):
+    """Call ``run()`` with every feasibility query recorded; returns its
+    result, the arguments of each query and the one search that answered
+    them all (None when there was no query)."""
+    calls = []
+    searches = set()
+    feasible_with = solver._Search.feasible_with
+
+    def counted(self, *query):
+        calls.append(query)
+        searches.add(self)
+        return feasible_with(self, *query)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(solver._Search, "feasible_with", counted)
+        result = run()
+    assert len(searches) <= 1
+    return result, calls, next(iter(searches), None)
 
 
 def enumerate_counted(g, f, monkeypatch):
@@ -122,20 +135,9 @@ def enumerate_counted(g, f, monkeypatch):
     every maximum forest; returns the witnesses, the arguments of each
     feasibility query and the nodes the enumeration's one search
     explored."""
-    calls = []
-    searches = []
-    feasible_with = solver._Search.feasible_with
-
-    def counted(self, *args):
-        calls.append(args)
-        searches.append(self)
-        return feasible_with(self, *args)
-
-    with monkeypatch.context() as patched:
-        patched.setattr(solver._Search, "feasible_with", counted)
-        witnesses = list(enumerate_max_forests(g, forest_number=f))
-    assert len(set(searches)) == 1
-    return witnesses, calls, searches[0].nodes
+    witnesses, calls, search = counted_queries(
+        monkeypatch, lambda: list(enumerate_max_forests(g, forest_number=f)))
+    return witnesses, calls, search.nodes
 
 
 @pytest.mark.parametrize("make, f, witnesses, queries, nodes, "
@@ -157,6 +159,22 @@ def test_enumeration_cost_pinned(make, f, witnesses, queries, nodes,
     # not queue it
     for inc, out, target in calls:
         assert 2 * g.n - out.bit_count() >= target, (inc, out)
+
+
+# the CASES above whose enumeration is cheap
+FIRST_LEAF_IDS = ["gnp12", "gnp16", "gnp18p20", "gnp18p15", "gnp20p30"]
+
+
+@pytest.mark.parametrize("make", [CASES[CASE_IDS.index(i)][0]
+                                  for i in FIRST_LEAF_IDS], ids=FIRST_LEAF_IDS)
+def test_witness_is_the_walks_first_leaf(make, monkeypatch):
+    # max_forest's queries open the enumeration's, and its witness is the
+    # first one listed
+    g = make()
+    res, calls, _ = counted_queries(monkeypatch, lambda: max_forest(g))
+    listed, listing_calls, _ = enumerate_counted(g, None, monkeypatch)
+    assert calls and listing_calls[:len(calls)] == calls
+    assert listed[0] == res.witness
 
 
 @pytest.mark.parametrize("make", [case[0] for case in CASES], ids=CASE_IDS)
