@@ -5,13 +5,62 @@ from pathlib import Path
 
 import pytest
 
+import bbforest
+from bbforest import core, errors, generators, solver, theorems
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "bbforest"
+MODULES = sorted(SRC.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     # python -O strips assert statements, so no check the package relies
     # on may live in one
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+def _imports(tree):
+    # (bound name, line) of each module-level import
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # an import the module never reads is dead weight, unless the module
+    # re-exports it through __all__
+    tree = _tree(path)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = [(name, line) for name, line in _imports(tree)
+              if name not in read | _exported(tree)]
+    assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+def test_package_exports_every_module_export():
+    error_classes = {name for name, obj in vars(errors).items()
+                     if isinstance(obj, type) and issubclass(obj, Exception)}
+    expected = (set(core.__all__) | set(generators.__all__)
+                | set(solver.__all__) | set(theorems.__all__)
+                | error_classes | {"__version__"})
+    assert sorted(bbforest.__all__) == sorted(expected)
