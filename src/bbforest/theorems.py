@@ -492,9 +492,10 @@ def profile_structure(g: BalancedBipartiteGraph,
         raise PostconditionError("the walk found no maximum forest")
     f = first.size
     exhaustive = math.comb(2 * g.n, f) <= budget
-    per: dict[int, VertexSubset] = {}
-    for w in itertools.chain([first], walk if exhaustive else ()):
-        per.setdefault(w.min_part_size(), w)
+    per = {first.min_part_size(): first}
+    if exhaustive:
+        for w in walk:
+            per.setdefault(w.min_part_size(), w)
     return StructureProfile(f, frozenset(per), dict(sorted(per.items())),
                             exhaustive)
 
