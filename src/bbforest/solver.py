@@ -677,11 +677,11 @@ def _walk(search: _Search, f: int | None) -> tuple[int, Iterator[int]]:
     """The forest size ``f`` and the lex walk over its forests.
 
     Given no ``f``, the search finds the forest number: a full part plus
-    any single opposite vertex induces a forest, so it asks for more than
-    n + 1 vertices, and a root that closes on the degree count still counts
-    as one node. The walk then starts from the search's forest after a
-    lexicographic descent (``_descend``), which changes only its queries,
-    or from all of V1 plus vertex n, the smallest (n + 1)-set.
+    any opposite vertex induces a forest, so it asks for more than n + 1
+    vertices; a root that closes on the degree count counts as one node.
+    The walk starts from the search's forest after a lexicographic descent
+    (``_descend``), which changes only its queries, or, with none above
+    n + 1, from all of V1 plus vertex n, the smallest (n + 1)-set.
     """
     if f is not None:
         return f, _lex_walk(search, f, None)
