@@ -141,24 +141,33 @@ def _merge(comps: tuple[int, ...], b: int,
     return tuple(rest), dead
 
 
-def _edge_cut_refutes(deg: list[int], total: int, floor: int) -> bool:
-    """True when the edge cut rules out an induced forest of more than
-    ``floor`` vertices in an active graph of ``total`` > ``floor`` vertices.
+def _edge_cut_refutes(deg: list[int], cand: list[int], total: int,
+                      floor: int) -> bool:
+    """True when the edge cut rules out an induced forest F of more than
+    ``floor`` vertices with s <= F <= s | r, in an active graph s | r of
+    ``total`` > ``floor`` vertices whose forced-in part s is a forest.
 
-    ``deg`` holds the active degrees by global id, 0 for inactive ids. An
-    isolated vertex joins any forest as a component of its own, so a
-    largest forest takes them all. On the p vertices of positive degree, a
-    forest of t vertices in all keeps t - (total - p) with at most that
-    many minus one edges, while dropping the other k = total - t leaves at
-    least m_active minus their k largest degrees; so t needs
-    prefix(k) - k >= m_active - p + 1. Sorted descending, prefix(k) - k
-    grows with k up to p, so only k = min(total - floor - 1, p) needs
-    testing.
+    ``deg`` holds the active degrees by global id, 0 for inactive ids, and
+    ``cand`` the active degrees of the candidates r, in any order. Let the
+    active graph have m edges and p vertices of positive degree. An
+    isolated vertex joins any forest as a component of its own, so we may
+    take F to hold them all; then its dropped set D = (s | r) - F lies in
+    r, holds only vertices of positive degree, and has at most
+    k = total - floor - 1 of them. F keeps at least m - deg(D) edges on
+    its p - |D| vertices of positive degree, and a forest has at most that
+    many minus one, so deg(D) - |D| >= m - p + 1. Each candidate of
+    positive degree adds at least 0 to deg(D) - |D|, so its largest value
+    is S_k - k with S_k the sum of the k largest such degrees, and k
+    capped at their number. A zero-degree candidate would add -1: left in
+    the list it could lower S_k - k and refute a forest that exists.
+    Only candidates count, never s: no forest below the node drops s.
+    S_k - k never falls as k grows, so one test at the largest k decides.
+    An edgeless active graph is a forest and is never refuted.
     """
-    degs = sorted(filter(None, deg), reverse=True)
-    pos = len(degs)
-    k = min(total - floor - 1, pos)
-    return pos > 0 and sum(degs[:k]) - k < (sum(degs) >> 1) - pos + 1
+    pos = len(deg) - deg.count(0)
+    cand = sorted(filter(None, cand), reverse=True)
+    k = min(total - floor - 1, len(cand))
+    return pos > 0 and sum(cand[:k]) - k < (sum(deg) >> 1) - pos + 1
 
 
 def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
@@ -368,9 +377,21 @@ class _Search:
     depends on the firing order, which is fixed, and the search stays
     deterministic.
 
-    An active vertex with no active neighbour is a component of every
-    forest that takes it, so the edge-cut bound (``_edge_cut_refutes``)
-    lets a forest carry one edge fewer for each such vertex.
+    A node is pruned by the edge-cut bound (``_edge_cut_refutes``): a
+    forest F with s <= F <= s | r above the incumbent drops at most
+    total - incumbent - 1 vertices, all of them candidates, and must shed
+    every edge beyond its own vertex count minus one. So only the largest
+    candidate degrees count, never those of ``s``, which no forest below
+    the node drops (Fomin, Gaspers, Pyatkin & Razgon, Algorithmica 52,
+    2008, bound over the undecided vertices too). An active vertex with no
+    active neighbour is a component of every forest that takes it, so a
+    forest carries one edge fewer for each such vertex; a candidate of
+    degree 0 is one, and it stays out of the dropped degrees, where it
+    would count -1 and could refute a forest that exists. After
+    propagation every candidate has at least three active neighbours, so
+    in the search the list holds none, but the bound does not rely on it.
+    One pass over ``r`` fills the candidates' degrees and finds the
+    branch pick's candidate of maximum degree.
 
     Branch vertex: a candidate on a 4-cycle of the active graph when a
     bounded probe finds one, else the candidate of maximum active degree;
@@ -498,21 +519,29 @@ class _Search:
                     m ^= b
                     deg[b.bit_length() - 1] -= 1
 
-        if _edge_cut_refutes(deg, total, self.best_size):
+        # one pass over the candidates gives the bound their degrees and
+        # the branch pick its candidate of maximum degree, lowest id first
+        cand = []
+        best_deg = -1
+        m = r
+        while m:
+            b = m & -m
+            m ^= b
+            u = b.bit_length() - 1
+            d = deg[u]
+            cand.append(d)
+            if d > best_deg:
+                best_deg = d
+                v = u
+        if _edge_cut_refutes(deg, cand, total, self.best_size):
             return
 
         # branch on a 4-cycle candidate if the probe finds one, else on any
-        # candidate; maximum active degree, lowest id first
+        # candidate
         cyc = self._find_c4(act, c4) if c4 >= 0 else -1
-        pool = cyc & r if cyc > 0 else r
-        best_deg = -1
-        while pool:
-            b = pool & -pool
-            pool ^= b
-            u = b.bit_length() - 1
-            if deg[u] > best_deg:
-                best_deg = deg[u]
-                v = u
+        if cyc > 0:
+            v = max((b.bit_length() - 1 for b in _bits(cyc & r)),
+                    key=deg.__getitem__)
         # include first: candidates the merge kills leave, and their
         # neighbours turn dirty; excluding v turns its neighbours dirty
         b = 1 << v

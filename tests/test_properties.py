@@ -111,13 +111,17 @@ def test_root_count_keeps_forest_number_and_witness(make, monkeypatch):
                                                 searched.witness)
 
 
-# gnp22p60 needs 1 093 187 nodes without the probe (17 s on a 2-vCPU host)
+# the ablations run at n <= 20: without the edge-cut bound, gnp22p45 and
+# gnp22p60 take 55 555 and 47 603 nodes (about 1 s each on a 2-vCPU
+# host) against 451 and 575 with it; without the probe, 447 and 389
 NO_PROBE = [(make, name) for make, name in GRAPHS if make().n <= 20]
 
 
 @pytest.mark.parametrize("make", [m for m, _ in NO_PROBE],
                          ids=[name for _, name in NO_PROBE])
 def test_c4_probe_keeps_forest_number_and_witness(make, monkeypatch):
+    # the probe only picks the branch vertex, so switched off it must move
+    # the node count, in either direction, and nothing else
     g = make()
     res = max_forest(g)
     monkeypatch.setattr(solver._Search, "_find_c4",
@@ -125,18 +129,22 @@ def test_c4_probe_keeps_forest_number_and_witness(make, monkeypatch):
     searched = max_forest(g)
     assert (res.forest_number, res.witness) == (searched.forest_number,
                                                 searched.witness)
+    assert searched.nodes_explored != res.nodes_explored
 
 
 @pytest.mark.parametrize("make", [m for m, _ in NO_PROBE],
                          ids=[name for _, name in NO_PROBE])
 def test_edge_cut_bound_keeps_forest_number_and_witness(make, monkeypatch):
+    # switched off, the bound must cost nodes: a bound the search no
+    # longer calls fails here
     g = make()
     res = max_forest(g)
     monkeypatch.setattr(solver, "_edge_cut_refutes",
-                        lambda deg, total, floor: False)
+                        lambda deg, cand, total, floor: False)
     searched = max_forest(g)
     assert (res.forest_number, res.witness) == (searched.forest_number,
                                                 searched.witness)
+    assert searched.nodes_explored > res.nodes_explored
 
 
 @pytest.mark.parametrize("make", [m for m, _ in NO_PROBE],

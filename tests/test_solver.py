@@ -156,7 +156,7 @@ def test_handed_degrees_match_the_active_graph(monkeypatch):
 
     monkeypatch.setattr(solver._Search, "_branch", checking)
     rng = random.Random(10)
-    for gi in range(45):
+    for gi in range(90):
         n = 6 + gi % 15
         g = random_bipartite(n, (0.15, 0.25, 0.6)[gi % 3], gi)
         max_forest(g)
@@ -441,6 +441,41 @@ def test_count_refutes_only_sizes_above_the_forest_number():
                         refuted += 1
                         forced_refuted += inc != 0
     assert forced_refuted and refuted > forced_refuted
+
+
+def test_edge_cut_refutes_only_sizes_no_forest_reaches():
+    # random forced-in forests s and candidate pools r, every floor below
+    # the active count, against a scan of every induced forest: when the
+    # bound refutes, no forest F with s <= F <= s | r has more than floor
+    # vertices. Pools are drawn without regard to degree, so some hold
+    # candidates with no active neighbour, which the bound must leave out
+    rng = random.Random(19)
+    states = refuted = zero_degree = 0
+    for gi in range(36):
+        n = 1 + gi % 6
+        g = random_bipartite(n, (0.2, 0.4, 0.6, 0.8)[gi % 4], 100 + gi)
+        nv = 2 * n
+        adj = solver._adjacency(g)
+        forests = [bits for bits in range(1 << nv)
+                   if forest_oracle(g, VertexSubset(bits & (1 << n) - 1,
+                                                    bits >> n))]
+        for _ in range(200):
+            s = rng.choice(forests) & rng.getrandbits(nv)
+            r = rng.getrandbits(nv) & ~s
+            act = s | r
+            deg = [(row & act).bit_count() if act >> u & 1 else 0
+                   for u, row in enumerate(adj)]
+            cand = [deg[u] for u in range(nv) if r >> u & 1]
+            zero_degree += 0 in cand
+            best = max(f.bit_count() for f in forests
+                       if f & s == s and not f & ~act)
+            total = act.bit_count()
+            for floor in range(total):
+                states += 1
+                if solver._edge_cut_refutes(deg, cand, total, floor):
+                    assert best <= floor, (g, s, r, floor)
+                    refuted += 1
+    assert states > 30_000 and refuted > 1_500 and zero_degree > 3_000
 
 
 def _root_count_refutes(g, t):

@@ -64,3 +64,36 @@ def test_package_exports_every_module_export():
                 | set(solver.__all__) | set(theorems.__all__)
                 | error_classes | {"__version__"})
     assert sorted(bbforest.__all__) == sorted(expected)
+
+
+def _private_definitions(tree):
+    # (name, line) of each module-level private function, class and constant
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found = [node.name]
+        elif isinstance(node, ast.Assign):
+            found = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            found = [getattr(node.target, "id", "")]
+        else:
+            continue
+        for name in found:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def test_every_private_definition_is_read():
+    # a private function, class or constant no module reads is dead code,
+    # such as a bound left behind after its test was inlined
+    trees = {path.name: _tree(path) for path in MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [(name, path, line) for path, tree in trees.items()
+              for name, line in _private_definitions(tree)
+              if name not in read]
+    assert unread == [], f"unread private definitions {unread}"
