@@ -43,36 +43,39 @@ CASES = [
      (tuple(range(32)), (0,)), 0),
     (lambda: random_min_degree(48, 25, 2), 49, 1,
      (tuple(range(48)), (0,)), 0),
-    (lambda: random_bipartite(12, 0.3, 7), 18, 41,
+    (lambda: random_bipartite(12, 0.3, 7), 18, 31,
      ((1, 3, 4, 5, 7, 9), tuple(range(12))), 6),
-    (lambda: random_bipartite(16, 0.25, 5), 24, 346,
+    (lambda: random_bipartite(16, 0.25, 5), 24, 230,
      (_all_but(16, 1), (0, 1, 5, 6, 7, 9, 10, 12, 15)), 9),
     (lambda: random_min_degree(64, 33, 1), 65, 1,
      (tuple(range(64)), (0,)), 0),
-    (lambda: random_bipartite(18, 0.2, 7), 27, 353,
+    (lambda: random_bipartite(18, 0.2, 7), 27, 221,
      (tuple(range(18)), (0, 5, 7, 9, 12, 13, 14, 15, 17)), 9),
-    (lambda: random_bipartite(18, 0.15, 7), 31, 45,
+    (lambda: random_bipartite(18, 0.15, 7), 31, 31,
      (_all_but(18, 0, 7, 12, 16), _all_but(18, 16)), 5),
-    (lambda: random_bipartite(20, 0.3, 7), 24, 3507,
+    (lambda: random_bipartite(20, 0.3, 7), 24, 1883,
      (tuple(range(20)), (7, 8, 13, 19)), 17),
-    (lambda: random_bipartite(28, 0.2, 7), 36, 9986,
+    (lambda: random_bipartite(28, 0.2, 7), 36, 3114,
      (tuple(range(28)), (2, 5, 6, 9, 15, 19, 23, 26)), 20),
-    (lambda: random_bipartite(28, 0.15, 7), 39, 25979,
+    (lambda: random_bipartite(28, 0.15, 7), 39, 7121,
      (tuple(range(28)), (2, 4, 5, 7, 9, 10, 15, 16, 17, 23, 26)), 18),
-    (lambda: random_bipartite(32, 0.2, 7), 40, 27834,
+    (lambda: random_bipartite(32, 0.2, 7), 40, 13052,
      (_all_but(32, 28), (7, 9, 10, 15, 17, 21, 22, 26, 30)), 23),
+    (lambda: random_bipartite(32, 0.15, 7), 43, 33360,
+     (tuple(range(32)), (2, 5, 7, 8, 13, 15, 17, 21, 23, 26, 30)), 22),
 ]
 CASE_IDS = ["rmd32", "rmd48", "gnp12", "gnp16", "rmd64", "gnp18p20",
-            "gnp18p15", "gnp20p30", "gnp28p20", "gnp28p15", "gnp32p20"]
+            "gnp18p15", "gnp20p30", "gnp28p20", "gnp28p15", "gnp32p20",
+            "gnp32p15"]
 
 
 # the rmd cases above with the root's degree count declining: the search runs
 DENSE_SEARCH_CASES = [
-    (lambda: random_min_degree(32, 17, 1), 33, 419,
+    (lambda: random_min_degree(32, 17, 1), 33, 301,
      (tuple(range(32)), (0,)), 0),
-    (lambda: random_min_degree(48, 25, 2), 49, 1019,
+    (lambda: random_min_degree(48, 25, 2), 49, 783,
      (tuple(range(48)), (0,)), 0),
-    (lambda: random_min_degree(64, 33, 1), 65, 1015,
+    (lambda: random_min_degree(64, 33, 1), 65, 731,
      (tuple(range(64)), (0,)), 0),
 ]
 
@@ -81,10 +84,10 @@ DENSE_SEARCH_CASES = [
 # listing every maximum forest, then the queries and nodes of listing them
 # without the forest number
 ENUMERATION_CASES = [
-    (lambda: random_min_degree(9, 6, 1), 10, 18, 60, 84, 59, 77),
-    (lambda: random_min_degree(9, 6, 2), 10, 18, 60, 50, 59, 51),
+    (lambda: random_min_degree(9, 6, 1), 10, 18, 60, 76, 59, 69),
+    (lambda: random_min_degree(9, 6, 2), 10, 18, 60, 42, 59, 43),
     (lambda: random_min_degree(9, 6, 3), 10, 18, 60, 23, 59, 18),
-    (lambda: random_bipartite(9, 0.3, 4), 14, 27, 140, 148, 139, 163),
+    (lambda: random_bipartite(9, 0.3, 4), 14, 27, 140, 136, 139, 145),
 ]
 ENUMERATION_IDS = ["rmd9s1", "rmd9s2", "rmd9s3", "gnp9p30"]
 
