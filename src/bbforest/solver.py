@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress
 from typing import Iterator
 
 from .core import BalancedBipartiteGraph, VertexSubset, _forest_masks
@@ -71,6 +71,8 @@ _C4_PAIR_BUDGET = 128
 # a vertex's id within its part fits in this many low bits of a sort key
 _ID_BITS = (SOLVER_PART_CAP - 1).bit_length()
 _ID_MASK = (1 << _ID_BITS) - 1
+# maps the digits of bin() to the bytes 0 and 1
+_BIT = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -382,16 +384,19 @@ class _Search:
     total - incumbent - 1 vertices, all of them candidates, and must shed
     every edge beyond its own vertex count minus one. So only the largest
     candidate degrees count, never those of ``s``, which no forest below
-    the node drops (Fomin, Gaspers, Pyatkin & Razgon, Algorithmica 52,
-    2008, bound over the undecided vertices too). An active vertex with no
+    the node drops; exact feedback vertex set algorithms bound over the
+    undecided vertices alike (Fomin, Gaspers, Pyatkin & Razgon,
+    Algorithmica 52, 2008; Xiao & Nagamochi, J. Comb. Optim. 30, 2015).
+    See ``_edge_cut_refutes`` for the proof. An active vertex with no
     active neighbour is a component of every forest that takes it, so a
     forest carries one edge fewer for each such vertex; a candidate of
     degree 0 is one, and it stays out of the dropped degrees, where it
     would count -1 and could refute a forest that exists. After
     propagation every candidate has at least three active neighbours, so
     in the search the list holds none, but the bound does not rely on it.
-    One pass over ``r`` fills the candidates' degrees and finds the
-    branch pick's candidate of maximum degree.
+    The candidates' degrees are taken from the degree list at C speed,
+    with ``r``'s binary digits as the selector, so a node the bound
+    prunes walks no mask bit by bit.
 
     Branch vertex: a candidate on a 4-cycle of the active graph when a
     bounded probe finds one, else the candidate of maximum active degree;
@@ -519,29 +524,24 @@ class _Search:
                     m ^= b
                     deg[b.bit_length() - 1] -= 1
 
-        # one pass over the candidates gives the bound their degrees and
-        # the branch pick its candidate of maximum degree, lowest id first
-        cand = []
-        best_deg = -1
-        m = r
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
-            d = deg[u]
-            cand.append(d)
-            if d > best_deg:
-                best_deg = d
-                v = u
+        # the candidates' degrees: r's bits, lowest first and made 0/1
+        # bytes, select them from the list
+        cand = list(compress(deg, bin(r)[:1:-1].encode().translate(_BIT)))
         if _edge_cut_refutes(deg, cand, total, self.best_size):
             return
 
         # branch on a 4-cycle candidate if the probe finds one, else on any
-        # candidate
+        # candidate; maximum active degree, lowest id first
         cyc = self._find_c4(act, c4) if c4 >= 0 else -1
-        if cyc > 0:
-            v = max((b.bit_length() - 1 for b in _bits(cyc & r)),
-                    key=deg.__getitem__)
+        pool = cyc & r if cyc > 0 else r
+        best_deg = -1
+        while pool:
+            b = pool & -pool
+            pool ^= b
+            u = b.bit_length() - 1
+            if deg[u] > best_deg:
+                best_deg = deg[u]
+                v = u
         # include first: candidates the merge kills leave, and their
         # neighbours turn dirty; excluding v turns its neighbours dirty
         b = 1 << v
