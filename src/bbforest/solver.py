@@ -72,7 +72,7 @@ _C4_PAIR_BUDGET = 128
 _ID_BITS = (SOLVER_PART_CAP - 1).bit_length()
 _ID_MASK = (1 << _ID_BITS) - 1
 # maps the digits of bin() to the bytes 0 and 1
-_BIT = bytes.maketrans(b"01", b"\0\1")
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -526,7 +526,8 @@ class _Search:
 
         # the candidates' degrees: r's bits, lowest first and made 0/1
         # bytes, select them from the list
-        cand = list(compress(deg, bin(r)[:1:-1].encode().translate(_BIT)))
+        picks = bin(r)[:1:-1].encode().translate(_DIGIT_BYTES)
+        cand = list(compress(deg, picks))
         if _edge_cut_refutes(deg, cand, total, self.best_size):
             return
 

@@ -120,8 +120,10 @@ NO_PROBE = [(make, name) for make, name in GRAPHS if make().n <= 20]
 @pytest.mark.parametrize("make", [m for m, _ in NO_PROBE],
                          ids=[name for _, name in NO_PROBE])
 def test_c4_probe_keeps_forest_number_and_witness(make, monkeypatch):
-    # the probe only picks the branch vertex, so switched off it must move
-    # the node count, in either direction, and nothing else
+    # switched off, the probe must move the node count and nothing else:
+    # a probe the search no longer calls fails here. The count may move
+    # either way; with the edge-cut bound over the candidates, five of
+    # these six graphs take fewer nodes without the probe
     g = make()
     res = max_forest(g)
     monkeypatch.setattr(solver._Search, "_find_c4",
