@@ -379,24 +379,19 @@ class _Search:
     depends on the firing order, which is fixed, and the search stays
     deterministic.
 
-    A node is pruned by the edge-cut bound (``_edge_cut_refutes``): a
-    forest F with s <= F <= s | r above the incumbent drops at most
-    total - incumbent - 1 vertices, all of them candidates, and must shed
-    every edge beyond its own vertex count minus one. So only the largest
-    candidate degrees count, never those of ``s``, which no forest below
-    the node drops; exact feedback vertex set algorithms bound over the
-    undecided vertices alike (Fomin, Gaspers, Pyatkin & Razgon,
-    Algorithmica 52, 2008; Xiao & Nagamochi, J. Comb. Optim. 30, 2015).
-    See ``_edge_cut_refutes`` for the proof. An active vertex with no
-    active neighbour is a component of every forest that takes it, so a
-    forest carries one edge fewer for each such vertex; a candidate of
-    degree 0 is one, and it stays out of the dropped degrees, where it
-    would count -1 and could refute a forest that exists. After
-    propagation every candidate has at least three active neighbours, so
-    in the search the list holds none, but the bound does not rely on it.
-    The candidates' degrees are taken from the degree list at C speed,
-    with ``r``'s binary digits as the selector, so a node the bound
-    prunes walks no mask bit by bit.
+    A node is pruned by the edge-cut bound (``_edge_cut_refutes``). A
+    forest below the node keeps ``s``, so the bound counts only the
+    candidates' degrees among those a forest may drop, as exact feedback
+    vertex set algorithms bound over the undecided vertices (Fomin,
+    Gaspers, Pyatkin & Razgon, Algorithmica 52, 2008; Xiao & Nagamochi,
+    J. Comb. Optim. 30, 2015). An active vertex with no active neighbour
+    is a component of every forest that takes it, so a forest carries one
+    edge fewer for each such vertex, and a zero-degree candidate stays out
+    of the dropped degrees. After propagation every candidate has at
+    least three active neighbours, so the search hands the bound none,
+    but the bound does not rely on it. The candidates' degrees are
+    selected from the degree list at C speed, with ``r``'s binary digits
+    as the selector, so a node the bound prunes walks no mask bit by bit.
 
     Branch vertex: a candidate on a 4-cycle of the active graph when a
     bounded probe finds one, else the candidate of maximum active degree;
