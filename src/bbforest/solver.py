@@ -66,8 +66,6 @@ __all__ = [
 BRUTE_FORCE_VERTEX_CAP = 24
 # adjacency rows must fit one machine word
 SOLVER_PART_CAP = 64
-# pair probes per node when hunting a 4-cycle to branch on
-_C4_PAIR_BUDGET = 128
 # a vertex's id within its part fits in this many low bits of a sort key
 _ID_BITS = (SOLVER_PART_CAP - 1).bit_length()
 _ID_MASK = (1 << _ID_BITS) - 1
@@ -393,21 +391,8 @@ class _Search:
     selected from the degree list at C speed, with ``r``'s binary digits
     as the selector, so a node the bound prunes walks no mask bit by bit.
 
-    Branch vertex: a candidate on a 4-cycle of the active graph when a
-    bounded probe finds one, else the candidate of maximum active degree;
-    ties break on lowest global id and the include branch is explored
-    first. The probe visits pairs of active V1 vertices in id order under
-    a fixed pair budget; it tests all later partners of a vertex at once
-    with bit-parallel once/twice masks and charges the budget for each
-    partner it passes. When it proves the active graph free of 4-cycles,
-    the subtree skips it: active sets only shrink below a node. A child
-    takes its parent's cycle while all four of its vertices stay active,
-    and that is the cycle a fresh probe would return. Every pair the
-    parent tried before the cycle's pair (a, c) had no 4-cycle in a larger
-    active set, so it has none now; each budget charge can only fall as
-    the active set shrinks; and the two lowest common neighbours of a and
-    c are still active, so they are still the lowest. All of this is
-    deterministic.
+    Branch vertex: the candidate of maximum active degree, highest global
+    id on ties; the include branch is explored first.
 
     The edge-cut bound and the branch pick read active degrees from a list
     indexed by global id, 0 for inactive ids. A node is handed its parent's
@@ -457,7 +442,7 @@ class _Search:
         act = s | r
         deg = [(row & act).bit_count() if act >> u & 1 else 0
                for u, row in enumerate(self.adj)]
-        self._branch(s, r, comps, r, 0, deg, 0)
+        self._branch(s, r, comps, r, deg, 0)
 
     def _neighbours(self, mask: int) -> int:
         """Union of the neighbourhoods of the vertices in ``mask``."""
@@ -470,7 +455,7 @@ class _Search:
         return out
 
     def _branch(self, s: int, r: int, comps: tuple[int, ...], dirty: int,
-                c4: int, deg: list[int], gone: int) -> None:
+                deg: list[int], gone: int) -> None:
         self.nodes += 1
         adj = self.adj
 
@@ -526,16 +511,14 @@ class _Search:
         if _edge_cut_refutes(deg, cand, total, self.best_size):
             return
 
-        # branch on a 4-cycle candidate if the probe finds one, else on any
-        # candidate; maximum active degree, lowest id first
-        cyc = self._find_c4(act, c4) if c4 >= 0 else -1
-        pool = cyc & r if cyc > 0 else r
+        # branch on the candidate of maximum active degree, highest id on ties
+        pool = r
         best_deg = -1
         while pool:
             b = pool & -pool
             pool ^= b
             u = b.bit_length() - 1
-            if deg[u] > best_deg:
+            if deg[u] >= best_deg:
                 best_deg = deg[u]
                 v = u
         # include first: candidates the merge kills leave, and their
@@ -544,56 +527,11 @@ class _Search:
         row = adj[v]
         merged, dead = _merge(comps, b, row)
         dead &= r ^ b
-        self._branch(s | b, r ^ b ^ dead, merged, self._neighbours(dead),
-                     cyc, deg, dead)
+        self._branch(s | b, r ^ b ^ dead, merged, self._neighbours(dead), deg,
+                     dead)
         if self.stopped:
             return
-        self._branch(s, r ^ b, comps, row, cyc, deg, b)
-
-    def _find_c4(self, act: int, known: int = 0) -> int:
-        """Bounded probe for a 4-cycle among active vertices.
-
-        Pairs a < c of active V1 vertices count against the pair budget in
-        ascending order; a vertex with fewer than two active neighbours
-        pairs with nothing. Returns the mask of the first 4-cycle found
-        within the budget (a, c and their two lowest common neighbours),
-        0 when the budget runs out first, and -1 when the active graph has
-        no 4-cycle at all. ``known``, a parent node's result, is returned
-        as it is while all four of its vertices are active: it is what the
-        probe would find (see the class docstring).
-        """
-        if known and known & act == known:
-            return known
-        adj = self.adj
-        budget = _C4_PAIR_BUDGET
-        m = act & ((1 << self.n) - 1)
-        while m:
-            a = m & -m
-            m ^= a  # m: the later active V1 vertices
-            ra = adj[a.bit_length() - 1] & act
-            if ra.bit_count() < 2:
-                continue
-            once = twice = 0
-            x = ra
-            while x:
-                j = x & -x
-                x ^= j
-                nb = adj[j.bit_length() - 1] & m
-                twice |= once & nb
-                once |= nb
-            if twice:
-                c = twice & -twice
-                # c is the (popcount below c + 1)-th pair probed for a
-                if (m & (c - 1)).bit_count() >= budget:
-                    return 0
-                common = ra & adj[c.bit_length() - 1]
-                j = common & -common
-                common ^= j
-                return a | c | j | (common & -common)
-            budget -= m.bit_count()
-            if budget <= 0:
-                return 0
-        return -1
+        self._branch(s, r ^ b, comps, row, deg, b)
 
     def feasible_with(self, inc: int, out: int, target: int) -> int | None:
         """Some induced forest of at least ``target`` >= 1 vertices that

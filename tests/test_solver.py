@@ -143,7 +143,7 @@ def test_handed_degrees_match_the_active_graph(monkeypatch):
     branch = solver._Search._branch
     checked = []
 
-    def checking(self, s, r, comps, dirty, c4, deg, gone):
+    def checking(self, s, r, comps, dirty, deg, gone):
         act = s | r
         assert not gone & act and len(deg) == 2 * self.n
         got = [deg[u] - (self.adj[u] & gone).bit_count()
@@ -152,7 +152,7 @@ def test_handed_degrees_match_the_active_graph(monkeypatch):
                 for u in range(2 * self.n)]
         assert got == want, (s, r, gone)
         checked.append(1)
-        return branch(self, s, r, comps, dirty, c4, deg, gone)
+        return branch(self, s, r, comps, dirty, deg, gone)
 
     monkeypatch.setattr(solver._Search, "_branch", checking)
     rng = random.Random(10)
@@ -368,44 +368,37 @@ def test_nodes_explored_positive_and_elapsed_sane():
     assert res.elapsed >= 0.0
 
 
-def _c4_pair_scan(g, act):
-    """The 4-cycle probe's specification, one pair at a time: pairs a < c of
-    active V1 vertices in id order, each costing one unit of the budget, with
-    vertices of fewer than two active neighbours skipped. Returns the cycle's
-    global-id mask, 0 when the budget runs out, -1 when no pair closes one."""
-    n = g.n
-    ids = [i for i in range(n) if act >> i & 1]
-    budget = solver._C4_PAIR_BUDGET
-    for x, a in enumerate(ids):
-        ra = g.adj1[a] & act >> n
-        if ra.bit_count() < 2:
-            continue
-        for c in ids[x + 1:]:
-            budget -= 1
-            common = [j for j in range(n) if (ra & g.adj1[c]) >> j & 1]
-            if len(common) >= 2:
-                j1, j2 = common[:2]
-                return 1 << a | 1 << c | 1 << n + j1 | 1 << n + j2
-            if budget <= 0:
-                return 0
-    return -1
+def test_branch_vertex_has_maximum_active_degree_highest_id_on_ties(
+        monkeypatch):
+    # a node that calls both children branched on b = s_include ^ s_exclude,
+    # and its active set after propagation is s_exclude | r_exclude | b; b
+    # must have the maximum active degree among the node's candidates
+    # r_exclude | b, with the highest id on ties
+    branch = solver._Search._branch
+    children = [[]]  # per open call, the (s, r) of the calls it made
+    checked = []
 
+    def recording(self, s, r, comps, dirty, deg, gone):
+        children[-1].append((s, r))
+        children.append([])
+        branch(self, s, r, comps, dirty, deg, gone)
+        made = children.pop()
+        if len(made) == 2:
+            (s_in, _), (s_out, r_out) = made
+            b = s_in ^ s_out
+            act = s_out | r_out | b
+            cand = [u for u in range(2 * self.n) if (r_out | b) >> u & 1]
+            degs = {u: (self.adj[u] & act).bit_count() for u in cand}
+            top = max(degs.values())
+            assert b == 1 << max(u for u in cand if degs[u] == top), (s_out, b)
+            checked.append(sum(d == top for d in degs.values()) > 1)
 
-def test_c4_probe_matches_pair_scan():
-    # sparse graphs give 4-cycle-free active sets, dense n = 64 ones run the
-    # budget out; every outcome must occur
-    outcomes = set()
-    for seed, (n, p) in enumerate([(6, 0.5), (12, 0.2), (20, 0.15), (20, 0.4),
-                                   (40, 0.1), (64, 0.05), (64, 0.5)]):
-        g = random_bipartite(n, p, seed)
-        search = solver._Search(g)
-        rng = random.Random(seed)
-        for _ in range(200):
-            act = rng.getrandbits(2 * n) | rng.getrandbits(2 * n)
-            got = search._find_c4(act)
-            assert got == _c4_pair_scan(g, act)
-            outcomes.add(min(got, 1))
-    assert outcomes == {-1, 0, 1}
+    monkeypatch.setattr(solver._Search, "_branch", recording)
+    for gi in range(30):
+        n = 8 + gi % 10
+        max_forest(random_bipartite(n, (0.2, 0.3, 0.45)[gi % 3], 100 + gi))
+    # the tie rule decides at most of these nodes
+    assert len(checked) > 1000 and sum(checked) > len(checked) // 2
 
 
 def test_count_refutes_only_sizes_above_the_forest_number():
