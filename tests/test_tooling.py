@@ -67,24 +67,29 @@ def test_package_exports_every_module_export():
 
 
 def _private_definitions(tree):
-    # (name, line) of each module-level private function, class and constant
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            found = [node.name]
-        elif isinstance(node, ast.Assign):
-            found = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign):
-            found = [getattr(node.target, "id", "")]
-        else:
-            continue
-        for name in found:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node.lineno
+    # (name, line) of each private function, class and constant at module
+    # level, and of each private method and class attribute of a
+    # module-level class
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    for scope in [tree, *classes]:
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found = [node.name]
+            elif isinstance(node, ast.Assign):
+                found = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                found = [getattr(node.target, "id", "")]
+            else:
+                continue
+            for name in found:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield name, node.lineno
 
 
 def test_every_private_definition_is_read():
-    # a private function, class or constant no module reads is dead code,
-    # such as a bound left behind after its test was inlined
+    # a private function, class, constant, method or class attribute no
+    # module reads is dead code, such as a bound left behind after its test
+    # was inlined, or a method left behind after its caller went
     trees = {path.name: _tree(path) for path in MODULES}
     read = set()
     for tree in trees.values():
