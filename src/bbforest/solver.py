@@ -527,8 +527,8 @@ class _Search:
         row = adj[v]
         merged, dead = _merge(comps, b, row)
         dead &= r ^ b
-        self._branch(s | b, r ^ b ^ dead, merged, self._neighbours(dead), deg,
-                     dead)
+        self._branch(s | b, r ^ b ^ dead, merged, self._neighbours(dead),
+                     deg, dead)
         if self.stopped:
             return
         self._branch(s, r ^ b, comps, row, deg, b)

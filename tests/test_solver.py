@@ -397,7 +397,8 @@ def test_branch_vertex_has_maximum_active_degree_highest_id_on_ties(
     for gi in range(30):
         n = 8 + gi % 10
         max_forest(random_bipartite(n, (0.2, 0.3, 0.45)[gi % 3], 100 + gi))
-    # the tie rule decides at most of these nodes
+    # more than half of these nodes tie on the maximum, so the tie rule
+    # decides them
     assert len(checked) > 1000 and sum(checked) > len(checked) // 2
 
 
