@@ -392,7 +392,18 @@ class _Search:
     as the selector, so a node the bound prunes walks no mask bit by bit.
 
     Branch vertex: the candidate of maximum active degree, highest global
-    id on ties; the include branch is explored first.
+    id on ties. The optimum, which has no stop size, explores the include
+    child first. A search with a stop size explores the exclude child
+    first: dropping the candidate of highest degree is what the greedy
+    forest does, so a forest of the target size turns up sooner. This is
+    value ordering that tries to succeed first (Geelen, "Dual viewpoint
+    heuristics for binary constraint satisfaction problems", ECAI 1992).
+    A stopped search's floor is one below its stop size, so its first new
+    incumbent ends it. One that refutes never changes its incumbent, and
+    no prune or pick reads anything else the child order could change, so
+    it explores the same tree in either order: the order moves only the
+    searches that find a forest, and the lex walk fixes f and every
+    witness whichever forest they find.
 
     The edge-cut bound and the branch pick read active degrees from a list
     indexed by global id, 0 for inactive ids. A node is handed its parent's
@@ -521,17 +532,21 @@ class _Search:
             if deg[u] >= best_deg:
                 best_deg = deg[u]
                 v = u
-        # include first: candidates the merge kills leave, and their
-        # neighbours turn dirty; excluding v turns its neighbours dirty
+        # including v: candidates the merge kills leave, and their
+        # neighbours turn dirty; excluding v turns its neighbours dirty.
+        # A search with a stop size explores the exclude child first.
         b = 1 << v
         row = adj[v]
         merged, dead = _merge(comps, b, row)
         dead &= r ^ b
-        self._branch(s | b, r ^ b ^ dead, merged, self._neighbours(dead),
-                     deg, dead)
-        if self.stopped:
-            return
-        self._branch(s, r ^ b, comps, row, deg, b)
+        include = (s | b, r ^ b ^ dead, merged, self._neighbours(dead), deg,
+                   dead)
+        exclude = (s, r ^ b, comps, row, deg, b)
+        first, second = ((exclude, include) if self.stop_at
+                         else (include, exclude))
+        self._branch(*first)
+        if not self.stopped:
+            self._branch(*second)
 
     def feasible_with(self, inc: int, out: int, target: int) -> int | None:
         """Some induced forest of at least ``target`` >= 1 vertices that

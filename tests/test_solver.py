@@ -368,15 +368,13 @@ def test_nodes_explored_positive_and_elapsed_sane():
     assert res.elapsed >= 0.0
 
 
-def test_branch_vertex_has_maximum_active_degree_highest_id_on_ties(
-        monkeypatch):
-    # a node that calls both children branched on b = s_include ^ s_exclude,
-    # and its active set after propagation is s_exclude | r_exclude | b; b
-    # must have the maximum active degree among the node's candidates
-    # r_exclude | b, with the highest id on ties
+def _two_child_nodes(monkeypatch):
+    """Solve 30 random graphs with ``_branch`` recorded; returns, for each
+    node that called both children, its search, that search's stop size and
+    the (s, r) each child was called with, in call order."""
     branch = solver._Search._branch
     children = [[]]  # per open call, the (s, r) of the calls it made
-    checked = []
+    nodes = []
 
     def recording(self, s, r, comps, dirty, deg, gone):
         children[-1].append((s, r))
@@ -384,22 +382,48 @@ def test_branch_vertex_has_maximum_active_degree_highest_id_on_ties(
         branch(self, s, r, comps, dirty, deg, gone)
         made = children.pop()
         if len(made) == 2:
-            (s_in, _), (s_out, r_out) = made
-            b = s_in ^ s_out
-            act = s_out | r_out | b
-            cand = [u for u in range(2 * self.n) if (r_out | b) >> u & 1]
-            degs = {u: (self.adj[u] & act).bit_count() for u in cand}
-            top = max(degs.values())
-            assert b == 1 << max(u for u in cand if degs[u] == top), (s_out, b)
-            checked.append(sum(d == top for d in degs.values()) > 1)
+            nodes.append((self, self.stop_at, made))
 
     monkeypatch.setattr(solver._Search, "_branch", recording)
     for gi in range(30):
         n = 8 + gi % 10
         max_forest(random_bipartite(n, (0.2, 0.3, 0.45)[gi % 3], 100 + gi))
+    return nodes
+
+
+def test_branch_vertex_has_maximum_active_degree_highest_id_on_ties(
+        monkeypatch):
+    # a node that calls both children branched on b = s_include ^ s_exclude,
+    # and its active set after propagation is s_exclude | r_exclude | b; b
+    # must have the maximum active degree among the node's candidates
+    # r_exclude | b, with the highest id on ties
+    checked = []
+    for search, _, made in _two_child_nodes(monkeypatch):
+        # the include child's s is the exclude child's plus b
+        (s_in, _), (s_out, r_out) = sorted(made, reverse=True)
+        b = s_in ^ s_out
+        act = s_out | r_out | b
+        cand = [u for u in range(2 * search.n) if (r_out | b) >> u & 1]
+        degs = {u: (search.adj[u] & act).bit_count() for u in cand}
+        top = max(degs.values())
+        assert b == 1 << max(u for u in cand if degs[u] == top), (s_out, b)
+        checked.append(sum(d == top for d in degs.values()) > 1)
     # more than half of these nodes tie on the maximum, so the tie rule
     # decides them
     assert len(checked) > 1000 and sum(checked) > len(checked) // 2
+
+
+def test_exclude_child_first_only_with_a_stop_size(monkeypatch):
+    # the exclude child is called with its parent's s, the include child
+    # with s plus the branch vertex; the optimum has no stop size, the
+    # pinning queries have one
+    seen = {0: 0, 1: 0}
+    for _, stop, ((s1, _), (s2, _)) in _two_child_nodes(monkeypatch):
+        assert (s1 ^ s2).bit_count() == 1
+        exclude_first = s1 < s2
+        assert exclude_first == bool(stop), (stop, s1, s2)
+        seen[exclude_first] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_count_refutes_only_sizes_above_the_forest_number():
