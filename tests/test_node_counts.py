@@ -45,24 +45,24 @@ CASES = [
      (tuple(range(48)), (0,)), 0),
     (lambda: random_bipartite(12, 0.3, 7), 18, 23,
      ((1, 3, 4, 5, 7, 9), tuple(range(12))), 6),
-    (lambda: random_bipartite(16, 0.25, 5), 24, 135,
-     (_all_but(16, 1), (0, 1, 5, 6, 7, 9, 10, 12, 15)), 10),
+    (lambda: random_bipartite(16, 0.25, 5), 24, 168,
+     (_all_but(16, 1), (0, 1, 5, 6, 7, 9, 10, 12, 15)), 9),
     (lambda: random_min_degree(64, 33, 1), 65, 1,
      (tuple(range(64)), (0,)), 0),
     (lambda: random_bipartite(18, 0.2, 7), 27, 149,
      (tuple(range(18)), (0, 5, 7, 9, 12, 13, 14, 15, 17)), 10),
     (lambda: random_bipartite(18, 0.15, 7), 31, 41,
      (_all_but(18, 0, 7, 12, 16), _all_but(18, 16)), 5),
-    (lambda: random_bipartite(20, 0.3, 7), 24, 903,
+    (lambda: random_bipartite(20, 0.3, 7), 24, 1910,
      (tuple(range(20)), (7, 8, 13, 19)), 18),
     (lambda: random_bipartite(28, 0.2, 7), 36, 674,
      (tuple(range(28)), (2, 5, 6, 9, 15, 19, 23, 26)), 20),
-    (lambda: random_bipartite(28, 0.15, 7), 39, 3864,
-     (tuple(range(28)), (2, 4, 5, 7, 9, 10, 15, 16, 17, 23, 26)), 17),
+    (lambda: random_bipartite(28, 0.15, 7), 39, 2586,
+     (tuple(range(28)), (2, 4, 5, 7, 9, 10, 15, 16, 17, 23, 26)), 19),
     (lambda: random_bipartite(32, 0.2, 7), 40, 2262,
      (_all_but(32, 28), (7, 9, 10, 15, 17, 21, 22, 26, 30)), 23),
-    (lambda: random_bipartite(32, 0.15, 7), 43, 15762,
-     (tuple(range(32)), (2, 5, 7, 8, 13, 15, 17, 21, 23, 26, 30)), 22),
+    (lambda: random_bipartite(32, 0.15, 7), 43, 8959,
+     (tuple(range(32)), (2, 5, 7, 8, 13, 15, 17, 21, 23, 26, 30)), 24),
 ]
 CASE_IDS = ["rmd32", "rmd48", "gnp12", "gnp16", "rmd64", "gnp18p20",
             "gnp18p15", "gnp20p30", "gnp28p20", "gnp28p15", "gnp32p20",
@@ -84,9 +84,9 @@ DENSE_SEARCH_CASES = [
 # listing every maximum forest, then the queries and nodes of listing them
 # without the forest number
 ENUMERATION_CASES = [
-    (lambda: random_min_degree(9, 6, 1), 10, 18, 60, 46, 59, 54),
-    (lambda: random_min_degree(9, 6, 2), 10, 18, 60, 56, 59, 57),
-    (lambda: random_min_degree(9, 6, 3), 10, 18, 60, 6, 59, 5),
+    (lambda: random_min_degree(9, 6, 1), 10, 18, 60, 33, 59, 23),
+    (lambda: random_min_degree(9, 6, 2), 10, 18, 60, 12, 59, 13),
+    (lambda: random_min_degree(9, 6, 3), 10, 18, 60, 43, 59, 33),
     (lambda: random_bipartite(9, 0.3, 4), 14, 27, 140, 128, 139, 137),
 ]
 ENUMERATION_IDS = ["rmd9s1", "rmd9s2", "rmd9s3", "gnp9p30"]
