@@ -21,7 +21,8 @@ from typing import Callable, NamedTuple
 from .core import emit_bbg, parse_bbg
 from .errors import BBForestError, MalformedInputError, PostconditionError
 from .generators import _FAMILIES, FAMILIES, GeneratorSpec, build
-from .solver import BRUTE_FORCE_VERTEX_CAP, max_forest, max_forest_bruteforce
+from .solver import (BRUTE_FORCE_VERTEX_CAP, SolveResult, max_forest,
+                     max_forest_bruteforce)
 from .theorems import (ENUMERATION_BUDGET, THEOREM_IDS, VerificationReport,
                        _check_sizes, check_bounds, merge_reports,
                        profile_structure, verify_constructions,
@@ -139,25 +140,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _solve_json(n: int, res: SolveResult, timing: bool) -> str:
+    """``solve``'s record as ``json.dumps(record, ensure_ascii=False,
+    indent=2)`` writes it, spelled out for its one fixed shape: with
+    ``indent``, ``json.dumps`` runs CPython's pure-Python encoder."""
+    def ids(vs: tuple[int, ...]) -> str:
+        return ("[\n      " + ",\n      ".join(map(str, vs)) + "\n    ]"
+                if vs else "[]")
+
+    v1, v2 = res.witness.indices()
+    text = (f'{{\n  "n": {n},\n'
+            f'  "forest_number": {res.forest_number},\n'
+            f'  "decycling_number": {res.decycling_number},\n'
+            f'  "witness": {{\n    "v1": {ids(v1)},\n'
+            f'    "v2": {ids(v2)}\n  }},\n'
+            f'  "nodes_explored": {res.nodes_explored}')
+    if timing:
+        text += f',\n  "elapsed_ms": {round(res.elapsed * 1000.0, 3)!r}'
+    return text + "\n}"
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = _read_graph(args.path)
     if args.brute:
         res = max_forest_bruteforce(g, cap=args.brute_cap)
     else:
         res = max_forest(g)
-    v1, v2 = res.witness.indices()
     if args.format == "json":
-        out = {
-            "n": g.n,
-            "forest_number": res.forest_number,
-            "decycling_number": res.decycling_number,
-            "witness": {"v1": list(v1), "v2": list(v2)},
-            "nodes_explored": res.nodes_explored,
-        }
-        if not args.no_timing:
-            out["elapsed_ms"] = round(res.elapsed * 1000.0, 3)
-        print(json.dumps(out, ensure_ascii=False, indent=2))
+        print(_solve_json(g.n, res, not args.no_timing))
     else:
+        v1, v2 = res.witness.indices()
         print(f"n: {g.n}")
         print(f"forest number: {res.forest_number}")
         print(f"decycling number: {res.decycling_number}")

@@ -41,6 +41,32 @@ def test_solve_json_output(tmp_path, capsys):
     assert "elapsed_ms" not in payload
 
 
+@pytest.mark.parametrize("n, s1, s2", [
+    (1, 0b1, 0b1), (1, 0b1, 0), (1, 0, 0), (3, 0, 0b101),
+    (64, (1 << 64) - 1, 0b1), (64, 0x8000_0000_0000_0001, 1 << 63),
+])
+@pytest.mark.parametrize("elapsed", [None, 0.0, 1e-9, 0.0012345, 0.25,
+                                     3.1415926, 12345.678901])
+def test_solve_json_text_is_json_dumps(n, s1, s2, elapsed):
+    # solve writes its record without json.dumps; the text must be the one
+    # json.dumps(..., ensure_ascii=False, indent=2) gives, byte for byte
+    witness = solver.VertexSubset(s1, s2)
+    f = witness.size
+    res = solver.SolveResult(f, witness, 2 * n - f, 12345, elapsed or 0.0)
+    v1, v2 = witness.indices()
+    record = {
+        "n": n,
+        "forest_number": f,
+        "decycling_number": 2 * n - f,
+        "witness": {"v1": list(v1), "v2": list(v2)},
+        "nodes_explored": 12345,
+    }
+    if elapsed is not None:
+        record["elapsed_ms"] = round(elapsed * 1000.0, 3)
+    assert cli._solve_json(n, res, elapsed is not None) == json.dumps(
+        record, ensure_ascii=False, indent=2)
+
+
 def test_solve_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(K22))
     assert run(["solve"]) == 0
