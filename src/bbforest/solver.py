@@ -397,8 +397,8 @@ class _Search:
     candidate two merged pieces see, so the include child shrinks most;
     exact feedback vertex set algorithms branch next to the forced forest
     for the same reason (Fomin et al., above). The count costs one
-    popcount per candidate, and only at nodes that branch: the incumbent,
-    leaf and bound tests return before it.
+    popcount per candidate of maximum degree, and only at nodes that
+    branch: the incumbent, leaf and bound tests return before it.
 
     Child order: the optimum, which has no stop size, explores the include
     child first; a search with a stop size explores the exclude child
@@ -531,33 +531,33 @@ class _Search:
             return
 
         # branch on the candidate of maximum active degree, then most
-        # neighbours in s, then highest id; both counts are at most n, so
-        # the key degree << 7 | neighbours orders them
-        pool = r
-        best_key = -1
-        while pool:
-            b = pool & -pool
-            pool ^= b
-            u = b.bit_length() - 1
-            key = deg[u] << 7 | (adj[u] & s).bit_count()
-            if key >= best_key:
-                best_key = key
-                v = u
-        # including v: candidates the merge kills leave, and their
-        # neighbours turn dirty; excluding v turns its neighbours dirty.
-        # A search with a stop size explores the exclude child first.
+        # neighbours in s, then highest id; the selector pairs each
+        # candidate's id with its degree in cand, and only those of maximum
+        # degree take a popcount
+        top = max(cand)
+        most = -1
+        for u, d in zip(compress(range(len(deg)), picks), cand):
+            if d == top:
+                k = (adj[u] & s).bit_count()
+                if k >= most:
+                    most = k
+                    v = u
         b = 1 << v
         row = adj[v]
+        # a search with a stop size excludes v first; excluding v turns its
+        # neighbours dirty
+        if self.stop_at:
+            self._branch(s, r ^ b, comps, row, deg, b)
+            if self.stopped:
+                return
+        # including v: candidates the merge kills leave, and their
+        # neighbours turn dirty
         merged, dead = _merge(comps, b, row)
         dead &= r ^ b
-        include = (s | b, r ^ b ^ dead, merged, self._neighbours(dead), deg,
-                   dead)
-        exclude = (s, r ^ b, comps, row, deg, b)
-        first, second = ((exclude, include) if self.stop_at
-                         else (include, exclude))
-        self._branch(*first)
-        if not self.stopped:
-            self._branch(*second)
+        self._branch(s | b, r ^ b ^ dead, merged, self._neighbours(dead),
+                     deg, dead)
+        if not self.stop_at:
+            self._branch(s, r ^ b, comps, row, deg, b)
 
     def feasible_with(self, inc: int, out: int, target: int) -> int | None:
         """Some induced forest of at least ``target`` >= 1 vertices that
