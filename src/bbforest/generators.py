@@ -165,7 +165,9 @@ def thh1_l2(n: int, k: int) -> BalancedBipartiteGraph:
     The base on parts of size n (n even) is complete except that vertex 0 of
     V1 misses the last n/2 - 1 columns. Vertex x joins the first k - 1 of
     those missing columns and y; vertex y joins the first k base vertices of
-    V1 and x. Only x has degree k. Requires even n >= 4 and 2 <= k <= n/2.
+    V1 and x. Only x has degree k. Vertex 0, x and all of V2 form two stars
+    that share only y, a forest of n + 3 vertices. Requires even n >= 4 and
+    2 <= k <= n/2.
     """
     if n < 4 or n % 2:
         raise ParameterError(f"need even n >= 4, got {n}")
@@ -181,7 +183,10 @@ def thh1_l2(n: int, k: int) -> BalancedBipartiteGraph:
     x_row = (((1 << (half + k)) - 1) ^ ((1 << (half + 1)) - 1)) | y_bit
     rows.append(x_row)
     g = from_rows(n + 1, rows)
-    _check_x_degree(g, k, f"thh1_l2({n}, {k})")
+    name = f"thh1_l2({n}, {k})"
+    _check_x_degree(g, k, name)
+    _check(is_induced_forest(g, VertexSubset(1 | 1 << n, (y_bit << 1) - 1)),
+           f"{name}: vertex 0, x and V2 are not a forest")
     return g
 
 
