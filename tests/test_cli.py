@@ -4,6 +4,7 @@ import json
 import pytest
 
 import bbforest.cli as cli
+import bbforest.generators as generators
 import bbforest.solver as solver
 from bbforest import (THEOREM_IDS, VerificationReport, emit_bbg,
                       prop1_construction, random_th7)
@@ -346,6 +347,23 @@ def test_postcondition_failure_exits_three(monkeypatch, capsys):
         "error: internal: PostconditionError: witness pinning found no "
         "forest of 3 vertices\n")
 
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--theorem", "P1", "--n", "4"],
+     "prop1_construction(4): minimum degree is not ceil(n/2)"),
+    (["--theorem", "T8", "--n", "5", "--samples", "1"],
+     "random_th7(5, 1): a degree below (n + 1)/2"),
+])
+def test_generator_missing_its_promise_exits_three(monkeypatch, capsys, argv,
+                                                   err):
+    # the generator owns the claim's hypothesis: an instance outside it is
+    # a bug, not a counterexample
+    monkeypatch.setattr(generators, "min_degree", lambda g: -1)
+    assert run(["verify", *argv, "--no-timing"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal: PostconditionError: {err}\n"
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0

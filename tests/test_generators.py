@@ -1,9 +1,5 @@
-import ast
-from pathlib import Path
-
 import pytest
 
-import bbforest
 import bbforest.generators as generators
 from bbforest import (FAMILIES, GeneratorSpec, ParameterError,
                       PostconditionError, build,
@@ -151,17 +147,38 @@ def test_build_matches_direct_calls():
             == random_min_degree(8, 5, 2))
 
 
-def test_postcondition_failure_raises(monkeypatch):
-    monkeypatch.setattr(generators, "is_induced_forest", lambda g, s: False)
-    with pytest.raises(PostconditionError, match="not a forest"):
-        thm3_lambda2(4)
-    monkeypatch.setattr(generators, "min_degree", lambda g: -1)
-    with pytest.raises(PostconditionError):
-        random_min_degree(4, 2, 0)
+# a 6-cycle: every vertex has degree 2, random_th7's floor at n = 3
+ALL_AT_FLOOR = from_rows(3, [0b011, 0b101, 0b110])
+
+# family, call, patched generators global, stand-in, message; each row
+# breaks one promise the family makes about its graph
+PROMISES = [
+    ("prop1", lambda: prop1_construction(4), "min_degree", lambda g: -1,
+     r"prop1_construction\(4\): minimum degree is not ceil\(n/2\)"),
+    ("thm3_lambda2", lambda: thm3_lambda2(4), "is_induced_forest",
+     lambda g, s: False, r"thm3_lambda2\(4\): witness is not a forest"),
+    ("thm3_lambda_half", lambda: thm3_lambda_half(6), "min_degree",
+     lambda g: -1, r"thm3_lambda_half\(6\): minimum degree below n/2 \+ 1"),
+    ("thh1_l1", lambda: thh1_l1(5, 2), "min_degree", lambda g: -1,
+     r"thh1_l1\(5, 2\): minimum degree is not k"),
+    ("thh1_l2", lambda: thh1_l2(6, 2), "min_degree", lambda g: -1,
+     r"thh1_l2\(6, 2\): minimum degree is not k"),
+    ("thh1_l2", lambda: thh1_l2(6, 2), "is_induced_forest",
+     lambda g, s: False, r"thh1_l2\(6, 2\): vertex 0, x and V2 are not a forest"),
+    ("random_min_degree", lambda: random_min_degree(4, 2, 0), "min_degree",
+     lambda g: -1, r"random_min_degree\(4, 2, 0\): a degree below delta_min"),
+    ("random_th7", lambda: random_th7(5, 1), "min_degree", lambda g: -1,
+     r"random_th7\(5, 1\): a degree below \(n \+ 1\)/2"),
+    ("random_th7", lambda: random_th7(3, 0), "from_rows",
+     lambda n, rows: ALL_AT_FLOOR,
+     r"random_th7\(3, 0\): two floor-degree vertices in one part"),
+]
 
 
-def test_package_has_no_assert_statements():
-    # python -O strips asserts, so a correctness check must raise instead
-    for path in Path(bbforest.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path
+@pytest.mark.parametrize("family, call, attr, fake, message", PROMISES,
+                         ids=[f"{c[0]}-{c[2]}" for c in PROMISES])
+def test_postcondition_failure_raises(monkeypatch, family, call, attr, fake,
+                                      message):
+    monkeypatch.setattr(generators, attr, fake)
+    with pytest.raises(PostconditionError, match=message):
+        call()

@@ -11,7 +11,8 @@ relabellings come from fixed seeds.
 The two local-search helpers are checked by brute force at 2n <= 14: the
 swap must leave a maximal forest with no drop-one-add-two exchange, and
 the descent one with no exchange that adds a vertex below the one it
-drops.
+drops. One full part plus one vertex of the other is a forest in every
+graph, which is why the claim sweeps never check such a set.
 """
 
 import random
@@ -20,8 +21,8 @@ from itertools import combinations
 import pytest
 
 from bbforest import (BalancedBipartiteGraph, VertexSubset,
-                      enumerate_max_forests, from_rows, max_forest,
-                      random_min_degree)
+                      enumerate_max_forests, from_rows, is_induced_forest,
+                      max_forest, random_min_degree)
 from bbforest import solver
 
 from .helpers import forest_oracle, random_bipartite
@@ -203,3 +204,16 @@ def test_descent_keeps_size_and_leaves_no_lower_exchange():
             for y in _ids(~d & (1 << w) - 1):
                 assert not _is_forest(g, d ^ (1 << w | 1 << y)), (g, d, w, y)
     assert moved
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_one_part_plus_one_vertex_is_a_forest(n):
+    # the set induces a star centred on the lone vertex, so T6λ1's one-sided
+    # witness and C1's converse hold on every instance; that such a set is
+    # maximum follows from f = n + 1, which the sweeps check
+    full = (1 << n) - 1
+    for seed, p in enumerate((0.3, 0.6, 1.0)):
+        g = random_bipartite(n, p, 100 * n + seed)
+        for i in range(n):
+            for s in (VertexSubset(full, 1 << i), VertexSubset(1 << i, full)):
+                assert is_induced_forest(g, s) and forest_oracle(g, s), (g, s)
