@@ -359,9 +359,9 @@ def _solve_with_whole_graph(g):
     return SolveResult(g.n + 2, VertexSubset(full, full), g.n - 2, 0, 0.0)
 
 
-# claim, patched theorems global, stand-in, sizes, details (sorted). A
-# stand-in generator breaks the degrees or witness its family promises, so
-# only the forest number, the conclusion the sweep checks, can fail here.
+# claim, patched theorems global, stand-in, sizes, details (sorted). The
+# sweep checks only the conclusion, so a stand-in generator that breaks its
+# family's degrees or witness is reported by the forest number alone.
 CONSTRUCTION_FAILURES = [
     ("P1", "prop1_construction", lambda n: complete_balanced(n), {"ns": [4]},
      ["forest number 5, expected 6 (n=4)"]),
