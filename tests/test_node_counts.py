@@ -12,12 +12,10 @@ which keeps the branch and bound itself pinned on a dense graph.
 
 The enumeration of every maximum forest is pinned apart from ``max_forest``:
 its witness count, its feasibility queries and the nodes its own search
-explores, on graphs of the T2 sweep at n = 9 and on one sparse graph. Run
-without the forest number, the enumeration finds it on its one search and
-starts its walk from the optimum's forest, as ``max_forest`` does: it lists
-the same witnesses with one query fewer, since it need not prove at the
-root that a forest of that size exists. ``max_forest`` stops that walk at
-its first leaf, so its queries are the first ones the enumeration makes.
+explores, the optimum's among them, on graphs of the T2 sweep at n = 9 and
+on one sparse graph. The enumeration runs the walk ``max_forest`` runs and stops at its
+first leaf, so ``max_forest``'s queries are the first ones the enumeration
+makes.
 
 The local search (``_swap_forest``, ``_descend``) only serves the optimum:
 a query, which has a target size, never runs it, and the optimum search
@@ -81,13 +79,12 @@ DENSE_SEARCH_CASES = [
 
 
 # (graph, forest number, witnesses, feasibility queries, search nodes) of
-# listing every maximum forest, then the queries and nodes of listing them
-# without the forest number
+# listing every maximum forest
 ENUMERATION_CASES = [
-    (lambda: random_min_degree(9, 6, 1), 10, 18, 60, 33, 59, 23),
-    (lambda: random_min_degree(9, 6, 2), 10, 18, 60, 12, 59, 13),
-    (lambda: random_min_degree(9, 6, 3), 10, 18, 60, 37, 59, 27),
-    (lambda: random_bipartite(9, 0.3, 4), 14, 27, 140, 128, 139, 137),
+    (lambda: random_min_degree(9, 6, 1), 10, 18, 59, 23),
+    (lambda: random_min_degree(9, 6, 2), 10, 18, 59, 13),
+    (lambda: random_min_degree(9, 6, 3), 10, 18, 59, 27),
+    (lambda: random_bipartite(9, 0.3, 4), 14, 27, 139, 137),
 ]
 ENUMERATION_IDS = ["rmd9s1", "rmd9s2", "rmd9s3", "gnp9p30"]
 
@@ -133,30 +130,23 @@ def counted_queries(monkeypatch, run):
     return result, calls, next(iter(searches), None)
 
 
-def enumerate_counted(g, f, monkeypatch):
-    """List every forest of ``f`` vertices in ``g``, or with ``f`` None
-    every maximum forest; returns the witnesses, the arguments of each
-    feasibility query and the nodes the enumeration's one search
-    explored."""
+def enumerate_counted(g, monkeypatch):
+    """List every maximum forest of ``g``; returns the witnesses, the
+    arguments of each feasibility query and the nodes the enumeration's
+    one search explored."""
     witnesses, calls, search = counted_queries(
-        monkeypatch, lambda: list(enumerate_max_forests(g, forest_number=f)))
+        monkeypatch, lambda: list(enumerate_max_forests(g)))
     return witnesses, calls, search.nodes
 
 
-@pytest.mark.parametrize("make, f, witnesses, queries, nodes, "
-                         "unknown_f_queries, unknown_f_nodes",
+@pytest.mark.parametrize("make, f, witnesses, queries, nodes",
                          ENUMERATION_CASES, ids=ENUMERATION_IDS)
 def test_enumeration_cost_pinned(make, f, witnesses, queries, nodes,
-                                 unknown_f_queries, unknown_f_nodes,
                                  monkeypatch):
     g = make()
     assert max_forest(g).forest_number == f
-    listed, calls, explored = enumerate_counted(g, f, monkeypatch)
+    listed, calls, explored = enumerate_counted(g, monkeypatch)
     assert (len(listed), len(calls), explored) == (witnesses, queries, nodes)
-    unknown = enumerate_counted(g, None, monkeypatch)
-    assert unknown[0] == listed
-    assert (len(unknown[1]), unknown[2]) == (unknown_f_queries,
-                                             unknown_f_nodes)
     # no query is hopeless: a branch whose forced-in set and free vertices
     # together fall short of the target cannot hold it, so the walk must
     # not queue it
@@ -175,7 +165,7 @@ def test_witness_is_the_walks_first_leaf(make, monkeypatch):
     # first one listed
     g = make()
     res, calls, _ = counted_queries(monkeypatch, lambda: max_forest(g))
-    listed, listing_calls, _ = enumerate_counted(g, None, monkeypatch)
+    listed, listing_calls, _ = enumerate_counted(g, monkeypatch)
     assert calls and listing_calls[:len(calls)] == calls
     assert listed[0] == res.witness
 
@@ -195,14 +185,35 @@ def test_swap_never_adds_optimum_nodes(make, monkeypatch):
 
 
 def test_queries_never_run_the_local_search(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a query ran the local search")
+    # the optimum runs the local search; a query must not, so each helper
+    # fails while a query is on the stack
+    querying = []
+    ran = set()
+    feasible_with = solver._Search.feasible_with
 
-    monkeypatch.setattr(solver, "_swap_forest", refuse)
-    monkeypatch.setattr(solver, "_descend", refuse)
-    for make, f, witnesses, queries, nodes, *_ in ENUMERATION_CASES:
-        listed, calls, explored = enumerate_counted(make(), f, monkeypatch)
+    def query(self, *args):
+        querying.append(args)
+        try:
+            return feasible_with(self, *args)
+        finally:
+            querying.pop()
+
+    def outside_queries(fn):
+        def run(*args):
+            if querying:
+                raise AssertionError(f"query {querying[-1]} ran {fn.__name__}")
+            ran.add(fn.__name__)
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(solver._Search, "feasible_with", query)
+    for helper in (solver._swap_forest, solver._descend):
+        monkeypatch.setattr(solver, helper.__name__, outside_queries(helper))
+    for make, f, witnesses, queries, nodes in ENUMERATION_CASES:
+        listed, calls, explored = enumerate_counted(make(), monkeypatch)
         assert (len(listed), len(calls), explored) == (witnesses, queries,
                                                         nodes)
+    # gnp9p30's optimum lies above n + 1, so both helpers ran
+    assert ran == {"_swap_forest", "_descend"}
     report = verify_structure(9, samples=3, seed=1, check="T2")
     assert report.instances_checked == 3 and not report.counterexamples

@@ -3,10 +3,10 @@
 No subset-scan oracle reaches these sizes, so the solver is checked against
 itself: relabelling the graph must not move f, deleting an edge must not
 lower it, and every witness must pass the independent forest check. The
-witness must be the first one the enumeration lists, and closing the root
-on the degree count, or switching off the edge-cut bound, the (1, 2)-swap
-or the lexicographic descent, must give what the search gives. Graphs and
-relabellings come from fixed seeds.
+witness must be the first leaf of a lex walk started from no known forest,
+and closing the root on the degree count, or switching off the edge-cut
+bound, the (1, 2)-swap or the lexicographic descent, must give what the
+search gives. Graphs and relabellings come from fixed seeds.
 
 The two local-search helpers are checked by brute force at 2n <= 14: the
 swap must leave a maximal forest with no drop-one-add-two exchange, and
@@ -20,9 +20,8 @@ from itertools import combinations
 
 import pytest
 
-from bbforest import (BalancedBipartiteGraph, VertexSubset,
-                      enumerate_max_forests, from_rows, is_induced_forest,
-                      max_forest, random_min_degree)
+from bbforest import (BalancedBipartiteGraph, VertexSubset, from_rows,
+                      is_induced_forest, max_forest, random_min_degree)
 from bbforest import solver
 
 from .helpers import forest_oracle, random_bipartite
@@ -95,8 +94,10 @@ def test_forest_number_metamorphic(seed, make):
 def test_witness_is_first_enumerated(make):
     g = make()
     res = max_forest(g)
-    first = next(enumerate_max_forests(g, forest_number=res.forest_number))
-    assert first == res.witness
+    # the first leaf of a walk started from no known forest: the optimum's
+    # forest, where max_forest starts, moves only the queries
+    first = next(solver._lex_walk(solver._Search(g), res.forest_number, None))
+    assert first == res.witness.s1 | res.witness.s2 << g.n
 
 
 @pytest.mark.parametrize("make", [m for m, _ in DENSE],

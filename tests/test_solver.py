@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bbforest.solver as solver
-from bbforest import (InstanceTooLargeError, ParameterError,
-                      PostconditionError, VertexSubset, complete_balanced,
-                      decycling_number, enumerate_max_forests, from_rows,
-                      is_induced_forest, max_forest, max_forest_bruteforce,
-                      prop1_construction, random_min_degree, thh1_l2,
-                      verify_structure)
+from bbforest import (InstanceTooLargeError, PostconditionError,
+                      VertexSubset, complete_balanced, decycling_number,
+                      enumerate_max_forests, from_rows, is_induced_forest,
+                      max_forest, max_forest_bruteforce, prop1_construction,
+                      random_min_degree, thh1_l2, verify_structure)
 
 from .helpers import (enumerate_forests_oracle, forest_oracle,
                       max_forest_oracle, random_bipartite)
@@ -242,10 +241,9 @@ def test_solver_part_cap():
     with pytest.raises(InstanceTooLargeError) as err:
         max_forest(from_rows(65, rows))
     assert "64" in str(err.value)
-    # the enumeration refuses at call time too, with or without f
-    for f in (None, 66):
-        with pytest.raises(InstanceTooLargeError):
-            enumerate_max_forests(complete_balanced(65), forest_number=f)
+    # the enumeration refuses at call time too
+    with pytest.raises(InstanceTooLargeError):
+        enumerate_max_forests(complete_balanced(65))
 
 
 def test_enumerate_k22():
@@ -314,28 +312,18 @@ def _differential_graphs():
 
 
 def test_enumerate_matches_subset_scan_oracle():
+    # so does a walk started from no known forest: the start moves only the
+    # queries, never the leaves
     for g in _differential_graphs():
         f = max_forest(g).forest_number
         full = list(enumerate_max_forests(g))
         assert full == enumerate_forests_oracle(g, f), g
+        cold = solver._lex_walk(solver._Search(g), f, None)
+        assert [VertexSubset(s & (1 << g.n) - 1, s >> g.n)
+                for s in cold] == full, g
         for k in (1, 2, len(full) // 2 + 1):
             assert (list(islice(enumerate_max_forests(g), k))
                     == full[:k]), (g, k)
-
-
-def test_enumerate_below_the_optimum_lists_smaller_forests():
-    g = random_bipartite(5, 0.4, 3)
-    f = max_forest(g).forest_number
-    assert f > g.n + 1
-    assert (list(enumerate_max_forests(g, forest_number=f - 1))
-            == enumerate_forests_oracle(g, f - 1))
-
-
-@pytest.mark.parametrize("f", (-1, 0, 3, 7, 100))
-def test_enumerate_rejects_forest_number_out_of_range(f):
-    # every graph on parts of size 3 has 4 <= f <= 6
-    with pytest.raises(ParameterError):
-        enumerate_max_forests(complete_balanced(3), forest_number=f)
 
 
 def test_pinning_postcondition_raises(monkeypatch):
