@@ -12,10 +12,10 @@ optimum asks it with nothing forced and floor n + 1; ``feasible_with``
 stops it at a target size. A lex walk (``_lex_walk``) decides the ids in
 increasing order, include first, and asks ``feasible_with`` whether a
 branch still holds a forest of the target size. Its leaves are every such
-forest, in lexicographic order. Given no size, ``_walk`` finds the
-optimum and starts the walk from its forest made lexicographically
-smaller by single exchanges (``_descend``). ``max_forest`` takes the
-first leaf as its witness and ``enumerate_max_forests`` lists every leaf.
+forest, in lexicographic order. ``_walk`` finds the forest number and
+starts the walk from the optimum's forest made lexicographically smaller
+by single exchanges (``_descend``). ``max_forest`` takes the first leaf
+as its witness and ``enumerate_max_forests`` lists every leaf.
 Each witness costs at most about 4n queries; the number of forests is not
 bounded.
 
@@ -50,7 +50,7 @@ from itertools import accumulate, combinations, compress
 from typing import Iterator
 
 from .core import BalancedBipartiteGraph, VertexSubset, _forest_masks
-from .errors import InstanceTooLargeError, ParameterError, PostconditionError
+from .errors import InstanceTooLargeError, PostconditionError
 
 __all__ = [
     "BRUTE_FORCE_VERTEX_CAP",
@@ -662,18 +662,16 @@ def _lex_walk(search: _Search, target: int,
             yield inc
 
 
-def _walk(search: _Search, f: int | None) -> tuple[int, Iterator[int]]:
-    """The forest size ``f`` and the lex walk over its forests.
+def _walk(search: _Search) -> tuple[int, Iterator[int]]:
+    """The forest number f and the lex walk over the forests of f vertices.
 
-    Given no ``f``, the search finds the forest number: a full part plus
-    any opposite vertex induces a forest, so it asks for more than n + 1
-    vertices; a root that closes on the degree count counts as one node.
-    The walk starts from the search's forest after a lexicographic descent
-    (``_descend``), which changes only its queries, or, with none above
-    n + 1, from all of V1 plus vertex n, the smallest (n + 1)-set.
+    The search finds f: a full part plus any opposite vertex induces a
+    forest, so it asks for more than n + 1 vertices; a root that closes on
+    the degree count counts as one node. The walk starts from the search's
+    forest after a lexicographic descent (``_descend``), which changes only
+    its queries, or, with none above n + 1, from all of V1 plus vertex n,
+    the smallest (n + 1)-set.
     """
-    if f is not None:
-        return f, _lex_walk(search, f, None)
     n = search.n
     best = search.largest(0, 0, n + 1, 0)
     best = _descend(search.adj, best) if best else (1 << n) - 1 | 1 << n
@@ -749,7 +747,7 @@ def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
     n = g.n
     t0 = time.perf_counter()
     search = _Search(g)
-    f, walk = _walk(search, None)
+    f, walk = _walk(search)
     witness = next(walk, None)
     if witness is None:
         raise PostconditionError(
@@ -758,31 +756,22 @@ def max_forest(g: BalancedBipartiteGraph) -> SolveResult:
                        2 * n - f, search.nodes, time.perf_counter() - t0)
 
 
-def enumerate_max_forests(g: BalancedBipartiteGraph, *,
-                          forest_number: int | None = None
-                          ) -> Iterator[VertexSubset]:
+def enumerate_max_forests(g: BalancedBipartiteGraph) -> Iterator[VertexSubset]:
     """Yield every maximum induced forest in lexicographic witness order.
 
     Witnesses are emitted strictly increasing under the global vertex order
     and free of duplicates; the iterator is lazy, so ``itertools.islice``
-    takes the first few. A given ``forest_number`` must lie in [n + 1, 2n],
-    the range every graph's forest number falls in; below the optimum,
-    every forest of that size is listed. It is checked at call time, before
-    anything is yielded.
+    takes the first few.
 
     The witnesses are the leaves of the lex walk over one exact search
-    (``_walk``). Without a forest number, it is the walk ``max_forest``
-    runs, so the first witness is its witness, on the same queries. Every
-    ``feasible_with`` query either lies on the path to a witness or is the
-    dead sibling of a branch that does, so each witness costs at most about
-    4n queries.
+    (``_walk``), the walk ``max_forest`` runs, so the first witness is its
+    witness, on the same queries. The search finds the forest number when
+    this is called, before anything is yielded. Every ``feasible_with``
+    query either lies on the path to a witness or is the dead sibling of a
+    branch that does, so each witness costs at most about 4n queries.
     """
     n = g.n
-    if forest_number is not None and not n + 1 <= forest_number <= 2 * n:
-        raise ParameterError(
-            f"forest number {forest_number} outside [{n + 1}, {2 * n}] "
-            f"for part size {n}")
-    walk = _walk(_Search(g), forest_number)[1]
+    walk = _walk(_Search(g))[1]
     full1 = (1 << n) - 1
     return (VertexSubset(s & full1, s >> n) for s in walk)
 

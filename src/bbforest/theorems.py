@@ -348,7 +348,7 @@ def _seeded_instance(args: tuple[str, int, int]) -> tuple[list[dict], int]:
     allowed_at, detail = structure
     allowed = allowed_at(n)
     count = 0
-    for w in enumerate_max_forests(g, forest_number=n + 1):
+    for w in enumerate_max_forests(g):
         count += 1
         lam = w.min_part_size()
         if allowed is not None and lam not in allowed:

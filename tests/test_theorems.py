@@ -396,7 +396,7 @@ def test_construction_failures_name_each_check(monkeypatch, tid, attr, fake,
 
 def _one_witness(w):
     # an enumeration that finds the single witness ``w``
-    return lambda g, forest_number: iter([w])
+    return lambda g: iter([w])
 
 
 # degrees V1 2, 3, 3, 5, 5 and V2 5, 3, 4, 3, 3: below T8's floor of 3 at
