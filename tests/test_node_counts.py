@@ -13,9 +13,10 @@ which keeps the branch and bound itself pinned on a dense graph.
 The enumeration of every maximum forest is pinned apart from ``max_forest``:
 its witness count, its feasibility queries and the nodes its own search
 explores, the optimum's among them, on graphs of the T2 sweep at n = 9 and
-on one sparse graph. The enumeration runs the walk ``max_forest`` runs and stops at its
-first leaf, so ``max_forest``'s queries are the first ones the enumeration
-makes.
+on one sparse graph. The queries and nodes of the enumerations the T2
+sweep itself runs at n = 9, seeds 1-40, are pinned as sums. ``max_forest``
+runs the enumeration's walk and stops at its first leaf, so its queries
+are the first ones the enumeration makes.
 
 The local search (``_swap_forest``, ``_descend``) only serves the optimum:
 a query, which has a target size, never runs it, and the optimum search
@@ -26,7 +27,7 @@ import pytest
 
 from bbforest import (enumerate_max_forests, max_forest, random_min_degree,
                       verify_structure)
-from bbforest import solver
+from bbforest import solver, theorems
 
 from .helpers import random_bipartite
 
@@ -152,6 +153,24 @@ def test_enumeration_cost_pinned(make, f, witnesses, queries, nodes,
     # not queue it
     for inc, out, target in calls:
         assert 2 * g.n - out.bit_count() >= target, (inc, out)
+
+
+def test_structure_sweep_enumeration_cost_pinned(monkeypatch):
+    # the enumerations the T2 sweep at n = 9 runs on its 40 instances,
+    # seeds 1-40, as the sweep calls them
+    cost = []
+    listing = theorems.enumerate_max_forests
+
+    def counted(g):
+        listed, calls, search = counted_queries(
+            monkeypatch, lambda: list(listing(g)))
+        cost.append((len(calls), search.nodes))
+        return iter(listed)
+
+    monkeypatch.setattr(theorems, "enumerate_max_forests", counted)
+    report = verify_structure(9, samples=40, seed=1, check="T2")
+    assert report.instances_checked == len(cost) == 40
+    assert tuple(map(sum, zip(*cost))) == (2360, 745)
 
 
 # the CASES above whose enumeration is cheap
