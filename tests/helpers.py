@@ -122,3 +122,20 @@ def bbg_oracle(text: str) -> BalancedBipartiteGraph | tuple[str, int]:
                 adj1[i] |= 1 << j
                 adj2[j] |= 1 << i
     return BalancedBipartiteGraph(n, tuple(adj1), tuple(adj2))
+
+
+class SerialPool:
+    """Stands in for ``ProcessPoolExecutor``: maps in the calling process,
+    so no worker process starts."""
+
+    def __init__(self, max_workers: int):
+        pass
+
+    def __enter__(self) -> SerialPool:
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)

@@ -10,6 +10,8 @@ from bbforest import (THEOREM_IDS, VerificationReport, emit_bbg,
                       prop1_construction, random_th7)
 from bbforest.cli import run
 
+from .helpers import SerialPool
+
 K22 = "BBG 1\n2\n11\n11\n"
 
 
@@ -264,22 +266,12 @@ def test_verify_jobs_clamped_to_cpu_count(monkeypatch, capsys, jobs, cpus,
                                           workers):
     requested = []
 
-    class SerialPool:
-        # stands in for ProcessPoolExecutor, so no worker starts
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
+    def pool(max_workers):
+        requested.append(max_workers)
+        return SerialPool(max_workers)
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr("bbforest.theorems.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("bbforest.theorems.ProcessPoolExecutor", pool)
     base = ["verify", "--theorem", "T1", "--n", "5", "--samples", "4",
             "--no-timing"]
     assert run(base + ["--jobs", jobs]) == 0

@@ -1,14 +1,21 @@
-"""Checks on the package's source text."""
+"""Checks on the package's source text and the README's examples."""
 
 import ast
+import io
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
 import bbforest
-from bbforest import core, errors, generators, solver, theorems
+from bbforest import (cli, complete_balanced, core, emit_bbg, errors,
+                      generators, solver, theorems)
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bbforest"
+from .helpers import SerialPool
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bbforest"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -102,3 +109,33 @@ def test_every_private_definition_is_read():
               for name, line in _private_definitions(tree)
               if name not in read]
     assert unread == [], f"unread private definitions {unread}"
+
+
+def _readme_block(heading, lang):
+    # the first ``lang`` code block of the README section ``heading``
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # every bbforest line of the CLI section exits 0, each | stage's stdout
+    # fed to the next stage's stdin, and the library example runs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.bbg").write_text(emit_bbg(complete_balanced(2)),
+                                        encoding="ascii")
+    monkeypatch.setattr(theorems, "ProcessPoolExecutor", SerialPool)
+    lines = [line.split("#", 1)[0].strip()
+             for line in _readme_block("CLI", "sh").splitlines()]
+    commands = [line for line in lines if line]
+    assert len(commands) > 10
+    for line in commands:
+        out = ""
+        for stage in line.split("|"):
+            program, *argv = shlex.split(stage)
+            assert program == "bbforest", line
+            monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+            code = cli.run(argv)
+            out, err = capsys.readouterr()
+            assert code == 0, (stage, err)
+    exec(_readme_block("Library", "python"), {})
