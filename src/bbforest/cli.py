@@ -31,6 +31,10 @@ from .theorems import (ENUMERATION_BUDGET, THEOREM_IDS, VerificationReport,
 
 __all__ = ["main", "run"]
 
+# the largest n the bound sweep covers by default, as bounds --n-max and as
+# verify --theorem BOUNDS --n
+_BOUNDS_N_MAX = 1000
+
 
 # lower-case spellings of each claim id, with ASCII ones for "λ"
 _ALIASES = {alias.lower(): tid for tid in THEOREM_IDS
@@ -133,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="json")
 
     p = sub.add_parser("bounds", help="exact inequality sweep")
-    p.add_argument("--n-max", type=int, default=1000)
+    p.add_argument("--n-max", type=int, default=_BOUNDS_N_MAX)
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.add_argument("--no-timing", action="store_true")
 
@@ -260,7 +264,7 @@ _CLAIMS = {
     "T7l2": _Claim(_t7, None, ("k",)),
     "T8": _Claim(lambda tid, ns, **options: verify_t8(ns, **options), None,
                  _SEEDED),
-    "BOUNDS": _Claim(lambda tid, n: check_bounds(n), 1000),
+    "BOUNDS": _Claim(lambda tid, n: check_bounds(n), _BOUNDS_N_MAX),
 }
 
 
