@@ -94,8 +94,8 @@ def test_forest_number_metamorphic(seed, make):
 def test_witness_is_first_enumerated(make):
     g = make()
     res = max_forest(g)
-    # the first leaf of a walk started from no known forest: the optimum's
-    # forest, where max_forest starts, moves only the queries
+    # max_forest walks from the optimum's forest; a walk from no known
+    # forest makes other queries but must reach the same first leaf
     first = next(solver._lex_walk(solver._Search(g), res.forest_number, None))
     assert first == res.witness.s1 | res.witness.s2 << g.n
 

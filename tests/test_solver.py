@@ -312,8 +312,8 @@ def _differential_graphs():
 
 
 def test_enumerate_matches_subset_scan_oracle():
-    # so does a walk started from no known forest: the start moves only the
-    # queries, never the leaves
+    # the enumeration and a walk started from no known forest both list the
+    # oracle's forests: the start moves only the queries, never the leaves
     for g in _differential_graphs():
         f = max_forest(g).forest_number
         full = list(enumerate_max_forests(g))
