@@ -292,8 +292,7 @@ def _profile_reference(g, budget=ENUMERATION_BUDGET):
     f = res.forest_number
     exhaustive = math.comb(2 * g.n, f) <= budget
     per = {}
-    for w in (enumerate_max_forests(g) if exhaustive
-              else [res.witness]):
+    for w in enumerate_max_forests(g) if exhaustive else [res.witness]:
         per.setdefault(w.min_part_size(), w)
     return {"forest_number": f, "lambdas": sorted(per),
             "witness_per_lambda": {
