@@ -190,14 +190,6 @@ def thh1_l2(n: int, k: int) -> BalancedBipartiteGraph:
     return g
 
 
-def _shuffled(items: list[int], rng: random.Random) -> list[int]:
-    # Fisher-Yates driven by randrange keeps the draw sequence explicit
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        items[i], items[j] = items[j], items[i]
-    return items
-
-
 def _random_graph_min_degree(n: int, delta_min: int,
                              rng: random.Random) -> BalancedBipartiteGraph:
     p = max(0.5, (delta_min + 1) / n)
@@ -214,7 +206,8 @@ def _random_graph_min_degree(n: int, delta_min: int,
         for i in range(n):
             short = delta_min - rows[i].bit_count()
             if short > 0:
-                candidates = _shuffled([j for j in range(n) if not rows[i] >> j & 1], rng)
+                candidates = [j for j in range(n) if not rows[i] >> j & 1]
+                rng.shuffle(candidates)
                 for j in candidates[:short]:
                     rows[i] |= 1 << j
         g = from_rows(n, rows)
@@ -257,7 +250,8 @@ def random_th7(n: int, seed: int) -> BalancedBipartiteGraph:
     for _ in range(2):                          # V1's rows, then V2's
         at_floor = [i for i in range(n) if rows[i].bit_count() == floor]
         for i in at_floor[1:]:
-            candidates = _shuffled([j for j in range(n) if not rows[i] >> j & 1], rng)
+            candidates = [j for j in range(n) if not rows[i] >> j & 1]
+            rng.shuffle(candidates)
             rows[i] |= 1 << candidates[0]
         g = from_rows(n, rows)
         rows = list(g.adj2)
