@@ -2,6 +2,7 @@
 
 import ast
 import io
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -138,4 +139,20 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
             code = cli.run(argv)
             out, err = capsys.readouterr()
             assert code == 0, (stage, err)
-    exec(_readme_block("Library", "python"), {})
+    # the library example runs, and every value its comments state holds
+    library = _readme_block("Library", "python")
+    namespace = {}
+    exec(library, namespace)
+    computed, values = [], []
+    for line in library.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            values.append(ast.literal_eval(comment.strip()))
+        except (ValueError, SyntaxError):
+            continue
+        computed.append(eval(code, namespace))
+    assert computed == values == [(5, 1), ((0, 1, 2), (0, 1))]
+    count = int(re.search(r"all (\d+) optimal witnesses", library)[1])
+    listed = list(namespace["enumerate_max_forests"](namespace["g"]))
+    assert len(listed) == count == 6
+    assert listed[0] == namespace["res"].witness
