@@ -34,12 +34,13 @@ the vertices still free; then it grows a greedy forest
 (``_greedy_forest``) from the forced-in set, and only then searches, from
 the greedy forest as incumbent. Without a stop size, the question that
 must prove optimality, (1, 2)-swaps improve the greedy forest first
-(``_swap_forest``). At the optimum's root the count is the instance form
-of the paper's degree-sum bound ``theorems.bound_g``: every graph with
-minimum degree at least n/2 + 1 closes there, on f = n + 1. On
-a structure sweep the count refutes most of the lex walk's queries and
-the greedy, stopped at the target, answers most of the rest, neither
-with a node.
+(``_swap_forest``); where the root's bounds leave room far above the
+swapped forest, stopped queries climb from it instead of one search. At
+the optimum's root the count is the instance form of the paper's
+degree-sum bound ``theorems.bound_g``: every graph with minimum degree at
+least n/2 + 1 closes there, on f = n + 1. On a structure sweep the count
+refutes most of the lex walk's queries and the greedy, stopped at the
+target, answers most of the rest, neither with a node.
 """
 
 from __future__ import annotations
@@ -71,6 +72,15 @@ _ID_BITS = (SOLVER_PART_CAP - 1).bit_length()
 _ID_MASK = (1 << _ID_BITS) - 1
 # maps the digits of bin() to the bytes 0 and 1
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+# the optimum climbs by stopped queries (``_Search._upward``) when the root
+# bound lies at least this far above the swap forest. Against the
+# include-first optimum, max_forest took random_bipartite(36, 0.2, 7) from
+# 74 713 to 13 905 nodes, the n = 40 rows (p = 0.2, 0.15, seed 7) from
+# 385 304 and 347 836 to 223 161 and 161 828, the solve-sparse corpus from
+# 13 331 to 13 095, and 128 G(n, n, p) graphs (n = 22-28, p = 0.15-0.3,
+# seeds 1-8) from 404 139 to 366 943. A gap of 5 took the corpus to 13 631
+# and climbing always to 15 732; a gap of 7 fires on none of it
+_UPWARD_GAP = 6
 
 
 @dataclass(frozen=True)
@@ -587,7 +597,18 @@ class _Search:
         is larger. A larger incumbent only prunes more: propagation and
         the branch pick do not read it, so the nodes explored are a subset
         of those a smaller one would explore. A cyclic forced-in set
-        explores no node."""
+        explores no node.
+
+        With ``stop`` 0, when the root's bounds leave room for a forest
+        ``_UPWARD_GAP`` vertices above the swap forest (``_reaches``), no
+        include-first search runs. Stopped queries climb instead, from the
+        swap forest or the floor, each asking for one vertex more than the
+        last forest found (``_upward``). A query that finds a forest
+        explores the exclude child first and ends at its first incumbent.
+        The first refuted query proves the answer. Its incumbent is the
+        answer itself, so it explores the tree of a search told the answer
+        in advance. Where the swap stalls well below f, this replaces a
+        search that climbs from a low incumbent before its proof."""
         order = self.order
         pool = ((1 << 2 * self.n) - 1) & ~(inc | out)
         if _count_refutes(self.n, order, inc, pool, floor + 1):
@@ -602,13 +623,45 @@ class _Search:
             if _count_refutes(self.n, order, inc, pool, floor + 1):
                 return None
         greedy = _greedy_forest(adj, inc, comps, pool, stop)
-        if not stop:
+        size = greedy.bit_count()
+        if stop:
+            if size >= stop:
+                return greedy
+        else:
             greedy = _swap_forest(adj, greedy, inc, pool)
-        elif greedy.bit_count() >= stop:
-            return greedy
-        self.solve(inc, pool, comps, max(greedy.bit_count(), floor), greedy,
-                   stop)
+            size = greedy.bit_count()
+            if self._reaches(inc, pool, size + _UPWARD_GAP):
+                return self._upward(inc, out, max(size, floor),
+                                    greedy if size > floor else None)
+        self.solve(inc, pool, comps, max(size, floor), greedy, stop)
         return self.best if self.best_size > floor else None
+
+    def _reaches(self, inc: int, pool: int, t: int) -> bool:
+        """True when neither the degree count nor the edge cut, over the
+        full degrees of ``inc | pool`` with no propagation, rules out a
+        forest of ``t`` vertices that holds ``inc`` within ``inc | pool``."""
+        if _count_refutes(self.n, self.order, inc, pool, t):
+            return False
+        act = inc | pool
+        deg = [(row & act).bit_count() if act >> u & 1 else 0
+               for u, row in enumerate(self.adj)]
+        cand = [d for u, d in enumerate(deg) if pool >> u & 1]
+        return not _edge_cut_refutes(deg, cand, act.bit_count(), t - 1)
+
+    def _upward(self, inc: int, out: int, floor: int,
+                best: int | None) -> int | None:
+        """The largest forest above ``floor`` that holds ``inc`` and avoids
+        ``out``, by stopped queries from ``floor`` + 1 up, each one above
+        the forest the last one found; ``best`` is the largest known, or
+        None. The first refuted query proves the answer. The queries are
+        the optimum's own, so they are asked of ``largest``, not counted
+        as ``feasible_with`` calls."""
+        while (found := self.largest(inc, out, floor, floor + 1)) is not None:
+            best = found
+            floor = found.bit_count()
+        self.best_size = floor
+        self.best = best
+        return best
 
 
 def _lex_walk(search: _Search, target: int,
@@ -667,10 +720,13 @@ def _walk(search: _Search) -> tuple[int, Iterator[int]]:
 
     The search finds f: a full part plus any opposite vertex induces a
     forest, so it asks for more than n + 1 vertices; a root that closes on
-    the degree count counts as one node. The walk starts from the search's
-    forest after a lexicographic descent (``_descend``), which changes only
-    its queries, or, with none above n + 1, from all of V1 plus vertex n,
-    the smallest (n + 1)-set.
+    the degree count counts as one node. Where the swap forest lies far
+    below the root bound, the search climbs by stopped queries, and its
+    refuted query for f + 1 vertices is the proof. The walk starts from
+    the search's forest after a lexicographic descent (``_descend``),
+    which changes only its queries, or, with none above n + 1, from all of
+    V1 plus vertex n, the smallest (n + 1)-set. Its leaves do not depend on
+    which forest of f vertices the search found.
     """
     n = search.n
     best = search.largest(0, 0, n + 1, 0)

@@ -6,6 +6,8 @@ lower it, and every witness must pass the independent forest check. The
 witness must be the first leaf of a lex walk started from no known forest,
 and closing the root on the degree count, or switching off the edge-cut
 bound, the (1, 2)-swap or the lexicographic descent, must give what the
+search gives. Where the root bound lies far above the swap forest, the
+optimum found by upward stopped queries must give what the include-first
 search gives. Graphs and relabellings come from fixed seeds.
 
 The two local-search helpers are checked by brute force at 2n <= 14: the
@@ -145,6 +147,54 @@ def test_local_search_keeps_forest_number_and_witness(make, helper, identity,
     searched = max_forest(g)
     assert (res.forest_number, res.witness) == (searched.forest_number,
                                                 searched.witness)
+
+
+# graphs whose root bound lies at least _UPWARD_GAP above the swap forest,
+# so the optimum is found by upward stopped queries: a solve-sparse corpus
+# graph, the n = 32, p = 0.25 row and seeded graphs at n = 22-28. The swap
+# forest is f on two of them and f - 1 on four; on some the rule costs
+# nodes and on some it saves them
+UPWARD = [(lambda n=n, p=p, seed=seed: random_bipartite(n, p, seed),
+           f"gnp{n}p{round(p * 100)}s{seed}")
+          for n, p, seed in ((18, 0.3, 183007), (32, 0.25, 7), (22, 0.3, 4),
+                             (22, 0.3, 7), (24, 0.25, 2), (24, 0.3, 1),
+                             (26, 0.2, 3), (26, 0.25, 3), (26, 0.25, 6),
+                             (26, 0.3, 6), (28, 0.2, 6), (28, 0.25, 4),
+                             (28, 0.25, 8), (28, 0.3, 2), (28, 0.3, 7))]
+
+
+def _upward_on_and_off(g: BalancedBipartiteGraph, monkeypatch):
+    # max_forest with the upward rule, which must fire, and with its gap out
+    # of reach, which must not
+    fired = []
+    upward = solver._Search._upward
+
+    def spied(search, *args):
+        fired.append(args)
+        return upward(search, *args)
+
+    monkeypatch.setattr(solver._Search, "_upward", spied)
+    res = max_forest(g)
+    assert len(fired) == 1
+    monkeypatch.setattr(solver, "_UPWARD_GAP", 2 * g.n + 1)
+    searched = max_forest(g)
+    assert len(fired) == 1
+    assert (res.forest_number, res.witness) == (searched.forest_number,
+                                                searched.witness)
+    return res, searched
+
+
+@pytest.mark.parametrize("make", [m for m, _ in UPWARD],
+                         ids=[name for _, name in UPWARD])
+def test_upward_queries_keep_forest_number_and_witness(make, monkeypatch):
+    _upward_on_and_off(make(), monkeypatch)
+
+
+def test_upward_queries_cut_the_n36_optimum(monkeypatch):
+    # the swap stops 4 below f = 43 and the root bound is 10 above it
+    res, searched = _upward_on_and_off(random_bipartite(36, 0.2, 7),
+                                       monkeypatch)
+    assert res.nodes_explored < searched.nodes_explored
 
 
 def _is_forest(g: BalancedBipartiteGraph, s: int) -> bool:
