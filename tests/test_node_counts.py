@@ -62,10 +62,16 @@ CASES = [
      (_all_but(32, 28), (7, 9, 10, 15, 17, 21, 22, 26, 30)), 23),
     (lambda: random_bipartite(32, 0.15, 7), 43, 8478,
      (tuple(range(32)), (2, 5, 7, 8, 13, 15, 17, 21, 23, 26, 30)), 24),
+    # the root bound lies 8 and 10 above the swap forest, so the optimum
+    # climbs by stopped queries: 9 345 and 74 713 nodes without the rule
+    (lambda: random_bipartite(32, 0.25, 7), 37, 11169,
+     (tuple(range(32)), (9, 10, 17, 22, 26)), 22),
+    (lambda: random_bipartite(36, 0.2, 7), 43, 13905,
+     (tuple(range(36)), (0, 2, 17, 18, 25, 27, 32)), 27),
 ]
 CASE_IDS = ["rmd32", "rmd48", "gnp12", "gnp16", "rmd64", "gnp18p20",
             "gnp18p15", "gnp20p30", "gnp28p20", "gnp28p15", "gnp32p20",
-            "gnp32p15"]
+            "gnp32p15", "gnp32p25", "gnp36p20"]
 
 
 # the rmd cases above with the root's degree count declining: the search runs
