@@ -1,9 +1,12 @@
-"""Checks on the package's source text and the README's examples."""
+"""Checks on the package's source text, the README's examples and the
+node-table tool."""
 
 import ast
 import io
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -156,3 +159,20 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     listed = list(namespace["enumerate_max_forests"](namespace["g"]))
     assert len(listed) == count == 6
     assert listed[0] == namespace["res"].witness
+
+
+def test_rows_tool_prints_the_fast_rows():
+    # the n = 32 rows and the corpus of ROADMAP.md's node table, node for
+    # node; the n = 36-40 rows take seconds and are run by hand
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "rows.py"), "n32p15", "n32p20",
+         "n32p25", "corpus"], capture_output=True, encoding="utf-8",
+        env={**os.environ, "PYTHONIOENCODING": "utf-8"}, check=True)
+    assert out.stdout.splitlines()[2:] == [
+        "| p = 0.15, n = 32 | 43 | 42 / 43 | 49 | 7 981 | 7 981 | 497 "
+        "| 8 478 |",
+        "| p = 0.2, n = 32 | 40 | 38 / 40 | 46 | 1 681 | 1 681 | 337 "
+        "| 2 018 |",
+        "| p = 0.25, n = 32 | 37 | 31 / 35 | 43 | 11 095 | 2 807 | 74 "
+        "| 11 169 |",
+        "| corpus, 42 graphs | – | – | – | 7 458 | 4 942 | 5 637 | 13 095 |"]
