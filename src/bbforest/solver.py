@@ -468,10 +468,13 @@ class _Search:
         self.best = best
         self.stop_at = stop_at
         self.stopped = False
-        act = s | r
-        deg = [(row & act).bit_count() if act >> u & 1 else 0
-               for u, row in enumerate(self.adj)]
-        self._branch(s, r, comps, r, deg, 0)
+        self._branch(s, r, comps, r, self._degrees(s | r), 0)
+
+    def _degrees(self, act: int) -> list[int]:
+        """The degrees within the active set ``act`` by global id, 0 for
+        inactive ids."""
+        return [(row & act).bit_count() if act >> u & 1 else 0
+                for u, row in enumerate(self.adj)]
 
     def _neighbours(self, mask: int) -> int:
         """Union of the neighbourhoods of the vertices in ``mask``."""
@@ -643,8 +646,7 @@ class _Search:
         if _count_refutes(self.n, self.order, inc, pool, t):
             return False
         act = inc | pool
-        deg = [(row & act).bit_count() if act >> u & 1 else 0
-               for u, row in enumerate(self.adj)]
+        deg = self._degrees(act)
         cand = [d for u, d in enumerate(deg) if pool >> u & 1]
         return not _edge_cut_refutes(deg, cand, act.bit_count(), t - 1)
 
