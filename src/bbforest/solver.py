@@ -626,16 +626,14 @@ class _Search:
             if _count_refutes(self.n, order, inc, pool, floor + 1):
                 return None
         greedy = _greedy_forest(adj, inc, comps, pool, stop)
-        size = greedy.bit_count()
-        if stop:
-            if size >= stop:
-                return greedy
-        else:
+        if not stop:
             greedy = _swap_forest(adj, greedy, inc, pool)
-            size = greedy.bit_count()
-            if self._reaches(inc, pool, size + _UPWARD_GAP):
-                return self._upward(inc, out, max(size, floor),
-                                    greedy if size > floor else None)
+        size = greedy.bit_count()
+        if stop and size >= stop:
+            return greedy
+        if not stop and self._reaches(inc, pool, size + _UPWARD_GAP):
+            return self._upward(inc, out, max(size, floor),
+                                greedy if size > floor else None)
         self.solve(inc, pool, comps, max(size, floor), greedy, stop)
         return self.best if self.best_size > floor else None
 
@@ -657,7 +655,8 @@ class _Search:
         the forest the last one found; ``best`` is the largest known, or
         None. The first refuted query proves the answer. The queries are
         the optimum's own, so they are asked of ``largest``, not counted
-        as ``feasible_with`` calls."""
+        as ``feasible_with`` calls. The answer is left in ``best_size``
+        and ``best``, as one search leaves it: ``_walk`` reads f there."""
         while (found := self.largest(inc, out, floor, floor + 1)) is not None:
             best = found
             floor = found.bit_count()
