@@ -191,7 +191,8 @@ def test_upward_queries_keep_forest_number_and_witness(make, monkeypatch):
 
 
 def test_upward_queries_cut_the_n36_optimum(monkeypatch):
-    # the swap stops 4 below f = 43 and the root bound is 10 above it
+    # the swap forest, 39 vertices, is 4 below f = 43 and 10 below the root
+    # bound
     res, searched = _upward_on_and_off(random_bipartite(36, 0.2, 7),
                                        monkeypatch)
     assert res.nodes_explored < searched.nodes_explored
