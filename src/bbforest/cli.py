@@ -185,14 +185,23 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    # unset options keep GeneratorSpec's defaults
-    options = {name: getattr(args, name) for name in ("k", "delta_min", "seed")
+def _options_read(args: argparse.Namespace, names: tuple[str, ...],
+                  reads: tuple[str, ...], mode: str) -> dict[str, object]:
+    """The options of ``names`` given, each of which ``mode`` must read
+    (be in ``reads``); unset ones keep the library's defaults."""
+    options = {name: getattr(args, name) for name in names
                if getattr(args, name) is not None}
     for name in options:
-        if name not in _FAMILIES[args.family][1]:
-            raise BBForestError(f"--family {args.family} does not read "
-                                f"--{name.replace('_', '-')}")
+        if name not in reads:
+            raise BBForestError(
+                f"{mode} does not read --{name.replace('_', '-')}")
+    return options
+
+
+def _cmd_gen(args: argparse.Namespace) -> int:
+    mode = f"--family {args.family}"
+    options = _options_read(args, ("k", "delta_min", "seed"),
+                            _FAMILIES[args.family][1], mode)
     spec = GeneratorSpec(family=args.family, n=args.n, **options)
     sys.stdout.write(emit_bbg(build(spec)))
     return 0
@@ -279,12 +288,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if claim.exhaustive is None:
             raise BBForestError(f"{mode} does not read --exhaustive")
         claim, mode = claim.exhaustive, f"{mode} --exhaustive"
-    # unset options keep the library's defaults
-    options = {name: getattr(args, name) for name in _OPTIONS
-               if getattr(args, name) is not None}
-    for name in options:
-        if name not in claim.reads:
-            raise BBForestError(f"{mode} does not read --{name}")
+    options = _options_read(args, _OPTIONS, claim.reads, mode)
     n = args.n
     if claim.n is not None:
         if n is not None and len(n) > 1:

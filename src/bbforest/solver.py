@@ -7,17 +7,18 @@ return the lexicographically smallest optimal witness under the global
 vertex order (V1 ids first), so their results are directly comparable.
 
 There is one search, ``_Search``, entered one way, ``largest``: the
-largest forest above a floor that holds one set and avoids another. The
-optimum asks it with nothing forced and floor n + 1; ``feasible_with``
-stops it at a target size. A lex walk (``_lex_walk``) decides the ids in
-increasing order, include first, and asks ``feasible_with`` whether a
-branch still holds a forest of the target size. Its leaves are every such
-forest, in lexicographic order. ``_walk`` finds the forest number and
-starts the walk from the optimum's forest made lexicographically smaller
-by single exchanges (``_descend``). ``max_forest`` takes the first leaf
-as its witness and ``enumerate_max_forests`` lists every leaf.
-Each witness costs at most about 4n queries; the number of forests is not
-bounded.
+largest forest above a floor that holds one set and avoids another, or
+the first one found, returned as a mask or None. The optimum asks for the
+largest with nothing forced and floor n + 1; ``feasible_with`` for the
+first above one less than a target size. A lex walk (``_lex_walk``)
+decides the ids in increasing order, include first, and asks
+``feasible_with`` whether a branch still holds a forest of the target
+size. Its leaves are every such forest, in lexicographic order. ``_walk``
+finds the forest number and starts the walk from the optimum's forest
+made lexicographically smaller by single exchanges (``_descend``).
+``max_forest`` takes the first leaf as its witness and
+``enumerate_max_forests`` lists every leaf. Each witness costs at most
+about 4n queries; the number of forests is not bounded.
 
 Vertices live in a single 2n-bit space, V1 ids first, with one adjacency
 row per vertex (``_adjacency``). The search's included forest is a tuple
@@ -32,15 +33,15 @@ Before any node, ``largest`` asks whether degree counting alone rules out
 a forest above the floor (``_count_refutes``), over the forced-in set and
 the vertices still free; then it grows a greedy forest
 (``_greedy_forest``) from the forced-in set, and only then searches, from
-the greedy forest as incumbent. Without a stop size, the question that
-must prove optimality, (1, 2)-swaps improve the greedy forest first
+the greedy forest as incumbent. Asked for the largest, the question
+that must prove optimality, (1, 2)-swaps improve the greedy forest first
 (``_swap_forest``); where the root's bounds leave room far above the
-swapped forest, stopped queries climb from it instead of one search. At
-the optimum's root the count is the instance form of the paper's
-degree-sum bound ``theorems.bound_g``: every graph with minimum degree at
-least n/2 + 1 closes there, on f = n + 1. On a structure sweep the count
-refutes most of the lex walk's queries and the greedy, stopped at the
-target, answers most of the rest, neither with a node.
+swapped forest, first-forest queries climb from it instead of one
+search. At the optimum's root the count is the instance form of the
+paper's degree-sum bound ``theorems.bound_g``: every graph with minimum
+degree at least n/2 + 1 closes there, on f = n + 1. On a structure sweep
+the count refutes most of the lex walk's queries and the greedy, stopped
+at the target, answers most of the rest, neither with a node.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ _ID_BITS = (SOLVER_PART_CAP - 1).bit_length()
 _ID_MASK = (1 << _ID_BITS) - 1
 # maps the digits of bin() to the bytes 0 and 1
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-# the optimum climbs by stopped queries (``_Search._upward``) when the root
-# bound lies at least this far above the swap forest. Against the
+# the optimum climbs by first-forest queries (``_Search.largest``) when the
+# root bound lies at least this far above the swap forest. Against the
 # include-first optimum, max_forest took random_bipartite(36, 0.2, 7) from
 # 74 713 to 13 905 nodes, the n = 40 rows (p = 0.2, 0.15, seed 7) from
 # 385 304 and 347 836 to 223 161 and 161 828, the solve-sparse corpus from
@@ -108,17 +109,15 @@ def max_forest_bruteforce(g: BalancedBipartiteGraph,
             f"{nv} vertices exceed the subset-scan cap of {cap}")
     t0 = time.perf_counter()
     n = g.n
+    full = (1 << n) - 1
     adj1 = g.adj1
+    bits = [1 << v for v in range(nv)]
     tested = 0
     for size in range(nv, 0, -1):
-        for combo in combinations(range(nv), size):
-            s1 = 0
-            s2 = 0
-            for v in combo:
-                if v < n:
-                    s1 |= 1 << v
-                else:
-                    s2 |= 1 << (v - n)
+        for combo in combinations(bits, size):
+            s = sum(combo)
+            s1 = s & full
+            s2 = s >> n
             tested += 1
             if _forest_masks(adj1, n, s1, s2):
                 return SolveResult(size, VertexSubset(s1, s2), nv - size,
@@ -368,16 +367,16 @@ class _Search:
 
     The search answers two questions only: the largest forest inside the
     active set that holds ``s``, and whether one of a target size exists
-    (``largest`` with a stop). Propagation may therefore discard forests as
-    long as one of the same size survives. A live candidate v with at most
-    two active neighbours joins. Let F be a target-size forest that holds
-    ``s``, avoids v and lies in ``s | r``. If at most one neighbour of v
-    lies in F, F + v is a larger forest. Otherwise v has two neighbours u
-    and w in F, and F + v closes one cycle, through the u-w path P of F.
-    P has a vertex x outside ``s``, or u and w would share a component of
-    ``s`` and v would be dead. So F + v - x is a forest of the same size
-    that holds ``s`` and v. This is the degree-2 reduction for feedback
-    vertex set.
+    (``largest`` asked for the first). Propagation may therefore discard
+    forests as long as one of the same size survives. A live candidate v
+    with at most two active neighbours joins. Let F be a target-size forest
+    that holds ``s``, avoids v and lies in ``s | r``. If at most one
+    neighbour of v lies in F, F + v is a larger forest. Otherwise v has two
+    neighbours u and w in F, and F + v closes one cycle, through the u-w
+    path P of F. P has a vertex x outside ``s``, or u and w would share a
+    component of ``s`` and v would be dead. So F + v - x is a forest of the
+    same size that holds ``s`` and v. This is the degree-2 reduction for
+    feedback vertex set.
 
     Propagation works from a dirty mask, lowest id first. A candidate's
     active degree only drops when a neighbour is excluded, so only
@@ -410,18 +409,18 @@ class _Search:
     popcount per candidate of maximum degree, and only at nodes that
     branch: the incumbent, leaf and bound tests return before it.
 
-    Child order: the optimum, which has no stop size, explores the include
-    child first; a search with a stop size explores the exclude child
-    first. Dropping the candidate of highest degree is what the greedy
-    forest does, so a forest of the target size turns up sooner. This is
-    value ordering that tries to succeed first (Geelen, "Dual viewpoint
-    heuristics for binary constraint satisfaction problems", ECAI 1992).
-    A stopped search's floor is one below its stop size, so its first new
-    incumbent ends it. One that refutes never changes its incumbent, and
-    no prune or pick reads anything else the child order could change, so
-    it explores the same tree in either order: the order moves only the
-    searches that find a forest, and the lex walk fixes f and every
-    witness whichever forest they find.
+    Child order: the search for the largest forest explores the include
+    child first; a search for the first forest (``first``) explores the
+    exclude child first. Dropping the candidate of highest degree is what
+    the greedy forest does, so a forest of the target size turns up sooner.
+    This is value ordering that tries to succeed first (Geelen, "Dual
+    viewpoint heuristics for binary constraint satisfaction problems", ECAI
+    1992). A first-forest search starts with no incumbent and its floor as
+    the size to beat, so its first leaf is an answer and ends it. One that
+    refutes never finds a leaf, and no prune or pick reads anything else
+    the child order could change, so it explores the same tree in either
+    order: the order moves only the searches that find a forest, and the
+    lex walk fixes f and every witness whichever forest they find.
 
     The edge-cut bound and the branch pick read active degrees from a list
     indexed by global id, 0 for inactive ids. A node is handed its parent's
@@ -437,8 +436,7 @@ class _Search:
     removed, so that node's propagation kills take the same decrement.
     """
 
-    __slots__ = ("n", "adj", "nodes", "best_size", "best", "stop_at",
-                 "stopped", "order")
+    __slots__ = ("n", "adj", "nodes", "best_size", "best", "first", "order")
 
     def __init__(self, g: BalancedBipartiteGraph):
         # rows fit one word, and order's keys an id in _ID_BITS bits
@@ -450,8 +448,7 @@ class _Search:
         self.nodes = 0
         self.best_size = 0
         self.best: int | None = None
-        self.stop_at = 0
-        self.stopped = False
+        self.first = False
         # per side, the keys degree << _ID_BITS | id (full degree, id within
         # the side) in ascending order, shared by every count
         self.order = tuple(
@@ -460,15 +457,17 @@ class _Search:
             for lo in (0, g.n))
 
     def solve(self, s: int, r: int, comps: tuple[int, ...], best_size: int,
-              best: int | None, stop_at: int) -> None:
+              best: int | None, first: bool) -> int | None:
         """Run the search from a forced state: ``s`` is included, with
         component masks ``comps``, and only the live candidates ``r`` may
-        join."""
+        join. Returns the largest forest above ``best_size``, or with
+        ``first`` the first one found, else ``best``, the incumbent of
+        ``best_size`` vertices or None."""
         self.best_size = best_size
         self.best = best
-        self.stop_at = stop_at
-        self.stopped = False
+        self.first = first
         self._branch(s, r, comps, r, self._degrees(s | r), 0)
+        return self.best
 
     def _degrees(self, act: int) -> list[int]:
         """The degrees within the active set ``act`` by global id, 0 for
@@ -519,8 +518,6 @@ class _Search:
             # acyclic by construction and strictly above the incumbent
             self.best_size = total
             self.best = s
-            if self.stop_at and total >= self.stop_at:
-                self.stopped = True
             return
 
         if gone:
@@ -557,11 +554,11 @@ class _Search:
                     v = u
         b = 1 << v
         row = adj[v]
-        # a search with a stop size excludes v first; excluding v turns its
-        # neighbours dirty
-        if self.stop_at:
+        # a search for the first forest excludes v first, and ends at its
+        # first leaf; excluding v turns its neighbours dirty
+        if self.first:
             self._branch(s, r ^ b, comps, row, deg, b)
-            if self.stopped:
+            if self.best is not None:
                 return
         # including v: candidates the merge kills leave, and their
         # neighbours turn dirty
@@ -569,7 +566,7 @@ class _Search:
         dead &= r ^ b
         self._branch(s | b, r ^ b ^ dead, merged, self._neighbours(dead),
                      deg, dead)
-        if not self.stop_at:
+        if not self.first:
             self._branch(s, r ^ b, comps, row, deg, b)
 
     def feasible_with(self, inc: int, out: int, target: int) -> int | None:
@@ -578,14 +575,14 @@ class _Search:
         mask, or None when there is none. Which forest is returned never
         changes the lex walk's leaves, only the queries it goes on to
         make."""
-        return self.largest(inc, out, target - 1, target)
+        return self.largest(inc, out, target - 1, True)
 
     def largest(self, inc: int, out: int, floor: int,
-                stop: int) -> int | None:
+                first: bool) -> int | None:
         """The largest induced forest of more than ``floor`` vertices that
         contains the forced-in set and avoids the forced-out set, as a
-        mask, or None when there is none; with ``stop`` > 0, the first one
-        found of at least ``stop`` vertices.
+        mask, or None when there is none; with ``first``, the first such
+        forest found.
 
         Before any node, the degree count (``_count_refutes``) is asked
         about the pool of vertices in neither set, then the forced-in set is
@@ -594,24 +591,26 @@ class _Search:
         more easily, so the first count merely spares the merge on the
         queries it decides; the answers are those of one count after the
         merge. Then the greedy (``_greedy_forest``) grows the forced-in set
-        from the pool, up to ``stop`` vertices; reaching them, it is the
-        answer; with ``stop`` 0, (1, 2)-swaps (``_swap_forest``) improve
-        it. Then the search runs from that forest or the floor, whichever
-        is larger. A larger incumbent only prunes more: propagation and
-        the branch pick do not read it, so the nodes explored are a subset
-        of those a smaller one would explore. A cyclic forced-in set
-        explores no node.
+        from the pool; with ``first`` it stops above the floor, and reaching
+        it, it is the answer; otherwise (1, 2)-swaps (``_swap_forest``)
+        improve it. Then the search runs from that forest, or from the floor
+        with no incumbent when the forest lies at or below it. A larger
+        incumbent only prunes more: propagation and the branch pick do not
+        read it, so the nodes explored are a subset of those a smaller one
+        would explore. A cyclic forced-in set explores no node.
 
-        With ``stop`` 0, when the root's bounds leave room for a forest
+        Without ``first``, when the root's bounds leave room for a forest
         ``_UPWARD_GAP`` vertices above the swap forest (``_reaches``), no
-        include-first search runs. Stopped queries climb instead, from the
-        swap forest or the floor, each asking for one vertex more than the
-        last forest found (``_upward``). A query that finds a forest
-        explores the exclude child first and ends at its first incumbent.
-        The first refuted query proves the answer. Its incumbent is the
-        answer itself, so it explores the tree of a search told the answer
-        in advance. Where the swap stalls well below f, this replaces a
-        search that climbs from a low incumbent before its proof."""
+        include-first search runs. First-forest queries climb instead, from
+        the swap forest or the floor, each asking for more vertices than
+        the last forest found. A query that finds a forest explores the
+        exclude child first and ends at its first leaf. The first refuted
+        query proves the answer. Its floor is the answer itself, so it
+        explores the tree of a search told the answer in advance. Where the
+        swap stalls well below f, this replaces a search that climbs from a
+        low incumbent before its proof. The queries are the optimum's own,
+        so they are asked of ``largest``, not counted as ``feasible_with``
+        calls."""
         order = self.order
         pool = ((1 << 2 * self.n) - 1) & ~(inc | out)
         if _count_refutes(self.n, order, inc, pool, floor + 1):
@@ -625,17 +624,20 @@ class _Search:
             pool &= ~dead
             if _count_refutes(self.n, order, inc, pool, floor + 1):
                 return None
-        greedy = _greedy_forest(adj, inc, comps, pool, stop)
-        if not stop:
+        greedy = _greedy_forest(adj, inc, comps, pool,
+                                floor + 1 if first else 0)
+        if not first:
             greedy = _swap_forest(adj, greedy, inc, pool)
         size = greedy.bit_count()
-        if stop and size >= stop:
-            return greedy
-        if not stop and self._reaches(inc, pool, size + _UPWARD_GAP):
-            return self._upward(inc, out, max(size, floor),
-                                greedy if size > floor else None)
-        self.solve(inc, pool, comps, max(size, floor), greedy, stop)
-        return self.best if self.best_size > floor else None
+        best = greedy if size > floor else None
+        if first and best is not None:
+            return best
+        if not first and self._reaches(inc, pool, size + _UPWARD_GAP):
+            while (found := self.largest(inc, out, max(size, floor),
+                                         True)) is not None:
+                best, size = found, found.bit_count()
+            return best
+        return self.solve(inc, pool, comps, max(size, floor), best, first)
 
     def _reaches(self, inc: int, pool: int, t: int) -> bool:
         """True when neither the degree count nor the edge cut, over the
@@ -647,22 +649,6 @@ class _Search:
         deg = self._degrees(act)
         cand = [d for u, d in enumerate(deg) if pool >> u & 1]
         return not _edge_cut_refutes(deg, cand, act.bit_count(), t - 1)
-
-    def _upward(self, inc: int, out: int, floor: int,
-                best: int | None) -> int | None:
-        """The largest forest above ``floor`` that holds ``inc`` and avoids
-        ``out``, by stopped queries from ``floor`` + 1 up, each one above
-        the forest the last one found; ``best`` is the largest known, or
-        None. The first refuted query proves the answer. The queries are
-        the optimum's own, so they are asked of ``largest``, not counted
-        as ``feasible_with`` calls. The answer is left in ``best_size``
-        and ``best``, as one search leaves it: ``_walk`` reads f there."""
-        while (found := self.largest(inc, out, floor, floor + 1)) is not None:
-            best = found
-            floor = found.bit_count()
-        self.best_size = floor
-        self.best = best
-        return best
 
 
 def _lex_walk(search: _Search, target: int,
@@ -719,21 +705,22 @@ def _lex_walk(search: _Search, target: int,
 def _walk(search: _Search) -> tuple[int, Iterator[int]]:
     """The forest number f and the lex walk over the forests of f vertices.
 
-    The search finds f: a full part plus any opposite vertex induces a
-    forest, so it asks for more than n + 1 vertices; a root that closes on
-    the degree count counts as one node. Where the swap forest lies far
-    below the root bound, the search climbs by stopped queries, and its
-    refuted query for f + 1 vertices is the proof. The walk starts from
-    the search's forest after a lexicographic descent (``_descend``),
-    which changes only its queries, or, with none above n + 1, from all of
-    V1 plus vertex n, the smallest (n + 1)-set. Its leaves do not depend on
-    which forest of f vertices the search found.
+    The search finds the largest forest: a full part plus any opposite
+    vertex induces a forest, so it asks for more than n + 1 vertices; a
+    root that closes on the degree count counts as one node. Where the
+    swap forest lies far below the root bound, the search climbs by
+    first-forest queries, and its refuted query for f + 1 vertices is the
+    proof. The walk starts from the search's forest after a lexicographic
+    descent (``_descend``), which changes only its queries and keeps its
+    size, or, with none above n + 1, from all of V1 plus vertex n, the
+    smallest (n + 1)-set; f is that start's size. Its leaves do not depend
+    on which forest of f vertices the search found.
     """
     n = search.n
-    best = search.largest(0, 0, n + 1, 0)
+    best = search.largest(0, 0, n + 1, False)
     best = _descend(search.adj, best) if best else (1 << n) - 1 | 1 << n
     search.nodes = max(search.nodes, 1)
-    f = max(search.best_size, n + 1)
+    f = best.bit_count()
     return f, _lex_walk(search, f, best)
 
 

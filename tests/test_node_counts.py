@@ -71,10 +71,17 @@ CASES = [
      (tuple(range(32)), (9, 10, 17, 22, 26)), 22),
     (lambda: random_bipartite(36, 0.2, 7), 43, 13905,
      (tuple(range(36)), (0, 2, 17, 18, 25, 27, 32)), 27),
+    # denser graphs whose swap forest, 13 and 15 vertices, lies at or below
+    # the floor n + 1, and whose optimum climbs from there: on the first
+    # the climb's first query is refuted, so no forest lies above n + 1
+    (lambda: random_bipartite(18, 0.6, 0), 19, 465,
+     (tuple(range(18)), (0,)), 0),
+    (lambda: random_bipartite(16, 0.5, 2), 18, 201,
+     (tuple(range(16)), (1, 14)), 13),
 ]
 CASE_IDS = ["rmd32", "rmd48", "gnp12", "gnp16", "rmd64", "gnp18p20",
             "gnp18p15", "gnp20p30", "gnp28p20", "gnp28p15", "gnp32p20",
-            "gnp32p15", "gnp32p25", "gnp36p20"]
+            "gnp32p15", "gnp32p25", "gnp36p20", "gnp18p60", "gnp16p50"]
 
 
 # the rmd cases above with the root's degree count declining: the search runs
@@ -204,7 +211,7 @@ def test_swap_never_adds_optimum_nodes(make, monkeypatch):
 
     def optimum_nodes():
         search = solver._Search(g)
-        search.largest(0, 0, g.n + 1, 0)
+        search.largest(0, 0, g.n + 1, False)
         return search.nodes
 
     swapped = optimum_nodes()

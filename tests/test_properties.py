@@ -165,15 +165,17 @@ UPWARD = [(lambda n=n, p=p, seed=seed: random_bipartite(n, p, seed),
 
 def _upward_on_and_off(g: BalancedBipartiteGraph, monkeypatch):
     # max_forest with the upward rule, which must fire, and with its gap out
-    # of reach, which must not
+    # of reach, which must not: the rule fires when the gap test passes
     fired = []
-    upward = solver._Search._upward
+    reaches = solver._Search._reaches
 
     def spied(search, *args):
-        fired.append(args)
-        return upward(search, *args)
+        reached = reaches(search, *args)
+        if reached:
+            fired.append(args)
+        return reached
 
-    monkeypatch.setattr(solver._Search, "_upward", spied)
+    monkeypatch.setattr(solver._Search, "_reaches", spied)
     res = max_forest(g)
     assert len(fired) == 1
     monkeypatch.setattr(solver, "_UPWARD_GAP", 2 * g.n + 1)

@@ -327,17 +327,14 @@ def test_enumerate_matches_subset_scan_oracle():
 
 
 def test_pinning_postcondition_raises(monkeypatch):
-    # an optimum phase that overstates f leaves the pinning pass short of
-    # f vertices, which must raise rather than return a bad witness
-    solve = solver._Search.solve
+    # a walk that overstates f finds no leaf, which must raise rather than
+    # return a bad witness
+    walk = solver._lex_walk
 
-    def overstated(search, *args):
-        ok = solve(search, *args)
-        if args[-1] == 0:
-            search.best_size += 1
-        return ok
+    def overstated(search, target, cache):
+        return walk(search, target + 1, None)
 
-    monkeypatch.setattr(solver._Search, "solve", overstated)
+    monkeypatch.setattr(solver, "_lex_walk", overstated)
     with pytest.raises(PostconditionError):
         max_forest(random_bipartite(4, 0.5, 1))
 
@@ -358,8 +355,9 @@ def test_nodes_explored_positive_and_elapsed_sane():
 
 def _two_child_nodes(monkeypatch):
     """Solve 30 random graphs with ``_branch`` recorded; returns, for each
-    node that called both children, its search, that search's stop size and
-    the (s, r) each child was called with, in call order."""
+    node that called both children, its search, whether that search wants
+    the first forest, and the (s, r) each child was called with, in call
+    order."""
     branch = solver._Search._branch
     children = [[]]  # per open call, the (s, r) of the calls it made
     nodes = []
@@ -370,7 +368,7 @@ def _two_child_nodes(monkeypatch):
         branch(self, s, r, comps, dirty, deg, gone)
         made = children.pop()
         if len(made) == 2:
-            nodes.append((self, self.stop_at, made))
+            nodes.append((self, self.first, made))
 
     monkeypatch.setattr(solver._Search, "_branch", recording)
     for gi in range(30):
@@ -407,15 +405,15 @@ def test_branch_vertex_has_maximum_active_degree_then_most_forest_neighbours(
         nodes, degree_ties, key_ties)
 
 
-def test_exclude_child_first_only_with_a_stop_size(monkeypatch):
+def test_exclude_child_first_only_in_a_first_forest_search(monkeypatch):
     # the exclude child is called with its parent's s, the include child
-    # with s plus the branch vertex; the optimum has no stop size, the
-    # pinning queries have one
+    # with s plus the branch vertex; the optimum's search wants the largest
+    # forest, the pinning queries the first one
     seen = {0: 0, 1: 0}
-    for _, stop, ((s1, _), (s2, _)) in _two_child_nodes(monkeypatch):
+    for _, first, ((s1, _), (s2, _)) in _two_child_nodes(monkeypatch):
         assert (s1 ^ s2).bit_count() == 1
         exclude_first = s1 < s2
-        assert exclude_first == bool(stop), (stop, s1, s2)
+        assert exclude_first == first, (first, s1, s2)
         seen[exclude_first] += 1
     assert min(seen.values()) > 100, seen
 

@@ -115,6 +115,33 @@ def test_every_private_definition_is_read():
     assert unread == [], f"unread private definitions {unread}"
 
 
+def _slots(tree):
+    # (class, slot, line) of each name in a class's __slots__
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.Assign)
+                        and any(getattr(t, "id", None) == "__slots__"
+                                for t in stmt.targets)):
+                    for name in ast.literal_eval(stmt.value):
+                        yield node.name, name, stmt.lineno
+
+
+def test_every_slot_is_read():
+    # a slot the package writes but never loads is dead state, such as a
+    # field a search sets for a caller that no longer reads it; a store
+    # does not count as a read here
+    trees = {path.name: _tree(path) for path in MODULES}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    slots = [(cls, name, path, line) for path, tree in trees.items()
+             for cls, name, line in _slots(tree)]
+    assert slots, "no __slots__ found"
+    unread = [slot for slot in slots if slot[1] not in loaded]
+    assert unread == [], f"slots never loaded {unread}"
+
+
 def _readme_block(heading, lang):
     # the first ``lang`` code block of the README section ``heading``
     text = (ROOT / "README.md").read_text(encoding="utf-8")

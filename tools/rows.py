@@ -8,7 +8,7 @@ row the table gives:
 - the root bound: the largest t that neither the root's degree count nor
   its edge cut over the full degrees refutes;
 - optimum: the nodes ``max_forest`` spends finding f, before the lex walk;
-- proof only: the nodes of one stopped query for f + 1 vertices, which
+- proof only: the nodes of one first-forest query for f + 1 vertices, which
   refutes it;
 - pinning: the nodes from f to ``max_forest``'s witness; and the whole
   solve's nodes.
@@ -57,7 +57,7 @@ def measure(g) -> dict[str, int]:
     optimum = search.nodes
     next(walk)
     proof = solver._Search(g)
-    proof.largest(0, 0, f, f + 1)
+    proof.largest(0, 0, f, True)
     return {"f": f, "greedy": greedy.bit_count(), "swap": swap.bit_count(),
             "bound": bound, "optimum": optimum, "proof": proof.nodes,
             "pinning": search.nodes - optimum, "all": search.nodes}
