@@ -319,6 +319,38 @@ def _swap_forest(adj: tuple[int, ...], s: int, inc: int, pool: int) -> int:
         s = _greedy_forest(adj, s, comps, pool & ~(s | dead), 0)
 
 
+def _kick(adj: tuple[int, ...], s: int, inc: int, pool: int) -> int:
+    """Perturb the forest ``s``, which holds ``inc`` and lies in
+    ``inc | pool``, and keep what the swaps lift above it, until nothing
+    does: the iterated local search of Andrade, Resende and Werneck (see
+    ``_swap_forest``), made deterministic by ascending ids.
+
+    Each pool vertex y outside s, in ascending id, is forced in: y's
+    forest neighbours outside ``inc`` leave, y joins and the forest grows
+    greedily again to a maximal one. Only a regrown forest at least as
+    large as s is improved by (1, 2)-swaps; a swapped forest larger than s
+    replaces it, and the scan restarts from the lowest id outside it. A y
+    whose kicked set is cyclic, which needs two of its neighbours in one
+    tree of ``inc``, is skipped. Every gain grows the forest, so there are
+    at most 2n of them, and a second call returns its result unchanged."""
+    left = pool & ~s
+    while left:
+        y = left & -left
+        left ^= y
+        kicked = s & ~(adj[y.bit_length() - 1] & ~inc) | y
+        merged = _components(adj, kicked)
+        if merged is None:
+            continue
+        comps, dead = merged
+        kicked = _greedy_forest(adj, kicked, comps, pool & ~(kicked | dead), 0)
+        if kicked.bit_count() >= s.bit_count():
+            kicked = _swap_forest(adj, kicked, inc, pool)
+            if kicked.bit_count() > s.bit_count():
+                s = kicked
+                left = pool & ~s
+    return s
+
+
 def _first_swap(adj: tuple[int, ...], s: int,
                 frees: list[tuple[int, int]]) -> int:
     """The first (1, 2)-swap of the maximal forest ``s``, scanning x, then
@@ -635,7 +667,9 @@ class _Search:
         if not first and self._reaches(inc, pool, size + _UPWARD_GAP):
             while (found := self.largest(inc, out, max(size, floor),
                                          True)) is not None:
-                best, size = found, found.bit_count()
+                best = _swap_forest(adj, found, inc, pool)
+                best = _kick(adj, best, inc, pool)
+                size = best.bit_count()
             return best
         return self.solve(inc, pool, comps, max(size, floor), best, first)
 

@@ -210,13 +210,13 @@ def _ids(m: int) -> list[int]:
 
 def _swapped_forests():
     """(graph, forced-in set, pool, start, swapped forest) for random
-    graphs at 2n <= 14, sparse and dense, with random forced-in forests and
+    graphs at 2n <= 16, sparse and dense, with random forced-in forests and
     forced-out sets. The pool is what ``largest`` would hand the swap, and
     the start a maximal forest grown from the forced-in set over the pool
     in random order."""
     rng = random.Random(16)
     for gi in range(320):
-        n = 3 + gi % 5
+        n = 3 + gi % 6
         nv = 2 * n
         g = random_bipartite(n, (0.2, 0.3, 0.5, 0.7)[gi % 4], gi)
         adj = solver._adjacency(g)
@@ -244,6 +244,18 @@ def test_swap_leaves_a_maximal_two_improved_forest():
         for x in _ids(s & ~inc):
             for y, z in combinations(outside, 2):
                 assert not _is_forest(g, s ^ 1 << x | y | z), (g, s, x)
+    assert grown
+
+
+def test_kick_keeps_a_larger_forest_it_cannot_lift_again():
+    grown = 0
+    for g, inc, pool, start, _ in _swapped_forests():
+        adj = solver._adjacency(g)
+        s = solver._kick(adj, start, inc, pool)
+        assert _is_forest(g, s) and s & inc == inc and not s & ~(inc | pool)
+        assert s.bit_count() >= start.bit_count(), (g, start, s)
+        assert solver._kick(adj, s, inc, pool) == s, (g, s)
+        grown += s.bit_count() > start.bit_count()
     assert grown
 
 
