@@ -190,7 +190,7 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
 
 def test_rows_tool_prints_the_fast_rows():
     # the n = 32 rows and the corpus of ROADMAP.md's node table, node for
-    # node; the n = 36-40 rows take seconds and are run by hand
+    # node; the n = 36-40 rows and the grid take seconds and are run by hand
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "rows.py"), "n32p15", "n32p20",
          "n32p25", "corpus"], capture_output=True, encoding="utf-8",
@@ -200,6 +200,6 @@ def test_rows_tool_prints_the_fast_rows():
         "| 8 478 |",
         "| p = 0.2, n = 32 | 40 | 38 / 40 | 46 | 1 681 | 1 681 | 337 "
         "| 2 018 |",
-        "| p = 0.25, n = 32 | 37 | 31 / 35 | 43 | 11 095 | 2 807 | 74 "
-        "| 11 169 |",
-        "| corpus, 42 graphs | – | – | – | 7 458 | 4 942 | 5 637 | 13 095 |"]
+        "| p = 0.25, n = 32 | 37 | 31 / 35 | 43 | 7 894 | 2 807 | 74 "
+        "| 7 968 |",
+        "| corpus, 42 graphs | – | – | – | 7 075 | 4 942 | 5 637 | 12 712 |"]
