@@ -749,12 +749,25 @@ def _walk(search: _Search) -> tuple[int, Iterator[int]]:
     size, or, with none above n + 1, from all of V1 plus vertex n, the
     smallest (n + 1)-set; f is that start's size. Its leaves do not depend
     on which forest of f vertices the search found.
+
+    The walk includes every id of its start without a query, so a start
+    that were not a forest of f vertices could be yielded as a witness
+    unchecked. The search's start is therefore checked by ``_forest_masks``
+    and its size, and a miss raises ``PostconditionError``; the fallback
+    start induces a star and is not checked.
     """
     n = search.n
     best = search.largest(0, 0, n + 1, False)
-    best = _descend(search.adj, best) if best else (1 << n) - 1 | 1 << n
     search.nodes = max(search.nodes, 1)
+    if best is None:
+        return n + 1, _lex_walk(search, n + 1, (1 << n) - 1 | 1 << n)
     f = best.bit_count()
+    best = _descend(search.adj, best)
+    adj1 = [row >> n for row in search.adj[:n]]
+    if (best.bit_count() != f
+            or not _forest_masks(adj1, n, best & (1 << n) - 1, best >> n)):
+        raise PostconditionError(
+            f"the walk's start is not a forest of {f} vertices")
     return f, _lex_walk(search, f, best)
 
 

@@ -341,6 +341,18 @@ def test_postcondition_failure_exits_three(monkeypatch, capsys):
 
 
 
+def test_cyclic_walk_start_exits_three(monkeypatch, capsys):
+    # the search's forest after the descent is checked before the walk
+    # trusts it; ids 0-4 close the graph's 4-cycle
+    monkeypatch.setattr(solver, "_descend", lambda adj, s: 0b11111)
+    monkeypatch.setattr("sys.stdin", io.StringIO("BBG 1\n3\n110\n110\n000\n"))
+    assert run(["solve"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal: PostconditionError: the walk's "
+                            "start is not a forest of 5 vertices\n")
+
+
 @pytest.mark.parametrize("argv, err", [
     (["--theorem", "P1", "--n", "4"],
      "prop1_construction(4): minimum degree is not ceil(n/2)"),

@@ -339,6 +339,19 @@ def test_pinning_postcondition_raises(monkeypatch):
         max_forest(random_bipartite(4, 0.5, 1))
 
 
+# a 4-cycle on ids 0, 1, 3, 4 and two isolated vertices: f = 5 > n + 1, so
+# the walk starts from the search's forest, and ids 0-4 are a cyclic 5-set
+C4_PLUS_TWO = from_rows(3, ["110", "110", "000"])
+
+
+def test_walk_start_postcondition_raises(monkeypatch):
+    # the walk includes its start's ids without a query, so a start that
+    # is not a forest must raise rather than become the witness
+    monkeypatch.setattr(solver, "_descend", lambda adj, s: 0b11111)
+    with pytest.raises(PostconditionError, match="not a forest of 5"):
+        max_forest(C4_PLUS_TWO)
+
+
 def test_enumerate_first_witness_is_solver_witness():
     for seed in range(10):
         g = random_bipartite(4, 0.6, seed)
