@@ -1,8 +1,10 @@
-"""Print the node table of ROADMAP.md for the hard rows and the corpus.
+"""Print the node table of ROADMAP.md for the hard rows and two graph sets.
 
-A row is ``max_forest(random_bipartite(n, p, 7))`` (``tests.helpers``); the
-corpus is the 42 graphs of the benchmark's ``solve-sparse`` workload. Per
-row the table gives:
+A row is ``max_forest(random_bipartite(n, p, 7))`` (``tests.helpers``). The
+corpus is the 42 graphs of the benchmark's ``solve-sparse`` workload; the
+grid is ``random_bipartite(n, p, seed)`` for n = 22, 24, 26 and 28,
+p = 0.15, 0.2, 0.25 and 0.3 and seeds 1-8, 128 graphs, the second set the
+climb's gap (``solver._UPWARD_GAP``) is chosen on. Per row the table gives:
 
 - f and the sizes of the root's greedy forest and its (1, 2)-swap forest;
 - the root bound: the largest t that neither the root's degree count nor
@@ -13,12 +15,12 @@ row the table gives:
 - pinning: the nodes from f to ``max_forest``'s witness; and the whole
   solve's nodes.
 
-The corpus row sums its graphs' node columns. Node counts are exact and do
+A set's row sums its graphs' node columns. Node counts are exact and do
 not depend on the host; no wall time is printed. Run from the repository
 root::
 
-    python tools/rows.py                 # every row: the n = 40 rows take
-                                         # seconds each
+    python tools/rows.py                 # every row: the n = 40 rows and
+                                         # the grid take seconds each
     python tools/rows.py n32p25 corpus   # only the rows named
 """
 
@@ -39,6 +41,13 @@ from tests.helpers import random_bipartite  # noqa: E402
 ROWS = {f"n{n}p{round(p * 100)}": (n, p)
         for n, p in ((32, 0.15), (32, 0.2), (32, 0.25), (36, 0.2),
                      (40, 0.2), (40, 0.15))}
+SETS = {
+    "corpus": lambda: [from_rows(n, random_bipartite_rows(n, p, seed))
+                       for n, p, seed in sparse_bases(FULL)],
+    "grid": lambda: [random_bipartite(n, p, seed)
+                     for n in (22, 24, 26, 28) for p in (0.15, 0.2, 0.25, 0.3)
+                     for seed in range(1, 9)],
+}
 HEADER = ("| instance | f | greedy / swap | root bound | optimum | proof only "
           "| pinning | nodes, all |\n| --- | --- | --- | --- | --- | --- | --- "
           "| --- |")
@@ -73,7 +82,7 @@ def _line(name: str, row: dict[str, int] | None, nodes: list[int]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    every = [*ROWS, "corpus"]
+    every = [*ROWS, *SETS]
     parser.add_argument("rows", nargs="*", metavar="ROW",
                         help=f"rows to run, of {', '.join(every)} "
                              "(default: all)")
@@ -84,11 +93,11 @@ def main(argv: list[str] | None = None) -> int:
     print(HEADER)
     columns = ("optimum", "proof", "pinning", "all")
     for name in names:
-        if name == "corpus":
-            rows = [measure(from_rows(n, random_bipartite_rows(n, p, seed)))
-                    for n, p, seed in sparse_bases(FULL)]
-            print(_line(f"corpus, {len(rows)} graphs", None,
-                        [sum(r[c] for r in rows) for c in columns]))
+        if name in SETS:
+            rows = [measure(g) for g in SETS[name]()]
+            print(_line(f"{name}, {len(rows)} graphs", None,
+                        [sum(r[c] for r in rows) for c in columns]),
+                  flush=True)
         else:
             n, p = ROWS[name]
             row = measure(random_bipartite(n, p, 7))
