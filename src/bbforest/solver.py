@@ -301,14 +301,16 @@ def _bits(m: int) -> list[int]:
 
 
 def _swap_forest(adj: tuple[int, ...], s: int, inc: int, pool: int) -> int:
-    """Improve the maximal forest ``s``, which holds ``inc`` and lies in
+    """Improve the forest ``s``, which holds ``inc`` and lies in
     ``inc | pool``, by (1, 2)-swaps until none is left: drop one vertex x
     outside ``inc``, add two pool vertices y and z, then grow the forest
     greedily again (the 2-improvement of Andrade, Resende and Werneck,
     J. Heuristics 18, 2012, with the forest test for the independence
     test). The swap made is the first in ascending ids (``_first_swap``),
     so the result depends only on the arguments. Every swap grows the
-    forest, so there are at most 2n of them."""
+    forest, so there are at most 2n of them. ``s`` is maximal at the
+    optimum's root; a forest the climb's query found need not be, and a
+    vertex that joins it as it stands is freed by every x."""
     while True:
         frees = list(_freeing(adj, s, s & ~inc, pool & ~s))
         move = _first_swap(adj, s, frees)
@@ -353,7 +355,7 @@ def _kick(adj: tuple[int, ...], s: int, inc: int, pool: int) -> int:
 
 def _first_swap(adj: tuple[int, ...], s: int,
                 frees: list[tuple[int, int]]) -> int:
-    """The first (1, 2)-swap of the maximal forest ``s``, scanning x, then
+    """The first (1, 2)-swap of the forest ``s``, scanning x, then
     y, then z in ascending id, as the mask x | y | z, or 0 when there is
     none; ``frees`` is what ``_freeing`` yields for the vertices that may
     join. Each of y and z must be freed by x, so only an x that frees two
