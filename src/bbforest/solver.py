@@ -37,7 +37,8 @@ the greedy forest as incumbent. Asked for the largest, the question
 that must prove optimality, (1, 2)-swaps improve the greedy forest first
 (``_swap_forest``); where the root's bounds leave room far above the
 swapped forest, first-forest queries climb from it instead of one
-search. At the optimum's root the count is the instance form of the
+search, and the swaps and a kick (``_kick``) lift each forest a query
+finds before the next query asks for more. At the optimum's root the count is the instance form of the
 paper's degree-sum bound ``theorems.bound_g``: every graph with minimum
 degree at least n/2 + 1 closes there, on f = n + 1. On a structure sweep
 the count refutes most of the lex walk's queries and the greedy, stopped
@@ -76,11 +77,13 @@ _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 # the optimum climbs by first-forest queries (``_Search.largest``) when the
 # root bound lies at least this far above the swap forest. Against the
 # include-first optimum, max_forest took random_bipartite(36, 0.2, 7) from
-# 74 713 to 13 905 nodes, the n = 40 rows (p = 0.2, 0.15, seed 7) from
-# 385 304 and 347 836 to 223 161 and 161 828, the solve-sparse corpus from
-# 13 331 to 13 095, and 128 G(n, n, p) graphs (n = 22-28, p = 0.15-0.3,
-# seeds 1-8) from 404 139 to 366 943. A gap of 5 took the corpus to 13 631
-# and climbing always to 15 732; a gap of 7 fires on none of it
+# 74 713 to 13 700 nodes, the n = 40 rows (p = 0.2, 0.15, seed 7) from
+# 385 304 and 347 836 to 180 984 and 160 138, the solve-sparse corpus from
+# 13 331 to 12 712, and 128 G(n, n, p) graphs (n = 22-28, p = 0.15-0.3,
+# seeds 1-8, ``tools/rows.py grid``) from 404 139 to 334 067. Gaps of 0, 4,
+# 5 and 7 took the corpus to 15 349, 14 407, 13 248 and 13 331 (7 fires on
+# none of it) and the grid to 302 139, 302 137, 312 361 and 360 176: no gap
+# serves both sets, and 6 is the corpus's best
 _UPWARD_GAP = 6
 
 
@@ -636,10 +639,12 @@ class _Search:
         Without ``first``, when the root's bounds leave room for a forest
         ``_UPWARD_GAP`` vertices above the swap forest (``_reaches``), no
         include-first search runs. First-forest queries climb instead, from
-        the swap forest or the floor, each asking for more vertices than
-        the last forest found. A query that finds a forest explores the
-        exclude child first and ends at its first leaf. The first refuted
-        query proves the answer. Its floor is the answer itself, so it
+        the swap forest or the floor. A query that finds a forest explores
+        the exclude child first and ends at its first leaf, and that forest
+        is improved by swaps, then by ``_kick``, before the next query asks
+        for more vertices than the improved forest holds: a found forest is
+        often a swap or a kick below a larger one. The first refuted query
+        proves the answer. Its floor is the answer itself, so it
         explores the tree of a search told the answer in advance. Where the
         swap stalls well below f, this replaces a search that climbs from a
         low incumbent before its proof. The queries are the optimum's own,
