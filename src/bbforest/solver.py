@@ -38,11 +38,12 @@ that must prove optimality, (1, 2)-swaps improve the greedy forest first
 (``_swap_forest``); where the root's bounds leave room far above the
 swapped forest, first-forest queries climb from it instead of one
 search, and the swaps and a kick (``_kick``) lift each forest a query
-finds before the next query asks for more. At the optimum's root the count is the instance form of the
-paper's degree-sum bound ``theorems.bound_g``: every graph with minimum
-degree at least n/2 + 1 closes there, on f = n + 1. On a structure sweep
-the count refutes most of the lex walk's queries and the greedy, stopped
-at the target, answers most of the rest, neither with a node.
+finds before the next query asks for more. At the optimum's root the
+count is the instance form of the paper's degree-sum bound
+``theorems.bound_g``: every graph with minimum degree at least n/2 + 1
+closes there, on f = n + 1. On a structure sweep the count refutes most
+of the lex walk's queries and the greedy, stopped at the target, answers
+most of the rest, neither with a node.
 """
 
 from __future__ import annotations
