@@ -231,11 +231,10 @@ def _components(adj: tuple[int, ...],
     return comps, dead
 
 
-def _freeing(adj: tuple[int, ...], s: int, keep: int,
-             outside: int) -> Iterator[tuple[int, int]]:
-    """For each vertex y of ``outside`` in ascending id, the vertices x of
-    ``keep`` (a part of the forest ``s``) for which s - x + y is a forest,
-    as ``(y, mask)`` when there is one.
+def _freeing(adj: tuple[int, ...], s: int) -> Iterator[tuple[int, int]]:
+    """For each vertex y outside the forest ``s`` in ascending id, the
+    vertices x of ``s`` for which s - x + y is a forest, as ``(y, mask)``
+    when there is one.
 
     s - x + y is a forest exactly when no two neighbours of y share a
     component of s - x. Two neighbours u and w share one exactly when they
@@ -270,6 +269,7 @@ def _freeing(adj: tuple[int, ...], s: int, keep: int,
                 last[p] = b
                 queue.append(b)
         trees[root] = sum(queue)
+    outside = ((1 << len(adj)) - 1) & ~s
     while outside:
         y = outside & -outside
         outside ^= y
@@ -285,7 +285,7 @@ def _freeing(adj: tuple[int, ...], s: int, keep: int,
                     break
                 pair = nb & t
         else:
-            free = keep
+            free = s
             paths = [anc[u] for u in _bits(pair)]
             for i, a in enumerate(paths):
                 for c in paths[i + 1:]:
@@ -304,56 +304,52 @@ def _bits(m: int) -> list[int]:
     return out
 
 
-def _swap_forest(adj: tuple[int, ...], s: int, inc: int, pool: int) -> int:
-    """Improve the forest ``s``, which holds ``inc`` and lies in
-    ``inc | pool``, by (1, 2)-swaps until none is left: drop one vertex x
-    outside ``inc``, add two pool vertices y and z, then grow the forest
-    greedily again (the 2-improvement of Andrade, Resende and Werneck,
-    J. Heuristics 18, 2012, with the forest test for the independence
-    test). The swap made is the first in ascending ids (``_first_swap``),
-    so the result depends only on the arguments. Every swap grows the
-    forest, so there are at most 2n of them. ``s`` is maximal at the
-    optimum's root; a forest the climb's query found need not be, and a
-    vertex that joins it as it stands is freed by every x."""
+def _swap_forest(adj: tuple[int, ...], s: int) -> int:
+    """Improve the forest ``s`` by (1, 2)-swaps until none is left: drop
+    one vertex x, add two vertices y and z, then grow the forest greedily
+    again (the 2-improvement of Andrade, Resende and Werneck, J.
+    Heuristics 18, 2012, with the forest test for the independence test).
+    The swap made is the first in ascending ids (``_first_swap``), so the
+    result depends only on the arguments. Every swap grows the forest, so
+    there are at most 2n of them. ``s`` is maximal at the optimum's start;
+    a forest a climb query found need not be, and a vertex that joins it
+    as it stands is freed by every x."""
+    full = (1 << len(adj)) - 1
     while True:
-        frees = list(_freeing(adj, s, s & ~inc, pool & ~s))
-        move = _first_swap(adj, s, frees)
+        move = _first_swap(adj, s, list(_freeing(adj, s)))
         if not move:
             return s
         s ^= move
         comps, dead = _components(adj, s)
-        s = _greedy_forest(adj, s, comps, pool & ~(s | dead), 0)
+        s = _greedy_forest(adj, s, comps, full & ~(s | dead), 0)
 
 
-def _kick(adj: tuple[int, ...], s: int, inc: int, pool: int) -> int:
-    """Perturb the forest ``s``, which holds ``inc`` and lies in
-    ``inc | pool``, and keep what the swaps lift above it, until nothing
-    does: the iterated local search of Andrade, Resende and Werneck (see
-    ``_swap_forest``), made deterministic by ascending ids.
+def _kick(adj: tuple[int, ...], s: int) -> int:
+    """Perturb the forest ``s`` and keep what the swaps lift above it,
+    until nothing does: the iterated local search of Andrade, Resende and
+    Werneck (see ``_swap_forest``), made deterministic by ascending ids.
 
-    Each pool vertex y outside s, in ascending id, is forced in: y's
-    forest neighbours outside ``inc`` leave, y joins and the forest grows
-    greedily again to a maximal one. Only a regrown forest at least as
-    large as s is improved by (1, 2)-swaps; a swapped forest larger than s
-    replaces it, and the scan restarts from the lowest id outside it. A y
-    whose kicked set is cyclic, which needs two of its neighbours in one
-    tree of ``inc``, is skipped. Every gain grows the forest, so there are
-    at most 2n of them, and a second call returns its result unchanged."""
-    left = pool & ~s
+    Each vertex y outside s, in ascending id, is forced in: y's forest
+    neighbours leave, y joins and the forest grows greedily again to a
+    maximal one. The kicked set is a forest, since y joins it with no
+    neighbour. Only a regrown forest at least as large as s is improved by
+    (1, 2)-swaps; a swapped forest larger than s replaces it, and the scan
+    restarts from the lowest id outside it. Every gain grows the forest,
+    so there are at most 2n of them, and a second call returns its result
+    unchanged."""
+    full = (1 << len(adj)) - 1
+    left = full & ~s
     while left:
         y = left & -left
         left ^= y
-        kicked = s & ~(adj[y.bit_length() - 1] & ~inc) | y
-        merged = _components(adj, kicked)
-        if merged is None:
-            continue
-        comps, dead = merged
-        kicked = _greedy_forest(adj, kicked, comps, pool & ~(kicked | dead), 0)
+        kicked = s & ~adj[y.bit_length() - 1] | y
+        comps, dead = _components(adj, kicked)
+        kicked = _greedy_forest(adj, kicked, comps, full & ~(kicked | dead), 0)
         if kicked.bit_count() >= s.bit_count():
-            kicked = _swap_forest(adj, kicked, inc, pool)
+            kicked = _swap_forest(adj, kicked)
             if kicked.bit_count() > s.bit_count():
                 s = kicked
-                left = pool & ~s
+                left = full & ~s
     return s
 
 
@@ -386,7 +382,7 @@ def _descend(adj: tuple[int, ...], s: int) -> int:
     vertex w > y, add the lowest such y and drop the highest such w. Each
     move lowers the sum of the ids, so the descent ends."""
     while True:
-        for y, free in _freeing(adj, s, s, ((1 << len(adj)) - 1) & ~s):
+        for y, free in _freeing(adj, s):
             free &= -(y << 1)
             if free:
                 s ^= y | 1 << free.bit_length() - 1
@@ -494,15 +490,14 @@ class _Search:
                    for u, row in enumerate(self.adj[lo:lo + g.n]))
             for lo in (0, g.n))
 
-    def solve(self, s: int, r: int, comps: tuple[int, ...], best_size: int,
-              best: int | None, first: bool) -> int | None:
+    def solve(self, s: int, r: int, comps: tuple[int, ...], floor: int,
+              first: bool) -> int | None:
         """Run the search from a forced state: ``s`` is included, with
         component masks ``comps``, and only the live candidates ``r`` may
-        join. Returns the largest forest above ``best_size``, or with
-        ``first`` the first one found, else ``best``, the incumbent of
-        ``best_size`` vertices or None."""
-        self.best_size = best_size
-        self.best = best
+        join. Returns the largest forest of more than ``floor`` vertices,
+        or with ``first`` the first one found, else None."""
+        self.best_size = floor
+        self.best = None
         self.first = first
         self._branch(s, r, comps, r, self._degrees(s | r), 0)
         return self.best
@@ -628,35 +623,15 @@ class _Search:
         again about the smaller pool. A smaller pool can only be refuted
         more easily, so the first count merely spares the merge on the
         queries it decides; the answers are those of one count after the
-        merge. Then the greedy (``_greedy_forest``) grows the forced-in set
-        from the pool; with ``first`` it stops above the floor, and reaching
-        it, it is the answer; otherwise (1, 2)-swaps (``_swap_forest``)
-        improve it. Then the search runs from that forest, or from the floor
-        with no incumbent when the forest lies at or below it. A larger
-        incumbent only prunes more: propagation and the branch pick do not
-        read it, so the nodes explored are a subset of those a smaller one
-        would explore. A cyclic forced-in set explores no node.
-
-        Without ``first``, when the root's bounds leave room for a forest
-        ``_UPWARD_GAP`` vertices above the swap forest (``_reaches``), no
-        include-first search runs. First-forest queries climb instead, from
-        the swap forest or the floor. A query that finds a forest explores
-        the exclude child first and ends at its first leaf, and that forest
-        is improved by swaps, then by ``_kick``, before the next query asks
-        for more vertices than the improved forest holds: a found forest is
-        often a swap or a kick below a larger one. The first refuted query
-        proves the answer. Its floor is the answer itself, so it
-        explores the tree of a search told the answer in advance. Where the
-        swap stalls well below f, this replaces a search that climbs from a
-        low incumbent before its proof. The queries are the optimum's own,
-        so they are asked of ``largest``, not counted as ``feasible_with``
-        calls."""
+        merge. With ``first``, the greedy (``_greedy_forest``) then grows
+        the forced-in set from the pool and stops above the floor; reaching
+        it, it is the answer. Otherwise the search runs from the floor with
+        no incumbent. A cyclic forced-in set explores no node."""
         order = self.order
         pool = ((1 << 2 * self.n) - 1) & ~(inc | out)
         if _count_refutes(self.n, order, inc, pool, floor + 1):
             return None
-        adj = self.adj
-        merged = _components(adj, inc)
+        merged = _components(self.adj, inc)
         if merged is None:
             return None
         comps, dead = merged
@@ -664,33 +639,21 @@ class _Search:
             pool &= ~dead
             if _count_refutes(self.n, order, inc, pool, floor + 1):
                 return None
-        greedy = _greedy_forest(adj, inc, comps, pool,
-                                floor + 1 if first else 0)
-        if not first:
-            greedy = _swap_forest(adj, greedy, inc, pool)
-        size = greedy.bit_count()
-        best = greedy if size > floor else None
-        if first and best is not None:
-            return best
-        if not first and self._reaches(inc, pool, size + _UPWARD_GAP):
-            while (found := self.largest(inc, out, max(size, floor),
-                                         True)) is not None:
-                best = _swap_forest(adj, found, inc, pool)
-                best = _kick(adj, best, inc, pool)
-                size = best.bit_count()
-            return best
-        return self.solve(inc, pool, comps, max(size, floor), best, first)
+        if first:
+            greedy = _greedy_forest(self.adj, inc, comps, pool, floor + 1)
+            if greedy.bit_count() > floor:
+                return greedy
+        return self.solve(inc, pool, comps, floor, first)
 
-    def _reaches(self, inc: int, pool: int, t: int) -> bool:
+    def _reaches(self, t: int) -> bool:
         """True when neither the degree count nor the edge cut, over the
-        full degrees of ``inc | pool`` with no propagation, rules out a
-        forest of ``t`` vertices that holds ``inc`` within ``inc | pool``."""
-        if _count_refutes(self.n, self.order, inc, pool, t):
+        full degrees with no propagation, rules out a forest of ``t``
+        vertices."""
+        full = (1 << 2 * self.n) - 1
+        if _count_refutes(self.n, self.order, 0, full, t):
             return False
-        act = inc | pool
-        deg = self._degrees(act)
-        cand = [d for u, d in enumerate(deg) if pool >> u & 1]
-        return not _edge_cut_refutes(deg, cand, act.bit_count(), t - 1)
+        deg = self._degrees(full)
+        return not _edge_cut_refutes(deg, deg, 2 * self.n, t - 1)
 
 
 def _lex_walk(search: _Search, target: int,
@@ -747,31 +710,61 @@ def _lex_walk(search: _Search, target: int,
 def _walk(search: _Search) -> tuple[int, Iterator[int]]:
     """The forest number f and the lex walk over the forests of f vertices.
 
-    The search finds the largest forest: a full part plus any opposite
-    vertex induces a forest, so it asks for more than n + 1 vertices; a
-    root that closes on the degree count counts as one node. Where the
-    swap forest lies far below the root bound, the search climbs by
-    first-forest queries, and its refuted query for f + 1 vertices is the
-    proof. The walk starts from the search's forest after a lexicographic
+    A full part plus any opposite vertex induces a forest, so the optimum
+    looks for more than n + 1 vertices. The root count (``_count_refutes``)
+    for n + 2 comes first, so a graph it refutes closes before any greedy;
+    a root that closes on it counts as one node. Otherwise the greedy forest
+    (``_greedy_forest``), improved by (1, 2)-swaps (``_swap_forest``), is
+    the swap forest. When the root's bounds leave room for a forest
+    ``_UPWARD_GAP`` vertices above it (``_Search._reaches``), the optimum
+    climbs by first-forest queries, from the swap forest or n + 1. A query
+    that finds a forest explores the exclude child first and ends at its
+    first leaf, and that forest is improved by swaps, then by ``_kick``,
+    before the next query asks for more vertices than the improved forest
+    holds: a found forest is often a swap or a kick below a larger one. The
+    first refuted query proves the answer; its floor is the answer itself,
+    so it explores the tree of a search told the answer in advance. Where
+    the swap stalls well below f, this replaces a search that climbs from a
+    low incumbent before its proof. Otherwise one include-first search asks
+    for more than the swap forest or n + 1, and when it finds none the swap
+    forest is the optimum. Its nodes are those of a search from the swap
+    forest as incumbent: propagation and the branch pick do not read the
+    incumbent, only its size. The optimum's queries are asked of
+    ``largest``, not counted as ``feasible_with`` calls.
+
+    The walk starts from the optimum's forest after a lexicographic
     descent (``_descend``), which changes only its queries and keeps its
     size, or, with none above n + 1, from all of V1 plus vertex n, the
     smallest (n + 1)-set; f is that start's size. Its leaves do not depend
-    on which forest of f vertices the search found.
+    on which forest of f vertices the optimum found.
 
     The walk includes every id of its start without a query, so a start
     that were not a forest of f vertices could be yielded as a witness
-    unchecked. The search's start is therefore checked by ``_forest_masks``
+    unchecked. The optimum's start is therefore checked by ``_forest_masks``
     and its size, and a miss raises ``PostconditionError``; the fallback
     start induces a star and is not checked.
     """
     n = search.n
-    best = search.largest(0, 0, n + 1, False)
+    adj = search.adj
+    full = (1 << 2 * n) - 1
+    best = None
+    if not _count_refutes(n, search.order, 0, full, n + 2):
+        swap = _swap_forest(adj, _greedy_forest(adj, 0, (), full, 0))
+        floor = max(swap.bit_count(), n + 1)
+        if floor > n + 1:
+            best = swap
+        if search._reaches(swap.bit_count() + _UPWARD_GAP):
+            while (found := search.largest(0, 0, floor, True)) is not None:
+                best = _kick(adj, _swap_forest(adj, found))
+                floor = best.bit_count()
+        elif (found := search.largest(0, 0, floor, False)) is not None:
+            best = found
     search.nodes = max(search.nodes, 1)
     if best is None:
         return n + 1, _lex_walk(search, n + 1, (1 << n) - 1 | 1 << n)
     f = best.bit_count()
-    best = _descend(search.adj, best)
-    adj1 = [row >> n for row in search.adj[:n]]
+    best = _descend(adj, best)
+    adj1 = [row >> n for row in adj[:n]]
     if (best.bit_count() != f
             or not _forest_masks(adj1, n, best & (1 << n) - 1, best >> n)):
         raise PostconditionError(

@@ -228,11 +228,11 @@ def test_swap_never_adds_optimum_nodes(make, case_id, monkeypatch):
 
     def optimum_nodes():
         search = solver._Search(g)
-        search.largest(0, 0, g.n + 1, False)
+        solver._walk(search)
         return search.nodes
 
     swapped = optimum_nodes()
-    monkeypatch.setattr(solver, "_swap_forest", lambda adj, s, inc, pool: s)
+    monkeypatch.setattr(solver, "_swap_forest", lambda adj, s: s)
     assert swapped <= optimum_nodes()
 
 

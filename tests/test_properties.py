@@ -135,7 +135,7 @@ def test_edge_cut_bound_keeps_forest_number_and_witness(make, monkeypatch):
 
 
 @pytest.mark.parametrize("helper, identity", [
-    ("_swap_forest", lambda adj, s, inc, pool: s),
+    ("_swap_forest", lambda adj, s: s),
     ("_descend", lambda adj, s: s)], ids=["swap", "descent"])
 @pytest.mark.parametrize("make", [m for m, _ in GRAPHS],
                          ids=[name for _, name in GRAPHS])
@@ -209,39 +209,30 @@ def _ids(m: int) -> list[int]:
 
 
 def _swapped_forests():
-    """(graph, forced-in set, pool, start, swapped forest) for random
-    graphs at 2n <= 16, sparse and dense, with random forced-in forests and
-    forced-out sets. The pool is what ``largest`` would hand the swap, and
-    the start a maximal forest grown from the forced-in set over the pool
-    in random order."""
+    """(graph, start, swapped forest) for random graphs at 2n <= 16,
+    sparse and dense. The start is a maximal forest grown over the whole
+    graph in random order, as the optimum's greedy grows one in its own."""
     rng = random.Random(16)
     for gi in range(320):
         n = 3 + gi % 6
-        nv = 2 * n
         g = random_bipartite(n, (0.2, 0.3, 0.5, 0.7)[gi % 4], gi)
         adj = solver._adjacency(g)
         for _ in range(3):
-            inc = rng.getrandbits(nv) & rng.getrandbits(nv) & rng.getrandbits(nv)
-            out = rng.getrandbits(nv) & rng.getrandbits(nv) & ~inc
-            if not _is_forest(g, inc):
-                continue
-            pool = (1 << nv) - 1 & ~(inc | out | solver._components(adj, inc)[1])
-            start = inc
-            for v in rng.sample(_ids(pool), pool.bit_count()):
+            start = 0
+            for v in rng.sample(range(2 * n), 2 * n):
                 if _is_forest(g, start | 1 << v):
                     start |= 1 << v
-            yield g, inc, pool, start, solver._swap_forest(adj, start, inc,
-                                                           pool)
+            yield g, start, solver._swap_forest(adj, start)
 
 
 def test_swap_leaves_a_maximal_two_improved_forest():
     grown = 0
-    for g, inc, pool, start, s in _swapped_forests():
-        assert _is_forest(g, s) and s & inc == inc and not s & ~(inc | pool)
+    for g, start, s in _swapped_forests():
+        assert _is_forest(g, s)
         grown += s != start
-        outside = [1 << v for v in _ids(pool & ~s)]
+        outside = [1 << v for v in _ids(~s & (1 << 2 * g.n) - 1)]
         assert not any(_is_forest(g, s | y) for y in outside), (g, s)
-        for x in _ids(s & ~inc):
+        for x in _ids(s):
             for y, z in combinations(outside, 2):
                 assert not _is_forest(g, s ^ 1 << x | y | z), (g, s, x)
     assert grown
@@ -249,19 +240,19 @@ def test_swap_leaves_a_maximal_two_improved_forest():
 
 def test_kick_keeps_a_larger_forest_it_cannot_lift_again():
     grown = 0
-    for g, inc, pool, start, _ in _swapped_forests():
+    for g, start, _ in _swapped_forests():
         adj = solver._adjacency(g)
-        s = solver._kick(adj, start, inc, pool)
-        assert _is_forest(g, s) and s & inc == inc and not s & ~(inc | pool)
+        s = solver._kick(adj, start)
+        assert _is_forest(g, s)
         assert s.bit_count() >= start.bit_count(), (g, start, s)
-        assert solver._kick(adj, s, inc, pool) == s, (g, s)
+        assert solver._kick(adj, s) == s, (g, s)
         grown += s.bit_count() > start.bit_count()
     assert grown
 
 
 def test_descent_keeps_size_and_leaves_no_lower_exchange():
     moved = 0
-    for g, _, _, _, s in _swapped_forests():
+    for g, _, s in _swapped_forests():
         d = solver._descend(solver._adjacency(g), s)
         assert _is_forest(g, d) and d.bit_count() == s.bit_count()
         assert _ids(d) <= _ids(s)

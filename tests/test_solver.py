@@ -133,6 +133,33 @@ def test_feasible_with_matches_forest_scan():
                 assert got.bit_count() >= target and got in forests
 
 
+def test_largest_matches_forest_scan():
+    # the largest forest above a floor that holds inc and avoids out, or
+    # None when no forest above the floor does, checked against a scan of
+    # every induced forest; the optimum asks with nothing forced, so no
+    # solve covers the forced sets
+    rng = random.Random(27)
+    for gi in range(36):
+        n = 1 + gi % 6
+        g = random_bipartite(n, rng.choice((0.3, 0.5, 0.7)), gi)
+        nv = 2 * n
+        forests = [s.s1 | s.s2 << n for size in range(1, nv + 1)
+                   for s in enumerate_forests_oracle(g, size)]
+        search = solver._Search(g)
+        for _ in range(50):
+            inc = rng.getrandbits(nv) & rng.getrandbits(nv)
+            out = rng.getrandbits(nv) & rng.getrandbits(nv) & ~inc
+            best = max((f.bit_count() for f in forests
+                        if f & inc == inc and not f & out), default=0)
+            floor = max(0, rng.choice((best - 1, best, rng.randint(0, nv))))
+            got = search.largest(inc, out, floor, False)
+            assert (got is None) == (best <= floor), (gi, inc, out, floor)
+            if got is not None:
+                assert got & inc == inc and not got & out
+                assert got.bit_count() == best
+                assert forest_oracle(g, VertexSubset(got & (1 << n) - 1,
+                                                     got >> n))
+
 
 def test_handed_degrees_match_the_active_graph(monkeypatch):
     # a node is handed its parent's active degrees and the ids the parent's

@@ -142,6 +142,40 @@ def test_every_slot_is_read():
     assert unread == [], f"slots never loaded {unread}"
 
 
+def _calls(node, scope=()):
+    # (called name, enclosing function as Class.method or function) of
+    # each call below ``node``; a call through an attribute is named by it
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _calls(child, (*scope, child.name))
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            yield name, ".".join(scope)
+        yield from _calls(child, scope)
+
+
+# the search runs from largest alone, and the local search serves only the
+# optimum, which _walk builds; the kick improves its forests by swaps
+CALLERS = {
+    "solve": {"_Search.largest"},
+    "_swap_forest": {"_walk", "_kick"},
+    "_kick": {"_walk"},
+    "_reaches": {"_walk"},
+    "_descend": {"_walk"},
+}
+
+
+def test_search_and_local_search_have_their_callers_only():
+    calls = [(name, path.name, caller) for path in MODULES
+             for name, caller in _calls(_tree(path)) if name in CALLERS]
+    stray = [call for call in calls if call[1] != "solver.py"
+             or call[2] not in CALLERS[call[0]]]
+    assert stray == [], f"calls outside their callers {stray}"
+    assert {call[0] for call in calls} == set(CALLERS)
+
+
 def _readme_block(heading, lang):
     # the first ``lang`` code block of the README section ``heading``
     text = (ROOT / "README.md").read_text(encoding="utf-8")

@@ -59,9 +59,9 @@ def measure(g) -> dict[str, int]:
     search = solver._Search(g)
     full = (1 << 2 * n) - 1
     greedy = solver._greedy_forest(search.adj, 0, (), full, 0)
-    swap = solver._swap_forest(search.adj, greedy, 0, full)
+    swap = solver._swap_forest(search.adj, greedy)
     bound = next(t for t in range(2 * n, 0, -1)
-                 if search._reaches(0, full, t))
+                 if search._reaches(t))
     f, walk = solver._walk(search)
     optimum = search.nodes
     next(walk)
