@@ -75,15 +75,15 @@ _ID_BITS = (SOLVER_PART_CAP - 1).bit_length()
 _ID_MASK = (1 << _ID_BITS) - 1
 # maps the digits of bin() to the bytes 0 and 1
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-# the optimum climbs by first-forest queries (``_Search.largest``) when the
-# root bound lies at least this far above the swap forest. Against the
+# the optimum climbs by first-forest queries (``_walk``) when the root
+# bound lies at least this far above the swap forest. Against the
 # include-first optimum, max_forest took random_bipartite(36, 0.2, 7) from
 # 74 713 to 13 700 nodes, the n = 40 rows (p = 0.2, 0.15, seed 7) from
 # 385 304 and 347 836 to 180 984 and 160 138, the solve-sparse corpus from
 # 13 331 to 12 712, and 128 G(n, n, p) graphs (n = 22-28, p = 0.15-0.3,
-# seeds 1-8, ``tools/rows.py grid``) from 404 139 to 334 067. Gaps of 0, 4,
+# seeds 1-8, ``tools/rows.py grid``) from 404 139 to 330 733. Gaps of 0, 4,
 # 5 and 7 took the corpus to 15 349, 14 407, 13 248 and 13 331 (7 fires on
-# none of it) and the grid to 302 139, 302 137, 312 361 and 360 176: no gap
+# none of it) and the grid to 299 330, 299 328, 309 552 and 356 842: no gap
 # serves both sets, and 6 is the corpus's best
 _UPWARD_GAP = 6
 
@@ -719,9 +719,9 @@ def _walk(search: _Search) -> tuple[int, Iterator[int]]:
     ``_UPWARD_GAP`` vertices above it (``_Search._reaches``), the optimum
     climbs by first-forest queries, from the swap forest or n + 1. A query
     that finds a forest explores the exclude child first and ends at its
-    first leaf, and that forest is improved by swaps, then by ``_kick``,
-    before the next query asks for more vertices than the improved forest
-    holds: a found forest is often a swap or a kick below a larger one. The
+    first leaf, and ``_kick`` improves that forest before the next query
+    asks for more vertices than the improved forest holds: a found forest
+    is often a swap or a kick below a larger one. The
     first refuted query proves the answer; its floor is the answer itself,
     so it explores the tree of a search told the answer in advance. Where
     the swap stalls well below f, this replaces a search that climbs from a
@@ -755,7 +755,7 @@ def _walk(search: _Search) -> tuple[int, Iterator[int]]:
             best = swap
         if search._reaches(swap.bit_count() + _UPWARD_GAP):
             while (found := search.largest(0, 0, floor, True)) is not None:
-                best = _kick(adj, _swap_forest(adj, found))
+                best = _kick(adj, found)
                 floor = best.bit_count()
         elif (found := search.largest(0, 0, floor, False)) is not None:
             best = found

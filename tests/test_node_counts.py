@@ -74,8 +74,8 @@ CASES = [
     (lambda: random_bipartite(36, 0.2, 7), 43, 13700,
      (tuple(range(36)), (0, 2, 17, 18, 25, 27, 32)), 27),
     # the solve-sparse corpus graph whose optimum climbs: its first query
-    # finds 20 vertices, the swap lifts them to 21 and the kick to f = 22,
-    # so the next query is the proof; 505 nodes with neither
+    # finds 20 vertices, the kick lifts them to f = 22, so the next query
+    # is the proof; 505 nodes without the kick
     (lambda: random_bipartite(18, 0.3, 183007), 22, 122,
      (tuple(range(18)), (0, 1, 6, 11)), 8),
     # denser graphs whose swap forest, 13 and 15 vertices, lies at or below
