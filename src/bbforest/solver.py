@@ -8,14 +8,14 @@ vertex order (V1 ids first), so their results are directly comparable.
 
 There is one search, ``_Search``, entered one way, ``largest``: the
 largest forest above a floor that holds one set and avoids another, or
-the first one found, returned as a mask or None. The optimum asks for the
-largest with nothing forced and floor n + 1; ``feasible_with`` for the
-first above one less than a target size. A lex walk (``_lex_walk``)
-decides the ids in increasing order, include first, and asks
-``feasible_with`` whether a branch still holds a forest of the target
-size. Its leaves are every such forest, in lexicographic order. ``_walk``
-finds the forest number and starts the walk from the optimum's forest
-made lexicographically smaller by single exchanges (``_descend``).
+the first one found, returned as a mask or None. ``_walk`` builds the
+optimum from it, above the floor n + 1, and ``feasible_with`` asks for
+the first forest above one less than a target size. A lex walk
+(``_lex_walk``) decides the ids in increasing order, include first, and
+asks ``feasible_with`` whether a branch still holds a forest of the
+target size. Its leaves are every such forest, in lexicographic order.
+``_walk`` starts the walk from the optimum's forest made
+lexicographically smaller by single exchanges (``_descend``).
 ``max_forest`` takes the first leaf as its witness and
 ``enumerate_max_forests`` lists every leaf. Each witness costs at most
 about 4n queries; the number of forests is not bounded.
@@ -31,19 +31,18 @@ is needed.
 
 Before any node, ``largest`` asks whether degree counting alone rules out
 a forest above the floor (``_count_refutes``), over the forced-in set and
-the vertices still free; then it grows a greedy forest
-(``_greedy_forest``) from the forced-in set, and only then searches, from
-the greedy forest as incumbent. Asked for the largest, the question
-that must prove optimality, (1, 2)-swaps improve the greedy forest first
-(``_swap_forest``); where the root's bounds leave room far above the
-swapped forest, first-forest queries climb from it instead of one
-search, and the swaps and a kick (``_kick``) lift each forest a query
-finds before the next query asks for more. At the optimum's root the
-count is the instance form of the paper's degree-sum bound
-``theorems.bound_g``: every graph with minimum degree at least n/2 + 1
-closes there, on f = n + 1. On a structure sweep the count refutes most
-of the lex walk's queries and the greedy, stopped at the target, answers
-most of the rest, neither with a node.
+the vertices still free; a first-forest query then grows a greedy forest
+(``_greedy_forest``) from the forced-in set, stopped above the floor, and
+only then searches. The optimum, which must prove optimality, improves a
+greedy forest of the whole graph by (1, 2)-swaps (``_swap_forest``) first;
+where the root's bounds leave room far above that swap forest,
+first-forest queries climb from it instead of one search, and a kick
+(``_kick``) lifts each forest a query finds before the next query asks for
+more. At the optimum's root the count is the instance form of the paper's
+degree-sum bound ``theorems.bound_g``: every graph with minimum degree at
+least n/2 + 1 closes there, on f = n + 1. On a structure sweep the count
+refutes most of the lex walk's queries and the greedy, stopped at the
+target, answers most of the rest, neither with a node.
 """
 
 from __future__ import annotations
@@ -311,9 +310,9 @@ def _swap_forest(adj: tuple[int, ...], s: int) -> int:
     Heuristics 18, 2012, with the forest test for the independence test).
     The swap made is the first in ascending ids (``_first_swap``), so the
     result depends only on the arguments. Every swap grows the forest, so
-    there are at most 2n of them. ``s`` is maximal at the optimum's start;
-    a forest a climb query found need not be, and a vertex that joins it
-    as it stands is freed by every x."""
+    there are at most 2n of them. ``s`` is maximal in every call, the
+    optimum's greedy forest or a kick's regrown one, but need not be: a
+    vertex that joins it as it stands is freed by every x."""
     full = (1 << len(adj)) - 1
     while True:
         move = _first_swap(adj, s, list(_freeing(adj, s)))
@@ -449,12 +448,13 @@ class _Search:
     the greedy forest does, so a forest of the target size turns up sooner.
     This is value ordering that tries to succeed first (Geelen, "Dual
     viewpoint heuristics for binary constraint satisfaction problems", ECAI
-    1992). A first-forest search starts with no incumbent and its floor as
-    the size to beat, so its first leaf is an answer and ends it. One that
-    refutes never finds a leaf, and no prune or pick reads anything else
-    the child order could change, so it explores the same tree in either
-    order: the order moves only the searches that find a forest, and the
-    lex walk fixes f and every witness whichever forest they find.
+    1992). Every search starts with no incumbent and its floor as the size
+    to beat, so a first-forest search's first leaf is an answer and ends
+    it. One that refutes never finds a leaf, and no prune or pick reads
+    anything else the child order could change, so it explores the same
+    tree in either order: the order moves only the searches that find a
+    forest, and the lex walk fixes f and every witness whichever forest
+    they find.
 
     The edge-cut bound and the branch pick read active degrees from a list
     indexed by global id, 0 for inactive ids. A node is handed its parent's
@@ -721,16 +721,16 @@ def _walk(search: _Search) -> tuple[int, Iterator[int]]:
     that finds a forest explores the exclude child first and ends at its
     first leaf, and ``_kick`` improves that forest before the next query
     asks for more vertices than the improved forest holds: a found forest
-    is often a swap or a kick below a larger one. The
-    first refuted query proves the answer; its floor is the answer itself,
-    so it explores the tree of a search told the answer in advance. Where
-    the swap stalls well below f, this replaces a search that climbs from a
-    low incumbent before its proof. Otherwise one include-first search asks
-    for more than the swap forest or n + 1, and when it finds none the swap
-    forest is the optimum. Its nodes are those of a search from the swap
-    forest as incumbent: propagation and the branch pick do not read the
-    incumbent, only its size. The optimum's queries are asked of
-    ``largest``, not counted as ``feasible_with`` calls.
+    is often a swap or a kick below a larger one. The first refuted query
+    proves the answer; its floor is the answer itself, so it explores the
+    tree of a search told the answer in advance. Where the swap stalls well
+    below f, this replaces a search that climbs from a low incumbent before
+    its proof. Otherwise one include-first search asks for more than the
+    swap forest or n + 1, and when it finds none the swap forest is the
+    optimum. Its nodes are those of a search from the swap forest as
+    incumbent: propagation and the branch pick do not read the incumbent,
+    only its size. The optimum's queries are asked of ``largest``, not
+    counted as ``feasible_with`` calls.
 
     The walk starts from the optimum's forest after a lexicographic
     descent (``_descend``), which changes only its queries and keeps its

@@ -22,10 +22,10 @@ The local search (``_swap_forest``, ``_kick``, ``_descend``) only serves
 the optimum: a query, which has a target size, never runs it. One search
 from a larger forest only prunes more. But the swap forest also decides
 whether the optimum climbs by first-forest queries, and in a climb the
-swap shapes every forest a query finds, and with it the next query, so
-there the swap can cost nodes: gnp32p25's optimum takes 7 894 nodes with
-it and 6 047 with ``_swap_forest`` the identity. So the climbing cases are
-compared as one search, with their climb switched off.
+kick's swaps shape every forest a query finds, and with it the next
+query, so there the swap can cost nodes: gnp32p25's optimum takes 7 894
+nodes with it and 6 047 with ``_swap_forest`` the identity. So the
+climbing cases are compared as one search, with their climb switched off.
 """
 
 import pytest
