@@ -356,10 +356,10 @@ def _first_swap(adj: tuple[int, ...], s: int,
                 frees: list[tuple[int, int]]) -> int:
     """The first (1, 2)-swap of the forest ``s``, scanning x, then
     y, then z in ascending id, as the mask x | y | z, or 0 when there is
-    none; ``frees`` is what ``_freeing`` yields for the vertices that may
-    join. Each of y and z must be freed by x, so only an x that frees two
-    is a candidate; for it, the pieces of s - x take y by ``_merge``, and z
-    may follow when that merge leaves it alive."""
+    none; ``frees`` is what ``_freeing`` yields for s. Each of y and z
+    must be freed by x, so only an x that frees two is a candidate; for
+    it, the pieces of s - x take y by ``_merge``, and z may follow when
+    that merge leaves it alive."""
     once = twice = 0
     for _, f in frees:
         twice |= once & f
