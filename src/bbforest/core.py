@@ -57,7 +57,11 @@ class BalancedBipartiteGraph:
         return sum(row.bit_count() for row in self.adj1)
 
     def degree(self, side: int, index: int) -> int:
-        """Degree of vertex ``index`` in part ``side`` (1 or 2)."""
+        """Degree of vertex ``index`` in part ``side`` (1 or 2), with
+        0 <= index < n."""
+        if side not in (1, 2) or not 0 <= index < self.n:
+            raise ParameterError(
+                f"no vertex {index} in part {side} of part size {self.n}")
         rows = self.adj1 if side == 1 else self.adj2
         return rows[index].bit_count()
 

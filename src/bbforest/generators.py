@@ -3,12 +3,15 @@
 Every generator is a pure function of its parameters: canonical index
 choices are fixed (lowest indices win) and the random families consume a
 seeded generator, so identical parameters always produce identical graphs.
+The random families add edges by one seeded pass over V1's rows
+(``_add_edges``), which runs again on the transpose for V2's.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (BalancedBipartiteGraph, VertexSubset, from_rows,
                    is_induced_forest, min_degree)
@@ -190,6 +193,25 @@ def thh1_l2(n: int, k: int) -> BalancedBipartiteGraph:
     return g
 
 
+def _add_edges(n: int, rows: list[int], rng: random.Random,
+               wants: Callable) -> BalancedBipartiteGraph:
+    """Give each row of V1, then each row of V2, the number of new edges
+    ``wants(rows)`` lists for it (none when not positive), to its
+    non-neighbours in seeded-shuffled order. The V2 pass runs on the rows
+    of the transpose; returns the repaired graph."""
+    for _ in range(2):
+        for i, short in enumerate(wants(rows)):
+            if short > 0:
+                candidates = [j for j in range(n) if not rows[i] >> j & 1]
+                rng.shuffle(candidates)
+                for j in candidates[:short]:
+                    rows[i] |= 1 << j
+        g = from_rows(n, rows)
+        rows = list(g.adj2)
+    # g is the transpose: its rows are the repaired columns
+    return BalancedBipartiteGraph(n, g.adj2, g.adj1)
+
+
 def _random_graph_min_degree(n: int, delta_min: int,
                              rng: random.Random) -> BalancedBipartiteGraph:
     p = max(0.5, (delta_min + 1) / n)
@@ -200,20 +222,8 @@ def _random_graph_min_degree(n: int, delta_min: int,
             if rng.random() < p:
                 mask |= 1 << j
         rows.append(mask)
-    # repair short rows, then short columns as the rows of the transpose;
-    # edges only ever get added
-    for _ in range(2):
-        for i in range(n):
-            short = delta_min - rows[i].bit_count()
-            if short > 0:
-                candidates = [j for j in range(n) if not rows[i] >> j & 1]
-                rng.shuffle(candidates)
-                for j in candidates[:short]:
-                    rows[i] |= 1 << j
-        g = from_rows(n, rows)
-        rows = list(g.adj2)
-    # g is the transpose: its rows are the repaired columns
-    return BalancedBipartiteGraph(n, g.adj2, g.adj1)
+    return _add_edges(n, rows, rng,
+                      lambda rows: [delta_min - r.bit_count() for r in rows])
 
 
 def random_min_degree(n: int, delta_min: int, seed: int) -> BalancedBipartiteGraph:
@@ -246,16 +256,14 @@ def random_th7(n: int, seed: int) -> BalancedBipartiteGraph:
         raise ParameterError(f"need odd n >= 3, got {n}")
     floor = (n + 1) // 2
     rng = random.Random(seed)
-    rows = list(_random_graph_min_degree(n, floor, rng).adj1)
-    for _ in range(2):                          # V1's rows, then V2's
-        at_floor = [i for i in range(n) if rows[i].bit_count() == floor]
-        for i in at_floor[1:]:
-            candidates = [j for j in range(n) if not rows[i] >> j & 1]
-            rng.shuffle(candidates)
-            rows[i] |= 1 << candidates[0]
-        g = from_rows(n, rows)
-        rows = list(g.adj2)
-    g = BalancedBipartiteGraph(n, g.adj2, g.adj1)  # g was the transpose
+
+    def lift(rows: list[int]) -> list[bool]:
+        # one edge for each floor-degree row after the part's first
+        at = [r.bit_count() == floor for r in rows]
+        return [a and any(at[:i]) for i, a in enumerate(at)]
+
+    g = _add_edges(n, list(_random_graph_min_degree(n, floor, rng).adj1), rng,
+                   lift)
     _check(min_degree(g) >= floor,
            f"random_th7({n}, {seed}): a degree below (n + 1)/2")
     _check(all(sum(1 for row in part if row.bit_count() == floor) <= 1

@@ -34,13 +34,14 @@ a forest above the floor (``_count_refutes``), over the forced-in set and
 the vertices still free; a first-forest query then grows a greedy forest
 (``_greedy_forest``) from the forced-in set, stopped above the floor, and
 only then searches. The optimum, which must prove optimality, improves a
-greedy forest of the whole graph by (1, 2)-swaps (``_swap_forest``) first;
-where the root's bounds leave room far above that swap forest,
-first-forest queries climb from it instead of one search, and a kick
-(``_kick``) lifts each forest a query finds before the next query asks for
-more. At the optimum's root the count is the instance form of the paper's
-degree-sum bound ``theorems.bound_g``: every graph with minimum degree at
-least n/2 + 1 closes there, on f = n + 1. On a structure sweep the count
+maximal greedy forest of the whole graph (``_grown``) by (1, 2)-swaps
+(``_swap_forest``) first, regrowing after each swap the same way; where
+the root's bounds leave room far above that swap forest, first-forest
+queries climb from it instead of one search, and a kick (``_kick``) lifts
+each forest a query finds before the next query asks for more. At the
+optimum's root the count is the instance form of the paper's degree-sum
+bound ``theorems.bound_g``: every graph with minimum degree at least
+n/2 + 1 closes there, on f = n + 1. On a structure sweep the count
 refutes most of the lex walk's queries and the greedy, stopped at the
 target, answers most of the rest, neither with a node.
 """
@@ -190,11 +191,11 @@ def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
 
     Repeatedly joins the live vertex with the fewest active (``s | live``)
     neighbours, lowest id on ties; the vertices the join kills leave. Stops
-    once the forest holds ``stop`` vertices, or, with ``stop`` 0, when no
-    live vertex is left: the forest is then maximal within ``s | live``.
+    once the forest holds ``stop`` vertices or no live vertex is left; a
+    ``stop`` of 2n (``_grown``) grows a forest maximal within ``s | live``.
     """
     size = s.bit_count()
-    while live and (not stop or size < stop):
+    while live and size < stop:
         act = s | live
         fewest = len(adj)
         m = live
@@ -228,6 +229,14 @@ def _components(adj: tuple[int, ...],
         comps, d = _merge(comps, b, adj[b.bit_length() - 1])
         dead |= d
     return comps, dead
+
+
+def _grown(adj: tuple[int, ...], s: int) -> int:
+    """The forest ``s`` grown by ``_greedy_forest`` into a maximal forest
+    of the whole graph; ``s`` must be a forest."""
+    comps, dead = _components(adj, s)
+    return _greedy_forest(adj, s, comps, ((1 << len(adj)) - 1) & ~(s | dead),
+                          len(adj))
 
 
 def _freeing(adj: tuple[int, ...], s: int) -> Iterator[tuple[int, int]]:
@@ -311,16 +320,11 @@ def _swap_forest(adj: tuple[int, ...], s: int) -> int:
     The swap made is the first in ascending ids (``_first_swap``), so the
     result depends only on the arguments. Every swap grows the forest, so
     there are at most 2n of them. ``s`` is maximal in every call, the
-    optimum's greedy forest or a kick's regrown one, but need not be: a
-    vertex that joins it as it stands is freed by every x."""
-    full = (1 << len(adj)) - 1
-    while True:
-        move = _first_swap(adj, s, list(_freeing(adj, s)))
-        if not move:
-            return s
-        s ^= move
-        comps, dead = _components(adj, s)
-        s = _greedy_forest(adj, s, comps, full & ~(s | dead), 0)
+    optimum's greedy forest or a kick's regrown one (``_grown``), but need
+    not be: a vertex that joins it as it stands is freed by every x."""
+    while move := _first_swap(adj, s):
+        s = _grown(adj, s ^ move)
+    return s
 
 
 def _kick(adj: tuple[int, ...], s: int) -> int:
@@ -330,20 +334,18 @@ def _kick(adj: tuple[int, ...], s: int) -> int:
 
     Each vertex y outside s, in ascending id, is forced in: y's forest
     neighbours leave, y joins and the forest grows greedily again to a
-    maximal one. The kicked set is a forest, since y joins it with no
-    neighbour. Only a regrown forest at least as large as s is improved by
-    (1, 2)-swaps; a swapped forest larger than s replaces it, and the scan
-    restarts from the lowest id outside it. Every gain grows the forest,
-    so there are at most 2n of them, and a second call returns its result
-    unchanged."""
+    maximal one (``_grown``). The kicked set is a forest, since y joins it
+    with no neighbour. Only a regrown forest at least as large as s is
+    improved by (1, 2)-swaps; a swapped forest larger than s replaces it,
+    and the scan restarts from the lowest id outside it. Every gain grows
+    the forest, so there are at most 2n of them, and a second call returns
+    its result unchanged."""
     full = (1 << len(adj)) - 1
     left = full & ~s
     while left:
         y = left & -left
         left ^= y
-        kicked = s & ~adj[y.bit_length() - 1] | y
-        comps, dead = _components(adj, kicked)
-        kicked = _greedy_forest(adj, kicked, comps, full & ~(kicked | dead), 0)
+        kicked = _grown(adj, s & ~adj[y.bit_length() - 1] | y)
         if kicked.bit_count() >= s.bit_count():
             kicked = _swap_forest(adj, kicked)
             if kicked.bit_count() > s.bit_count():
@@ -352,14 +354,13 @@ def _kick(adj: tuple[int, ...], s: int) -> int:
     return s
 
 
-def _first_swap(adj: tuple[int, ...], s: int,
-                frees: list[tuple[int, int]]) -> int:
+def _first_swap(adj: tuple[int, ...], s: int) -> int:
     """The first (1, 2)-swap of the forest ``s``, scanning x, then
     y, then z in ascending id, as the mask x | y | z, or 0 when there is
-    none; ``frees`` is what ``_freeing`` yields for s. Each of y and z
-    must be freed by x, so only an x that frees two is a candidate; for
-    it, the pieces of s - x take y by ``_merge``, and z may follow when
-    that merge leaves it alive."""
+    none. Each of y and z must be freed by x (``_freeing``), so only an x
+    that frees two is a candidate; for it, the pieces of s - x take y by
+    ``_merge``, and z may follow when that merge leaves it alive."""
+    frees = list(_freeing(adj, s))
     once = twice = 0
     for _, f in frees:
         twice |= once & f
@@ -712,25 +713,26 @@ def _walk(search: _Search) -> tuple[int, Iterator[int]]:
 
     A full part plus any opposite vertex induces a forest, so the optimum
     looks for more than n + 1 vertices. The root count (``_count_refutes``)
-    for n + 2 comes first, so a graph it refutes closes before any greedy;
-    a root that closes on it counts as one node. Otherwise the greedy forest
-    (``_greedy_forest``), improved by (1, 2)-swaps (``_swap_forest``), is
-    the swap forest. When the root's bounds leave room for a forest
-    ``_UPWARD_GAP`` vertices above it (``_Search._reaches``), the optimum
-    climbs by first-forest queries, from the swap forest or n + 1. A query
-    that finds a forest explores the exclude child first and ends at its
-    first leaf, and ``_kick`` improves that forest before the next query
-    asks for more vertices than the improved forest holds: a found forest
-    is often a swap or a kick below a larger one. The first refuted query
-    proves the answer; its floor is the answer itself, so it explores the
-    tree of a search told the answer in advance. Where the swap stalls well
-    below f, this replaces a search that climbs from a low incumbent before
-    its proof. Otherwise one include-first search asks for more than the
-    swap forest or n + 1, and when it finds none the swap forest is the
-    optimum. Its nodes are those of a search from the swap forest as
-    incumbent: propagation and the branch pick do not read the incumbent,
-    only its size. The optimum's queries are asked of ``largest``, not
-    counted as ``feasible_with`` calls.
+    for n + 2 comes first, so a graph it refutes closes before any greedy; a
+    root that closes on it counts as one node. Otherwise the maximal greedy
+    forest of the whole graph (``_grown``), improved by (1, 2)-swaps
+    (``_swap_forest``), is the swap forest. When the root's bounds leave
+    room for a forest ``_UPWARD_GAP`` vertices above it
+    (``_Search._reaches``), the optimum climbs by first-forest queries, from
+    the swap forest or n + 1. A query that finds a forest explores the
+    exclude child first and ends at its first leaf, and ``_kick`` improves
+    that forest before the next query asks for more vertices than the
+    improved forest holds: a found forest is often a swap or a kick below a
+    larger one. The first refuted query proves the answer; its floor is the
+    answer itself, so it explores the tree of a search told the answer in
+    advance. Where the swap stalls well below f, this replaces a search that
+    climbs from a low incumbent before its proof. Otherwise one
+    include-first search asks for more than the swap forest or n + 1, and
+    when it finds none the swap forest is the optimum. Its nodes are those
+    of a search from the swap forest as incumbent: propagation and the
+    branch pick do not read the incumbent, only its size. The optimum's
+    queries are asked of ``largest``, not counted as ``feasible_with``
+    calls.
 
     The walk starts from the optimum's forest after a lexicographic
     descent (``_descend``), which changes only its queries and keeps its
@@ -749,7 +751,7 @@ def _walk(search: _Search) -> tuple[int, Iterator[int]]:
     full = (1 << 2 * n) - 1
     best = None
     if not _count_refutes(n, search.order, 0, full, n + 2):
-        swap = _swap_forest(adj, _greedy_forest(adj, 0, (), full, 0))
+        swap = _swap_forest(adj, _grown(adj, 0))
         floor = max(swap.bit_count(), n + 1)
         if floor > n + 1:
             best = swap

@@ -212,16 +212,32 @@ def _recheck(g: BalancedBipartiteGraph, res, expected: int,
 # BOUNDS: exact inequality sweep
 # ---------------------------------------------------------------------------
 
+# the degree-sum inequalities check_bounds sweeps, in report order: the
+# bound's name, the edge count n + plus it must reach, the last k of its range
+# 2 .. last(n), twice the bound as an integer polynomial (bound_g, bound_h
+# and bound_t8 scaled by 2), and the word a counterexample's detail puts
+# before the size. t8 is an integer at odd n and claimed at odd n only
+_INEQUALITIES = (
+    ("g", 2, lambda n: (n + 2) // 2, lambda n, k: k * (n + 6 - 2 * k),
+     "has ceiling below"),
+    ("h", 1, lambda n: (n - 1) // 2, lambda n, k: k * (n + 4 - 2 * k),
+     "has ceiling below"),
+    ("t8", 2, lambda n: (n + 1) // 2 if n % 2 else 1,
+     lambda n, k: k * (n + 7 - 2 * k) - 2, "below"),
+)
+
+
 def check_bounds(n_max: int) -> VerificationReport:
-    """Sweep the three degree-sum inequalities over all integer k in their
-    stated ranges for every n up to ``n_max``.
+    """Sweep the degree-sum inequalities of ``_INEQUALITIES`` over every
+    integer k in their ranges for every n up to ``n_max``.
 
     Comparisons are exact (integer-scaled rationals, no floating point). A
     counterexample is recorded when the integer consequence fails, i.e. the
     ceiling of the bound drops below the required edge count. Exact values
     below the threshold whose ceiling still meets it are reported in params
-    as fractional near-misses; k = 2 evaluations of the second bound are
-    reported separately rather than counted.
+    as fractional near-misses. The second bound is claimed for k >= 3: its
+    k = 2 evaluations are checked too, but those below the threshold are
+    tallied in params rather than recorded.
     """
     if n_max < 2:
         raise ParameterError(f"need n_max >= 2, got {n_max}")
@@ -232,44 +248,23 @@ def check_bounds(n_max: int) -> VerificationReport:
     h_k2_count = 0
     h_k2_sample: list[list] = []
     for n in range(2, n_max + 1):
-        # bound_g(n, k) >= n + 2 for k in [2, floor((n+2)/2)]
-        # scaled by 2: k*(n + 6 - 2k) vs 2(n + 2)
-        for k in range(2, (n + 2) // 2 + 1):
-            checked += 1
-            v2 = k * (n + 6 - 2 * k)
-            if v2 <= 2 * (n + 1):
-                counterexamples.append(_cex(None, None,
-                    f"g(n={n}, k={k}) = {Fraction(v2, 2)} has ceiling below {n + 2}"))
-            elif v2 < 2 * (n + 2):
-                near_misses.append(["g", n, k, str(Fraction(v2, 2))])
-        # bound_h(n, k) >= n + 1 for k in [3, floor((n-1)/2)]; k = 2 is
-        # evaluated too but reported separately
-        for k in range(2, (n - 1) // 2 + 1):
-            checked += 1
-            v2 = k * (n + 4 - 2 * k)
-            fails_int = v2 <= 2 * n
-            below_exact = v2 < 2 * (n + 1)
-            if k == 2:
-                if fails_int or below_exact:
+        for name, plus, last, twice, below in _INEQUALITIES:
+            need = n + plus
+            for k in range(2, last(n) + 1):
+                checked += 1
+                v2 = twice(n, k)
+                if v2 >= 2 * need:
+                    continue
+                value = Fraction(v2, 2)
+                if name == "h" and k == 2:
                     h_k2_count += 1
                     if len(h_k2_sample) < 5:
-                        h_k2_sample.append([n, k, str(Fraction(v2, 2))])
-                continue
-            if fails_int:
-                counterexamples.append(_cex(None, None,
-                    f"h(n={n}, k={k}) = {Fraction(v2, 2)} has ceiling below {n + 1}"))
-            elif below_exact:
-                near_misses.append(["h", n, k, str(Fraction(v2, 2))])
-        # bound_t8(n, k) >= n + 2 for odd n, k in [2, (n+1)/2]; the value is
-        # an integer at integer k when n is odd
-        if n % 2:
-            m = (n + 1) // 2
-            for k in range(2, m + 1):
-                checked += 1
-                v = -k * k + (m + 3) * k - 1
-                if v < n + 2:
+                        h_k2_sample.append([n, k, str(value)])
+                elif v2 <= 2 * need - 2:
                     counterexamples.append(_cex(None, None,
-                        f"t8(n={n}, k={k}) = {v} below {n + 2}"))
+                        f"{name}(n={n}, k={k}) = {value} {below} {need}"))
+                else:
+                    near_misses.append([name, n, k, str(value)])
     params = {
         "n_max": n_max,
         "fractional_near_misses": near_misses,

@@ -118,6 +118,14 @@ def test_solve_missing_file(capsys):
     assert "no such file" in capsys.readouterr().err
 
 
+def test_solve_directory_exits_two(tmp_path, capsys):
+    # an OSError other than a missing file: one error line, exit 2
+    assert run(["solve", "--in", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
 def test_solve_part_cap_names_limit(tmp_path, capsys):
     big = "BBG 1\n65\n" + "\n".join("0" * 65 for _ in range(65)) + "\n"
     assert run(["solve", "--in", _write(tmp_path, big)]) == 2

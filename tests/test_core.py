@@ -59,6 +59,10 @@ def test_degree_and_edge_count():
     assert [g.degree(1, i) for i in range(3)] == [2, 2, 2]
     assert [g.degree(2, j) for j in range(3)] == [2, 2, 2]
     assert min_degree(g) == 2
+    # no part 0 or 3, and no wrapped or past-the-end index
+    for side, index in ((0, 0), (3, 0), (1, -1), (2, 3)):
+        with pytest.raises(ParameterError, match="^no vertex"):
+            g.degree(side, index)
 
 
 def test_vertex_subset_basics():

@@ -27,6 +27,11 @@ def test_prop1_degree_sits_just_below_threshold(n):
     assert min_degree(g) < n / 2 + 1
 
 
+def test_prop1_rejects_n_below_two():
+    with pytest.raises(ParameterError, match="need n >= 2, got 1"):
+        prop1_construction(1)
+
+
 @pytest.mark.parametrize("n", (4, 6, 8, 10))
 def test_thm3_lambda2_witness_shape(n):
     g, w = thm3_lambda2(n)
@@ -104,6 +109,8 @@ def test_random_min_degree_rejects_bad_floor():
         random_min_degree(4, 5, 0)
     with pytest.raises(ParameterError):
         random_min_degree(4, -1, 0)
+    with pytest.raises(ParameterError, match="part size must be positive"):
+        random_min_degree(0, 0, 0)
 
 
 @pytest.mark.parametrize("n", (3, 5, 7, 9))

@@ -199,23 +199,23 @@ def test_greedy_forest_is_a_forest_no_larger_than_f():
     for gi in range(40):
         n = 2 + gi % 19
         g = random_bipartite(n, (0.15, 0.3, 0.6, 0.9)[gi % 4], gi)
-        s = solver._greedy_forest(solver._adjacency(g), 0, (),
-                                  (1 << 2 * n) - 1, 0)
+        s = solver._grown(solver._adjacency(g), 0)
         assert forest_oracle(g, VertexSubset(s & (1 << n) - 1, s >> n)), gi
         assert s.bit_count() <= max_forest(g).forest_number, gi
+        for v in range(2 * n):
+            t = s | 1 << v
+            assert t == s or not forest_oracle(
+                g, VertexSubset(t & (1 << n) - 1, t >> n)), (gi, v)
 
 
 def test_greedy_forest_skipped_when_the_root_count_closes(monkeypatch):
-    # feasibility queries may complete greedily, the enumeration's first one
-    # with nothing forced too; the root start alone runs to a maximal forest
-    greedy = solver._greedy_forest
+    # feasibility queries may complete greedily, stopped above their floor,
+    # the enumeration's first one with nothing forced too; only the optimum's
+    # local search grows a maximal forest
+    def refuse(adj, s):
+        raise AssertionError("greedy start ran after the root count closed")
 
-    def refuse(adj, s, comps, live, stop):
-        if not stop:
-            raise AssertionError("greedy start ran after the root count closed")
-        return greedy(adj, s, comps, live, stop)
-
-    monkeypatch.setattr(solver, "_greedy_forest", refuse)
+    monkeypatch.setattr(solver, "_grown", refuse)
     for n in (32, 48, 64):
         res = max_forest(random_min_degree(n, (n + 3) // 2, n))
         assert (res.forest_number, res.nodes_explored) == (n + 1, 1)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from bbforest import (ENUMERATION_BUDGET, ParameterError, PostconditionError,
                       thm3_lambda2, thm3_lambda_half, verify_constructions,
                       verify_structure, verify_t1_exhaustive,
                       verify_t1_random, verify_t8)
+from bbforest.cli import run
 
 from .helpers import random_bipartite
 
@@ -34,11 +36,39 @@ def test_bound_values_frozen():
 
 @given(st.integers(2, 200), st.integers(2, 200))
 def test_bounds_match_their_scaled_integer_forms(n, k):
-    assert 2 * bound_g(n, k) == k * (n + 6 - 2 * k)
-    assert 2 * bound_h(n, k) == k * (n + 4 - 2 * k)
-    if n % 2 == 1:
-        m = (n + 1) // 2
-        assert bound_t8(n, k) == -k * k + (m + 3) * k - 1
+    # the sweep's table holds each public bound, scaled by 2
+    bounds = {"g": bound_g, "h": bound_h, "t8": bound_t8}
+    rows = theorems._INEQUALITIES
+    assert [row[0] for row in rows] == list(bounds)
+    for name, _, _, twice, _ in rows:
+        assert 2 * bounds[name](n, k) == twice(n, k)
+
+
+def test_check_bounds_records_failing_bounds(monkeypatch, capsys):
+    # every bound of the table asked for 100 more than it must reach fails
+    # at each k it is claimed for, with the detail it has always carried
+    raised = [(name, plus + 100, *rest)
+              for name, plus, *rest in theorems._INEQUALITIES]
+    monkeypatch.setattr(theorems, "_INEQUALITIES", raised)
+    details = [c["detail"] for c in check_bounds(7).counterexamples]
+    assert details[:3] == ["g(n=2, k=2) = 4 has ceiling below 104",
+                           "g(n=3, k=2) = 5 has ceiling below 105",
+                           "t8(n=3, k=2) = 5 below 105"]
+    assert "h(n=7, k=3) = 15/2 has ceiling below 108" in details
+    # a made-up bound that meets n + 2 at k = 2, falls half an edge short
+    # at k = 3 and a whole one from k = 4 on
+    monkeypatch.setattr(theorems, "_INEQUALITIES", [
+        ("z", 2, lambda n: 4, lambda n, k: 2 * (n + 2) - (k - 2), "below")])
+    rep = check_bounds(15)
+    assert rep.instances_checked == 3 * 14
+    assert rep.params["fractional_near_misses"] == [
+        ["z", n, 3, f"{2 * n + 3}/2"] for n in range(2, 16)]
+    assert rep.counterexamples == [
+        {"bbg": None, "detail": f"z(n={n}, k=4) = {n + 1} below {n + 2}"}
+        for n in range(2, 16)]
+    assert "\n    ... and 4 more\n" in rep.render_text()
+    assert run(["verify", "--theorem", "BOUNDS", "--n", "15"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
 
 
 def test_check_bounds_passes_with_known_near_miss():

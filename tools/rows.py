@@ -57,8 +57,7 @@ def measure(g) -> dict[str, int]:
     """One graph's columns of the table."""
     n = g.n
     search = solver._Search(g)
-    full = (1 << 2 * n) - 1
-    greedy = solver._greedy_forest(search.adj, 0, (), full, 0)
+    greedy = solver._grown(search.adj, 0)
     swap = solver._swap_forest(search.adj, greedy)
     bound = next(t for t in range(2 * n, 0, -1)
                  if search._reaches(t))
