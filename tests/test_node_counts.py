@@ -14,9 +14,10 @@ The enumeration of every maximum forest is pinned apart from ``max_forest``:
 its witness count, its feasibility queries and the nodes its own search
 explores, the optimum's among them, on graphs of the T2 sweep at n = 9 and
 on one sparse graph. The queries and nodes of the enumerations the T2
-sweep itself runs at n = 9, seeds 1-40, are pinned as sums. ``max_forest``
-runs the enumeration's walk and stops at its first leaf, so its queries
-are the first ones the enumeration makes.
+sweep itself runs at n = 9, seeds 1-40, are pinned as sums, and so is how
+its queries close: on the degree count, the stopped greedy or the search.
+``max_forest`` runs the enumeration's walk and stops at its first leaf, so
+its queries are the first ones the enumeration makes.
 
 The local search (``_swap_forest``, ``_kick``, ``_descend``) only serves
 the optimum: a query, which has a target size, never runs it. One search
@@ -27,6 +28,8 @@ query, so there the swap can cost nodes: gnp32p25's optimum takes 7 894
 nodes with it and 6 047 with ``_swap_forest`` the identity. So the
 climbing cases are compared as one search, with their climb switched off.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -195,6 +198,39 @@ def test_structure_sweep_enumeration_cost_pinned(monkeypatch):
     report = verify_structure(9, samples=40, seed=1, check="T2")
     assert report.instances_checked == len(cost) == 40
     assert tuple(map(sum, zip(*cost))) == (2360, 745)
+
+
+def test_structure_sweep_queries_close_by_count_greedy_or_search(
+        monkeypatch):
+    # how each query of that sweep closes: with neither the greedy nor the
+    # search run (the degree count refutes it), on the stopped greedy alone,
+    # or in the search, which a greedy falling short hands it to
+    closed = Counter()
+    steps = []
+    greedy = solver._greedy_forest
+    solve = solver._Search.solve
+    feasible_with = solver._Search.feasible_with
+
+    def spied_greedy(*args):
+        steps.append("greedy")
+        return greedy(*args)
+
+    def spied_solve(self, *args):
+        steps.append("search")
+        return solve(self, *args)
+
+    def spied(self, *query):
+        steps.clear()
+        found = feasible_with(self, *query)
+        closed[steps[-1] if steps else "count"] += 1
+        return found
+
+    monkeypatch.setattr(solver, "_greedy_forest", spied_greedy)
+    monkeypatch.setattr(solver._Search, "solve", spied_solve)
+    monkeypatch.setattr(solver._Search, "feasible_with", spied)
+    report = verify_structure(9, samples=40, seed=1, check="T2")
+    assert report.instances_checked == 40
+    assert closed == {"count": 1680, "greedy": 608, "search": 72}
 
 
 # the CASES above whose enumeration is cheap
