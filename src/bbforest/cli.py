@@ -185,6 +185,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _flag(name: str) -> str:
+    """The command-line flag whose value lands in ``args.<name>``."""
+    return "--" + name.replace("_", "-")
+
+
 def _options_read(args: argparse.Namespace, names: tuple[str, ...],
                   reads: tuple[str, ...], mode: str) -> dict[str, object]:
     """The options of ``names`` given, each of which ``mode`` must read
@@ -193,16 +198,19 @@ def _options_read(args: argparse.Namespace, names: tuple[str, ...],
                if getattr(args, name) is not None}
     for name in options:
         if name not in reads:
-            raise BBForestError(
-                f"{mode} does not read --{name.replace('_', '-')}")
+            raise BBForestError(f"{mode} does not read {_flag(name)}")
     return options
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     mode = f"--family {args.family}"
-    options = _options_read(args, ("k", "delta_min", "seed"),
-                            _FAMILIES[args.family][1], mode)
+    fields = _FAMILIES[args.family][1]
+    options = _options_read(args, ("k", "delta_min", "seed"), fields, mode)
     spec = GeneratorSpec(family=args.family, n=args.n, **options)
+    # a field the family takes that has no library default must be given
+    for name in fields:
+        if getattr(spec, name) is None:
+            raise BBForestError(f"{mode} requires {_flag(name)}")
     sys.stdout.write(emit_bbg(build(spec)))
     return 0
 

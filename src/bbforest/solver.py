@@ -29,9 +29,10 @@ component: it is dead, since joining would close a cycle. Components only
 merge, so a dead vertex stays dead, and no acyclicity test or union-find
 is needed.
 
-Before any node, ``largest`` asks whether degree counting alone rules out
-a forest above the floor (``_count_refutes``), over the forced-in set and
-the vertices still free; a first-forest query then grows a greedy forest
+Before any node, ``largest`` merges the forced-in set and asks once
+whether degree counting alone rules out a forest above the floor
+(``_count_refutes``), over the forced-in set and the free vertices the
+merge leaves alive; a first-forest query then grows a greedy forest
 (``_greedy_forest``) from the forced-in set, stopped above the floor, and
 only then searches. The optimum, which must prove optimality, improves a
 maximal greedy forest of the whole graph (``_grown``) by (1, 2)-swaps
@@ -70,9 +71,6 @@ __all__ = [
 BRUTE_FORCE_VERTEX_CAP = 24
 # adjacency rows must fit one machine word
 SOLVER_PART_CAP = 64
-# a vertex's id within its part fits in this many low bits of a sort key
-_ID_BITS = (SOLVER_PART_CAP - 1).bit_length()
-_ID_MASK = (1 << _ID_BITS) - 1
 # maps the digits of bin() to the bytes 0 and 1
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 # the optimum climbs by first-forest queries (``_walk``) when the root
@@ -474,7 +472,6 @@ class _Search:
     __slots__ = ("n", "adj", "nodes", "best_size", "best", "first", "order")
 
     def __init__(self, g: BalancedBipartiteGraph):
-        # rows fit one word, and order's keys an id in _ID_BITS bits
         if g.n > SOLVER_PART_CAP:
             raise InstanceTooLargeError(
                 f"part size {g.n} exceeds the solver cap of {SOLVER_PART_CAP}")
@@ -484,12 +481,15 @@ class _Search:
         self.best_size = 0
         self.best: int | None = None
         self.first = False
-        # per side, the keys degree << _ID_BITS | id (full degree, id within
-        # the side) in ascending order, shared by every count
-        self.order = tuple(
-            sorted(row.bit_count() << _ID_BITS | u
-                   for u, row in enumerate(self.adj[lo:lo + g.n]))
-            for lo in (0, g.n))
+        # per side, the full degrees in ascending order and the bits of
+        # their vertices (ids within the side) in the same order, shared by
+        # every count
+        order = []
+        for lo in (0, g.n):
+            degs = [row.bit_count() for row in self.adj[lo:lo + g.n]]
+            ids = sorted(range(g.n), key=degs.__getitem__)
+            order.append(([degs[u] for u in ids], [1 << u for u in ids]))
+        self.order = tuple(order)
 
     def solve(self, s: int, r: int, comps: tuple[int, ...], floor: int,
               first: bool) -> int | None:
@@ -618,28 +618,20 @@ class _Search:
         mask, or None when there is none; with ``first``, the first such
         forest found.
 
-        Before any node, the degree count (``_count_refutes``) is asked
-        about the pool of vertices in neither set, then the forced-in set is
-        merged, and when the merge kills pool vertices the count is asked
-        again about the smaller pool. A smaller pool can only be refuted
-        more easily, so the first count merely spares the merge on the
-        queries it decides; the answers are those of one count after the
-        merge. With ``first``, the greedy (``_greedy_forest``) then grows
-        the forced-in set from the pool and stops above the floor; reaching
-        it, it is the answer. Otherwise the search runs from the floor with
-        no incumbent. A cyclic forced-in set explores no node."""
-        order = self.order
-        pool = ((1 << 2 * self.n) - 1) & ~(inc | out)
-        if _count_refutes(self.n, order, inc, pool, floor + 1):
-            return None
+        Before any node, the forced-in set is merged (``_components``); a
+        cyclic one has no such forest. The pool is every vertex in neither
+        set that the merge leaves alive, and the degree count
+        (``_count_refutes``) is asked once about it. With ``first``, the
+        greedy (``_greedy_forest``) then grows the forced-in set from the
+        pool and stops above the floor; reaching it, it is the answer.
+        Otherwise the search runs from the floor with no incumbent."""
         merged = _components(self.adj, inc)
         if merged is None:
             return None
         comps, dead = merged
-        if dead & pool:
-            pool &= ~dead
-            if _count_refutes(self.n, order, inc, pool, floor + 1):
-                return None
+        pool = ((1 << 2 * self.n) - 1) & ~(inc | out | dead)
+        if _count_refutes(self.n, self.order, inc, pool, floor + 1):
+            return None
         if first:
             greedy = _greedy_forest(self.adj, inc, comps, pool, floor + 1)
             if greedy.bit_count() > floor:
@@ -774,23 +766,24 @@ def _walk(search: _Search) -> tuple[int, Iterator[int]]:
     return f, _lex_walk(search, f, best)
 
 
-def _count_refutes(n: int, order: tuple[list[int], list[int]], inc: int,
-                   pool: int, t: int) -> bool:
+def _count_refutes(n: int, order: tuple[tuple[list[int], list[int]], ...],
+                   inc: int, pool: int, t: int) -> bool:
     """True when degree counting alone rules out an induced forest of ``t``
     vertices that holds ``inc`` and lies in ``inc | pool``.
 
-    ``order`` is ``_Search.order``. A forest with a vertices in V1
-    and b in V2 keeps, of each V1 vertex's neighbours, all but at most
-    n - b, so it has at least P1[a - a0] - a(n - b) edges, where a0 counts
-    the V1 vertices of ``inc`` and P1[j] sums their degrees and the j
-    smallest degrees of the pool's V1 part; the same holds with the sides
-    swapped. A forest carries at most a + b - 1 edges, so ``t`` is refuted
-    when every split a + b = t that ``inc`` and ``pool`` allow breaks this.
-    When no split is allowed, the pool is too small. Every larger forest
-    that holds ``inc`` holds one of exactly ``t`` vertices, so larger sizes
-    are refuted too. That needs t >= 1 and |inc| <= t; otherwise nothing is
-    refuted. With ``inc`` empty and the full pool this is the root count of
-    ``max_forest``.
+    ``order`` is ``_Search.order``: per side, the full degrees in ascending
+    order and the bits of their vertices in the same order. A forest with a
+    vertices in V1 and b in V2 keeps, of each V1 vertex's neighbours, all
+    but at most n - b, so it has at least P1[a - a0] - a(n - b) edges,
+    where a0 counts the V1 vertices of ``inc`` and P1[j] sums their degrees
+    and the j smallest degrees of the pool's V1 part; the same holds with
+    the sides swapped. A forest carries at most a + b - 1 edges, so ``t``
+    is refuted when every split a + b = t that ``inc`` and ``pool`` allow
+    breaks this. When no split is allowed, the pool is too small. Every
+    larger forest that holds ``inc`` holds one of exactly ``t`` vertices,
+    so larger sizes are refuted too. That needs t >= 1 and |inc| <= t;
+    otherwise nothing is refuted. With ``inc`` empty and the full pool this
+    is the root count of ``max_forest``.
     """
     full = (1 << n) - 1
     a0 = (inc & full).bit_count()
@@ -804,22 +797,20 @@ def _count_refutes(n: int, order: tuple[list[int], list[int]], inc: int,
     if lo > hi:
         return True
     # P1 and P2: the forced vertices' degree sum, then the pool's degrees in
-    # ascending order; a part the pool fills (the root's case) holds no
-    # forced vertex and needs no filter
+    # ascending order, each selected by its vertex's bit; a part the pool
+    # fills (the root's case) holds no forced vertex and needs no filter
     prefix = []
-    for keys, forced, free in zip(order, (inc & full, inc >> n),
-                                  (free1, free2)):
+    for (degs, bits), forced, free in zip(order, (inc & full, inc >> n),
+                                          (free1, free2)):
         start = 0
-        if free == full:
-            degs = map(_ID_BITS.__rrshift__, keys)
-        else:
-            degs = []
-            for k in keys:
-                bit = 1 << (k & _ID_MASK)
-                if forced & bit:
-                    start += k >> _ID_BITS
-                elif free & bit:
-                    degs.append(k >> _ID_BITS)
+        if free != full:
+            kept = []
+            for d, b in zip(degs, bits):
+                if free & b:
+                    kept.append(d)
+                elif forced & b:
+                    start += d
+            degs = kept
         prefix.append(list(accumulate(degs, initial=start)))
     p1, p2 = prefix
     for a in range(lo, hi + 1):

@@ -45,6 +45,14 @@ def forest_oracle(g: BalancedBipartiteGraph, s: VertexSubset) -> bool:
     return edges == len(nodes) - components
 
 
+def forest_masks_oracle(g: BalancedBipartiteGraph) -> list[int]:
+    """Every induced forest as a mask over the 2n global ids (V1 ids
+    low), in ascending order, by ``forest_oracle`` on every subset."""
+    n = g.n
+    return [bits for bits in range(1 << 2 * n)
+            if forest_oracle(g, VertexSubset(bits & (1 << n) - 1, bits >> n))]
+
+
 def max_forest_oracle(g: BalancedBipartiteGraph) -> int:
     """Reference forest number: the largest size at which the subset scan
     of ``enumerate_forests_oracle`` finds an induced forest."""

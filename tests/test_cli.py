@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from bbforest.cli import run
 from .helpers import SerialPool
 
 K22 = "BBG 1\n2\n11\n11\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write(tmp_path, text):
@@ -138,8 +143,13 @@ def test_gen_matches_library(capsys):
 
 
 def test_gen_missing_param(capsys):
-    assert run(["gen", "--family", "thh1_l1", "--n", "7"]) == 2
-    assert "k" in capsys.readouterr().err
+    # named by its flag, as the options a family does not read are
+    for family, flag in (("thh1_l1", "--k"), ("thh1_l2", "--k"),
+                         ("random_min_degree", "--delta-min")):
+        assert run(["gen", "--family", family, "--n", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --family {family} requires {flag}\n"
 
 
 def test_gen_rejects_unknown_family(capsys):
@@ -178,6 +188,29 @@ def test_gen_pipes_into_solve(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert run(["solve", "--format", "json", "--no-timing"]) == 0
     assert json.loads(capsys.readouterr().out)["forest_number"] == 4
+
+
+def _module(argv, stdin):
+    # ``python -m bbforest``, run from this checkout's sources
+    path = os.pathsep.join(filter(None, (str(SRC),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "bbforest", *argv],
+                          input=stdin, capture_output=True, encoding="ascii",
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point_exits_with_the_run_code():
+    # every other test calls run in-process; this one goes through
+    # __main__ and main's sys.exit, once on success and once on bad input
+    graph = _module(["gen", "--family", "complete", "--n", "2"], "")
+    assert graph.returncode == 0
+    solved = _module(["solve", "--no-timing"], graph.stdout)
+    assert solved.returncode == 0 and solved.stderr == ""
+    assert "forest number: 3" in solved.stdout.splitlines()
+    bad = _module(["solve"], "BBG 2\n")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert len(bad.stderr.splitlines()) == 1
+    assert bad.stderr.startswith("error: ")
 
 
 def test_verify_construction_pass(capsys):

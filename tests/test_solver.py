@@ -12,8 +12,8 @@ from bbforest import (InstanceTooLargeError, PostconditionError,
                       max_forest, max_forest_bruteforce, prop1_construction,
                       random_min_degree, thh1_l2, verify_structure)
 
-from .helpers import (enumerate_forests_oracle, forest_oracle,
-                      max_forest_oracle, random_bipartite)
+from .helpers import (enumerate_forests_oracle, forest_masks_oracle,
+                      forest_oracle, max_forest_oracle, random_bipartite)
 
 
 def test_k22():
@@ -116,9 +116,7 @@ def test_feasible_with_matches_forest_scan():
         n = 1 + gi % 6
         g = random_bipartite(n, rng.choice((0.3, 0.5, 0.7)), gi)
         nv = 2 * n
-        forests = {bits for bits in range(1 << nv)
-                   if forest_oracle(g, VertexSubset(bits & (1 << n) - 1,
-                                                    bits >> n))}
+        forests = set(forest_masks_oracle(g))
         search = solver._Search(g)
         for _ in range(50):
             inc = rng.getrandbits(nv) & rng.getrandbits(nv)
@@ -143,8 +141,7 @@ def test_largest_matches_forest_scan():
         n = 1 + gi % 6
         g = random_bipartite(n, rng.choice((0.3, 0.5, 0.7)), gi)
         nv = 2 * n
-        forests = [s.s1 | s.s2 << n for size in range(1, nv + 1)
-                   for s in enumerate_forests_oracle(g, size)]
+        forests = forest_masks_oracle(g)
         search = solver._Search(g)
         for _ in range(50):
             inc = rng.getrandbits(nv) & rng.getrandbits(nv)
@@ -469,9 +466,7 @@ def test_count_refutes_only_sizes_above_the_forest_number():
         for tenths in range(1, 11):
             g = random_bipartite(n, tenths / 10, 10 * n + tenths)
             nv = 2 * n
-            forests = {bits for bits in range(1 << nv)
-                       if forest_oracle(g, VertexSubset(bits & (1 << n) - 1,
-                                                        bits >> n))}
+            forests = set(forest_masks_oracle(g))
             order = solver._Search(g).order
             assert max(f.bit_count() for f in forests) == max_forest_oracle(g)
             queries = [(0, 0)]
@@ -506,9 +501,7 @@ def test_edge_cut_refutes_only_sizes_no_forest_reaches():
         g = random_bipartite(n, (0.2, 0.4, 0.6, 0.8)[gi % 4], 100 + gi)
         nv = 2 * n
         adj = solver._adjacency(g)
-        forests = [bits for bits in range(1 << nv)
-                   if forest_oracle(g, VertexSubset(bits & (1 << n) - 1,
-                                                    bits >> n))]
+        forests = forest_masks_oracle(g)
         for _ in range(200):
             s = rng.choice(forests) & rng.getrandbits(nv)
             r = rng.getrandbits(nv) & ~s
