@@ -139,7 +139,9 @@ def _merge(comps: tuple[int, ...], b: int,
     components it touches. Each component is kept as the union of its
     vertices' neighbourhoods. Returns the new components and the vertices
     seen by two of the merged pieces: each has two neighbours in the joined
-    component, so it would close a cycle."""
+    component, so it would close a cycle. When ``b`` touches two or more
+    pieces it sees them all, so it is among the returned vertices itself,
+    and a caller that keeps ``b`` must mask it out."""
     dead = 0
     rest = []
     for c in comps:
@@ -152,33 +154,33 @@ def _merge(comps: tuple[int, ...], b: int,
     return tuple(rest), dead
 
 
-def _edge_cut_refutes(deg: list[int], cand: list[int], total: int,
-                      floor: int) -> bool:
+def _edge_cut_refutes(cand: list[int], total: int, floor: int, edges: int,
+                      pos: int) -> bool:
     """True when the edge cut rules out an induced forest F of more than
     ``floor`` vertices with s <= F <= s | r, in an active graph s | r of
     ``total`` > ``floor`` vertices whose forced-in part s is a forest.
 
-    ``deg`` holds the active degrees by global id, 0 for inactive ids, and
-    ``cand`` the active degrees of the candidates r, in any order. Let the
-    active graph have m edges and p vertices of positive degree. An
-    isolated vertex joins any forest as a component of its own, so we may
-    take F to hold them all; then its dropped set D = (s | r) - F lies in
-    r, holds only vertices of positive degree, and has at most
-    k = total - floor - 1 of them. F keeps at least m - deg(D) edges on
-    its p - |D| vertices of positive degree, and a forest has at most that
-    many minus one, so deg(D) - |D| >= m - p + 1. Each candidate of
-    positive degree adds at least 0 to deg(D) - |D|, so its largest value
-    is S_k - k with S_k the sum of the k largest such degrees, and k
-    capped at their number. A zero-degree candidate would add -1: left in
-    the list it could lower S_k - k and refute a forest that exists.
-    Only candidates count, never s: no forest below the node drops s.
-    S_k - k never falls as k grows, so one test at the largest k decides.
-    An edgeless active graph is a forest and is never refuted.
+    ``cand`` holds the active degrees of the candidates r, in any order,
+    and the active graph has m = ``edges`` edges and p = ``pos`` vertices
+    of positive degree; the search carries both totals down its nodes
+    instead of recounting them (``_Search``). An isolated vertex joins any
+    forest as a component of its own, so we may take F to hold them all;
+    then its dropped set D = (s | r) - F lies in r, holds only vertices of
+    positive degree, and has at most k = total - floor - 1 of them. F
+    keeps at least m - deg(D) edges on its p - |D| vertices of positive
+    degree, and a forest has at most that many minus one, so
+    deg(D) - |D| >= m - p + 1. Each candidate of positive degree adds at
+    least 0 to deg(D) - |D|, so its largest value is S_k - k with S_k the
+    sum of the k largest such degrees, and k capped at their number. A
+    zero-degree candidate would add -1: left in the list it could lower
+    S_k - k and refute a forest that exists. Only candidates count, never
+    s: no forest below the node drops s. S_k - k never falls as k grows,
+    so one test at the largest k decides. An edgeless active graph is a
+    forest and is never refuted.
     """
-    pos = len(deg) - deg.count(0)
     cand = sorted(filter(None, cand), reverse=True)
     k = min(total - floor - 1, len(cand))
-    return pos > 0 and sum(cand[:k]) - k < (sum(deg) >> 1) - pos + 1
+    return pos > 0 and sum(cand[:k]) - k < edges - pos + 1
 
 
 def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
@@ -191,23 +193,55 @@ def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
     neighbours, lowest id on ties; the vertices the join kills leave. Stops
     once the forest holds ``stop`` vertices or no live vertex is left; a
     ``stop`` of 2n (``_grown``) grows a forest maximal within ``s | live``.
+
+    Each live vertex's active degree is counted once and the vertex filed
+    in a bucket, a mask of the live vertices of that degree, so the pick
+    is the lowest bit of the lowest non-empty bucket. A join keeps the
+    active set but for the vertices it kills, so only their live
+    neighbours move, one bucket down per killed neighbour.
     """
     size = s.bit_count()
+    act = s | live
+    deg: dict[int, int] = {}  # a live vertex's bit -> its active degree
+    bucket = [0] * len(adj)  # a degree -> the live vertices of that degree
+    m = live
+    while m:
+        b = m & -m
+        m ^= b
+        deg[b] = d = (adj[b.bit_length() - 1] & act).bit_count()
+        bucket[d] |= b
+    low = 0
     while live and size < stop:
-        act = s | live
-        fewest = len(adj)
-        m = live
-        while m:
-            b = m & -m
-            m ^= b
-            d = (adj[b.bit_length() - 1] & act).bit_count()
-            if d < fewest:
-                fewest = d
-                v = b
+        while not bucket[low]:
+            low += 1
+        v = bucket[low] & -bucket[low]
+        bucket[low] ^= v
         comps, dead = _merge(comps, v, adj[v.bit_length() - 1])
         s |= v
-        live &= ~(v | dead)
         size += 1
+        # v leaves live before the kills are masked: a join that merges two
+        # pieces returns v among them
+        live ^= v
+        dead &= live
+        if dead:
+            live ^= dead
+            near = 0
+            m = dead
+            while m:
+                b = m & -m
+                m ^= b
+                bucket[deg[b]] ^= b
+                near |= adj[b.bit_length() - 1]
+            near &= live
+            while near:
+                b = near & -near
+                near ^= b
+                d = deg[b]
+                bucket[d] ^= b
+                deg[b] = d = d - (adj[b.bit_length() - 1] & dead).bit_count()
+                bucket[d] |= b
+                if d < low:
+                    low = d
     return s
 
 
@@ -389,6 +423,12 @@ def _descend(adj: tuple[int, ...], s: int) -> int:
             return s
 
 
+def _totals(deg: list[int]) -> tuple[int, int]:
+    """The edge count and the number of vertices of positive degree of the
+    active graph whose degrees by global id are ``deg``."""
+    return sum(deg) >> 1, len(deg) - deg.count(0)
+
+
 class _Search:
     """Branch-and-bound over include/exclude vertex decisions.
 
@@ -456,17 +496,23 @@ class _Search:
     they find.
 
     The edge-cut bound and the branch pick read active degrees from a list
-    indexed by global id, 0 for inactive ids. A node is handed its parent's
-    list and the mask of ids the parent's decision removed: the branch
-    vertex on the exclude side, the merge's kills on the include side.
-    Propagation adds its own kills; its joins keep the active set. A node
-    that reaches the bound copies the list, only when that mask is
-    non-empty, zeroes each removed id and decrements its active
-    neighbours, so the list holds exactly the popcounts a recount over the
-    active set would give, and every prune and branch decision is the one
-    the recount would make. ``solve`` counts the degrees over its forced
-    state's active set and hands them to the first node with nothing
-    removed, so that node's propagation kills take the same decrement.
+    indexed by global id, 0 for inactive ids, and the bound reads two
+    totals of the active graph as well: its edge count ``edges`` and its
+    number of vertices of positive degree ``pos``. A node is handed its
+    parent's list and totals and the mask of ids the parent's decision
+    removed: the branch vertex on the exclude side, the merge's kills on
+    the include side. Propagation adds its own kills; its joins keep the
+    active set. A node that reaches the bound copies the list, only when
+    that mask is non-empty, and takes the removed ids out one at a time:
+    each one's remaining degree leaves ``edges``, its entry becomes 0, and
+    its neighbours among the active ids and the removed ids not yet taken
+    out lose one, so no edge is subtracted twice; ``pos`` drops for every
+    entry that reaches 0 on the way. The list and the totals then hold
+    exactly what a recount over the active set would give, and every prune
+    and branch decision is the one the recount would make. ``solve``
+    counts the degrees and the totals over its forced state's active set
+    and hands them to the first node with nothing removed, so that node's
+    propagation kills take the same update.
     """
 
     __slots__ = ("n", "adj", "nodes", "best_size", "best", "first", "order")
@@ -481,14 +527,16 @@ class _Search:
         self.best_size = 0
         self.best: int | None = None
         self.first = False
-        # per side, the full degrees in ascending order and the bits of
-        # their vertices (ids within the side) in the same order, shared by
-        # every count
+        # per side, the full degrees in ascending order, the bits of their
+        # vertices (ids within the side) in the same order and the degrees'
+        # prefix sums from 0, shared by every count
         order = []
         for lo in (0, g.n):
             degs = [row.bit_count() for row in self.adj[lo:lo + g.n]]
             ids = sorted(range(g.n), key=degs.__getitem__)
-            order.append(([degs[u] for u in ids], [1 << u for u in ids]))
+            degs = [degs[u] for u in ids]
+            order.append((degs, [1 << u for u in ids],
+                          list(accumulate(degs, initial=0))))
         self.order = tuple(order)
 
     def solve(self, s: int, r: int, comps: tuple[int, ...], floor: int,
@@ -500,7 +548,8 @@ class _Search:
         self.best_size = floor
         self.best = None
         self.first = first
-        self._branch(s, r, comps, r, self._degrees(s | r), 0)
+        deg = self._degrees(s | r)
+        self._branch(s, r, comps, r, deg, 0, *_totals(deg))
         return self.best
 
     def _degrees(self, act: int) -> list[int]:
@@ -520,7 +569,7 @@ class _Search:
         return out
 
     def _branch(self, s: int, r: int, comps: tuple[int, ...], dirty: int,
-                deg: list[int], gone: int) -> None:
+                deg: list[int], gone: int, edges: int, pos: int) -> None:
         self.nodes += 1
         adj = self.adj
 
@@ -554,24 +603,33 @@ class _Search:
             self.best = s
             return
 
+        # take the removed ids out of the degrees and the totals (see the
+        # class docstring); a removed id of degree 0 has nothing to take
         if gone:
             deg = deg.copy()
             while gone:
                 b = gone & -gone
                 gone ^= b
                 u = b.bit_length() - 1
-                deg[u] = 0
-                m = adj[u] & act
-                while m:
-                    b = m & -m
-                    m ^= b
-                    deg[b.bit_length() - 1] -= 1
+                d = deg[u]
+                if d:
+                    edges -= d
+                    pos -= 1
+                    deg[u] = 0
+                    m = adj[u] & (act | gone)
+                    while m:
+                        b = m & -m
+                        m ^= b
+                        w = b.bit_length() - 1
+                        deg[w] -= 1
+                        if not deg[w]:
+                            pos -= 1
 
         # the candidates' degrees: r's bits, lowest first and made 0/1
         # bytes, select them from the list
         picks = bin(r)[:1:-1].encode().translate(_DIGIT_BYTES)
         cand = list(compress(deg, picks))
-        if _edge_cut_refutes(deg, cand, total, self.best_size):
+        if _edge_cut_refutes(cand, total, self.best_size, edges, pos):
             return
 
         # branch on the candidate of maximum active degree, then most
@@ -591,7 +649,7 @@ class _Search:
         # a search for the first forest excludes v first, and ends at its
         # first leaf; excluding v turns its neighbours dirty
         if self.first:
-            self._branch(s, r ^ b, comps, row, deg, b)
+            self._branch(s, r ^ b, comps, row, deg, b, edges, pos)
             if self.best is not None:
                 return
         # including v: candidates the merge kills leave, and their
@@ -599,9 +657,9 @@ class _Search:
         merged, dead = _merge(comps, b, row)
         dead &= r ^ b
         self._branch(s | b, r ^ b ^ dead, merged, self._neighbours(dead),
-                     deg, dead)
+                     deg, dead, edges, pos)
         if not self.first:
-            self._branch(s, r ^ b, comps, row, deg, b)
+            self._branch(s, r ^ b, comps, row, deg, b, edges, pos)
 
     def feasible_with(self, inc: int, out: int, target: int) -> int | None:
         """Some induced forest of at least ``target`` >= 1 vertices that
@@ -646,7 +704,7 @@ class _Search:
         if _count_refutes(self.n, self.order, 0, full, t):
             return False
         deg = self._degrees(full)
-        return not _edge_cut_refutes(deg, deg, 2 * self.n, t - 1)
+        return not _edge_cut_refutes(deg, 2 * self.n, t - 1, *_totals(deg))
 
 
 def _lex_walk(search: _Search, target: int,
@@ -766,13 +824,15 @@ def _walk(search: _Search) -> tuple[int, Iterator[int]]:
     return f, _lex_walk(search, f, best)
 
 
-def _count_refutes(n: int, order: tuple[tuple[list[int], list[int]], ...],
+def _count_refutes(n: int,
+                   order: tuple[tuple[list[int], list[int], list[int]], ...],
                    inc: int, pool: int, t: int) -> bool:
     """True when degree counting alone rules out an induced forest of ``t``
     vertices that holds ``inc`` and lies in ``inc | pool``.
 
     ``order`` is ``_Search.order``: per side, the full degrees in ascending
-    order and the bits of their vertices in the same order. A forest with a
+    order, the bits of their vertices in the same order and the degrees'
+    prefix sums from 0. A forest with a
     vertices in V1 and b in V2 keeps, of each V1 vertex's neighbours, all
     but at most n - b, so it has at least P1[a - a0] - a(n - b) edges,
     where a0 counts the V1 vertices of ``inc`` and P1[j] sums their degrees
@@ -798,20 +858,22 @@ def _count_refutes(n: int, order: tuple[tuple[list[int], list[int]], ...],
         return True
     # P1 and P2: the forced vertices' degree sum, then the pool's degrees in
     # ascending order, each selected by its vertex's bit; a part the pool
-    # fills (the root's case) holds no forced vertex and needs no filter
+    # fills (the root's case) holds no forced vertex and reads the stored
+    # prefix sums
     prefix = []
-    for (degs, bits), forced, free in zip(order, (inc & full, inc >> n),
-                                          (free1, free2)):
+    for (degs, bits, whole), forced, free in zip(order, (inc & full, inc >> n),
+                                                 (free1, free2)):
+        if free == full:
+            prefix.append(whole)
+            continue
         start = 0
-        if free != full:
-            kept = []
-            for d, b in zip(degs, bits):
-                if free & b:
-                    kept.append(d)
-                elif forced & b:
-                    start += d
-            degs = kept
-        prefix.append(list(accumulate(degs, initial=start)))
+        kept = []
+        for d, b in zip(degs, bits):
+            if free & b:
+                kept.append(d)
+            elif forced & b:
+                start += d
+        prefix.append(list(accumulate(kept, initial=start)))
     p1, p2 = prefix
     for a in range(lo, hi + 1):
         b = t - a

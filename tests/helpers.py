@@ -11,6 +11,7 @@ import random
 from itertools import combinations
 
 from bbforest import BalancedBipartiteGraph, VertexSubset, from_rows
+from bbforest.solver import _merge
 
 
 def forest_oracle(g: BalancedBipartiteGraph, s: VertexSubset) -> bool:
@@ -77,6 +78,32 @@ def enumerate_forests_oracle(g: BalancedBipartiteGraph,
         if edges < size and forest_oracle(g, s):
             out.append(s)
     return out
+
+
+def greedy_forest_oracle(adj: tuple[int, ...], s: int,
+                         comps: tuple[int, ...], live: int, stop: int) -> int:
+    """The greedy forest of ``solver._greedy_forest`` by a plain scan: each
+    step recounts every live vertex's active (``s | live``) degree and
+    joins the one with the fewest, lowest id on ties; the vertices the
+    join kills (``solver._merge``) leave. Stops at ``stop`` vertices or
+    when no live vertex is left."""
+    size = s.bit_count()
+    while live and size < stop:
+        act = s | live
+        fewest = len(adj)
+        m = live
+        while m:
+            b = m & -m
+            m ^= b
+            d = (adj[b.bit_length() - 1] & act).bit_count()
+            if d < fewest:
+                fewest = d
+                v = b
+        comps, dead = _merge(comps, v, adj[v.bit_length() - 1])
+        s |= v
+        live &= ~(v | dead)
+        size += 1
+    return s
 
 
 def random_bipartite(n: int, p: float, seed: int) -> BalancedBipartiteGraph:

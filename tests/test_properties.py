@@ -127,7 +127,7 @@ def test_edge_cut_bound_keeps_forest_number_and_witness(make, monkeypatch):
     g = make()
     res = max_forest(g)
     monkeypatch.setattr(solver, "_edge_cut_refutes",
-                        lambda deg, cand, total, floor: False)
+                        lambda cand, total, floor, edges, pos: False)
     searched = max_forest(g)
     assert (res.forest_number, res.witness) == (searched.forest_number,
                                                 searched.witness)

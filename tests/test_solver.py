@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -13,7 +14,8 @@ from bbforest import (InstanceTooLargeError, PostconditionError,
                       random_min_degree, thh1_l2, verify_structure)
 
 from .helpers import (enumerate_forests_oracle, forest_masks_oracle,
-                      forest_oracle, max_forest_oracle, random_bipartite)
+                      forest_oracle, greedy_forest_oracle, max_forest_oracle,
+                      random_bipartite)
 
 
 def test_k22():
@@ -159,14 +161,17 @@ def test_largest_matches_forest_scan():
 
 
 def test_handed_degrees_match_the_active_graph(monkeypatch):
-    # a node is handed its parent's active degrees and the ids the parent's
-    # decision removed (a search's first node: solve's count and no id);
-    # with those ids taken out here, each active id must hold its popcount
-    # in the node's own active set and every other id 0
+    # a node is handed its parent's active degrees, edge count and number
+    # of vertices of positive degree, and the ids the parent's decision
+    # removed (a search's first node: solve's count and no id); with those
+    # ids taken out here, each active id must hold its popcount in the
+    # node's own active set and every other id 0, and the totals must be
+    # those of the parent's active set s | r | gone, which the parent
+    # reached the bound with
     branch = solver._Search._branch
     checked = []
 
-    def checking(self, s, r, comps, dirty, deg, gone):
+    def checking(self, s, r, comps, dirty, deg, gone, edges, pos):
         act = s | r
         assert not gone & act and len(deg) == 2 * self.n
         got = [deg[u] - (self.adj[u] & gone).bit_count()
@@ -174,8 +179,12 @@ def test_handed_degrees_match_the_active_graph(monkeypatch):
         want = [(self.adj[u] & act).bit_count() if act >> u & 1 else 0
                 for u in range(2 * self.n)]
         assert got == want, (s, r, gone)
+        parent = [(self.adj[u] & (act | gone)).bit_count()
+                  for u in range(2 * self.n) if (act | gone) >> u & 1]
+        assert (edges, pos) == (sum(parent) // 2,
+                                len(parent) - parent.count(0)), (s, r, gone)
         checked.append(1)
-        return branch(self, s, r, comps, dirty, deg, gone)
+        return branch(self, s, r, comps, dirty, deg, gone, edges, pos)
 
     monkeypatch.setattr(solver._Search, "_branch", checking)
     rng = random.Random(10)
@@ -203,6 +212,48 @@ def test_greedy_forest_is_a_forest_no_larger_than_f():
             t = s | 1 << v
             assert t == s or not forest_oracle(
                 g, VertexSubset(t & (1 << n) - 1, t >> n)), (gi, v)
+
+
+def test_greedy_forest_matches_the_scan_oracle(monkeypatch):
+    # the bucketed greedy must join what a scan over every live vertex
+    # joins, so both return the same mask; the states cover a stop at or
+    # below |s|, a stop out of reach, an empty live set and joins that
+    # merge two pieces, which return the joining vertex among their kills
+    merge = solver._merge
+    two_pieces = []
+
+    def spied(comps, b, row):
+        merged = merge(comps, b, row)
+        if merged[1] & b:
+            two_pieces.append(b)
+        return merged
+
+    monkeypatch.setattr(solver, "_merge", spied)
+    rng = random.Random(30)
+    cases = Counter()
+    for gi in range(120):
+        n = 2 + gi % 15
+        nv = 2 * n
+        adj = solver._adjacency(
+            random_bipartite(n, (0.15, 0.3, 0.5, 0.8)[gi % 4], 300 + gi))
+        for _ in range(40):
+            s = 0
+            for v in rng.sample(range(nv), rng.randint(0, nv)):
+                if solver._components(adj, s | 1 << v) is not None:
+                    s |= 1 << v
+            comps, dead = solver._components(adj, s)
+            live = ((1 << nv) - 1) & ~(s | dead)
+            live &= rng.choice((live, 0, rng.getrandbits(nv)))
+            size = s.bit_count()
+            stop = rng.choice((0, size, size + rng.randint(1, nv), 2 * nv))
+            got = solver._greedy_forest(adj, s, comps, live, stop)
+            assert got == greedy_forest_oracle(adj, s, comps, live, stop), (
+                gi, s, live, stop)
+            cases["stop <= |s|"] += live != 0 and stop <= size
+            cases["out of reach"] += got.bit_count() < stop and live != 0
+            cases["empty live"] += not live
+    assert min(cases.values()) > 500 and len(two_pieces) > 10_000, (
+        cases, len(two_pieces))
 
 
 def test_greedy_forest_skipped_when_the_root_count_closes(monkeypatch):
@@ -399,10 +450,10 @@ def _two_child_nodes(monkeypatch):
     children = [[]]  # per open call, the (s, r) of the calls it made
     nodes = []
 
-    def recording(self, s, r, comps, dirty, deg, gone):
+    def recording(self, s, r, comps, dirty, deg, gone, edges, pos):
         children[-1].append((s, r))
         children.append([])
-        branch(self, s, r, comps, dirty, deg, gone)
+        branch(self, s, r, comps, dirty, deg, gone, edges, pos)
         made = children.pop()
         if len(made) == 2:
             nodes.append((self, self.first, made))
@@ -509,13 +560,15 @@ def test_edge_cut_refutes_only_sizes_no_forest_reaches():
             deg = [(row & act).bit_count() if act >> u & 1 else 0
                    for u, row in enumerate(adj)]
             cand = [deg[u] for u in range(nv) if r >> u & 1]
+            edges = sum(deg) // 2
+            pos = nv - deg.count(0)
             zero_degree += 0 in cand
             best = max(f.bit_count() for f in forests
                        if f & s == s and not f & ~act)
             total = act.bit_count()
             for floor in range(total):
                 states += 1
-                if solver._edge_cut_refutes(deg, cand, total, floor):
+                if solver._edge_cut_refutes(cand, total, floor, edges, pos):
                     assert best <= floor, (g, s, r, floor)
                     refuted += 1
     assert states > 30_000 and refuted > 1_500 and zero_degree > 3_000
