@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate, combinations, compress
+from itertools import accumulate, combinations
 from typing import Iterator
 
 from .core import BalancedBipartiteGraph, VertexSubset, _forest_masks
@@ -71,8 +71,6 @@ __all__ = [
 BRUTE_FORCE_VERTEX_CAP = 24
 # adjacency rows must fit one machine word
 SOLVER_PART_CAP = 64
-# maps the digits of bin() to the bytes 0 and 1
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 # the optimum climbs by first-forest queries (``_walk``) when the root
 # bound lies at least this far above the swap forest. Against the
 # include-first optimum, max_forest took random_bipartite(36, 0.2, 7) from
@@ -154,33 +152,46 @@ def _merge(comps: tuple[int, ...], b: int,
     return tuple(rest), dead
 
 
-def _edge_cut_refutes(cand: list[int], total: int, floor: int, edges: int,
-                      pos: int) -> bool:
+def _edge_cut_refutes(bucket: list[int], r: int, top: int, total: int,
+                      floor: int, edges: int, pos: int) -> bool:
     """True when the edge cut rules out an induced forest F of more than
     ``floor`` vertices with s <= F <= s | r, in an active graph s | r of
     ``total`` > ``floor`` vertices whose forced-in part s is a forest.
 
-    ``cand`` holds the active degrees of the candidates r, in any order,
-    and the active graph has m = ``edges`` edges and p = ``pos`` vertices
-    of positive degree; the search carries both totals down its nodes
-    instead of recounting them (``_Search``). An isolated vertex joins any
-    forest as a component of its own, so we may take F to hold them all;
-    then its dropped set D = (s | r) - F lies in r, holds only vertices of
-    positive degree, and has at most k = total - floor - 1 of them. F
-    keeps at least m - deg(D) edges on its p - |D| vertices of positive
-    degree, and a forest has at most that many minus one, so
-    deg(D) - |D| >= m - p + 1. Each candidate of positive degree adds at
-    least 0 to deg(D) - |D|, so its largest value is S_k - k with S_k the
-    sum of the k largest such degrees, and k capped at their number. A
-    zero-degree candidate would add -1: left in the list it could lower
-    S_k - k and refute a forest that exists. Only candidates count, never
-    s: no forest below the node drops s. S_k - k never falls as k grows,
-    so one test at the largest k decides. An edgeless active graph is a
-    forest and is never refuted.
+    ``bucket[d]`` holds the active vertices of active degree d, no
+    candidate lies above ``bucket[top]``, and the active graph has
+    m = ``edges`` edges and p = ``pos`` vertices of positive degree; the
+    search carries all three down its nodes instead of recounting them
+    (``_Search``). An isolated vertex joins any forest as a component of
+    its own, so we may take F to hold them all; then its dropped set
+    D = (s | r) - F lies in r, holds only vertices of positive degree, and
+    has at most k = total - floor - 1 of them. F keeps at least m - deg(D)
+    edges on its p - |D| vertices of positive degree, and a forest has at
+    most that many minus one, so deg(D) - |D| >= m - p + 1. Each candidate
+    of positive degree adds at least 0 to deg(D) - |D|, so its largest
+    value is S_k - k with S_k the sum of the k largest such degrees, and k
+    capped at their number. S_k is read from the buckets top down, the
+    popcount of ``bucket[d] & r`` at a time, and the read stops after k
+    candidates, before bucket 0: a zero-degree candidate would add -1 and
+    could refute a forest that exists. Only candidates count, never s: no
+    forest below the node drops s. S_k - k never falls as k grows, so one
+    test at the largest k decides, and the read stops early once the sum
+    reaches m - p + 1. An edgeless active graph is a forest and is never
+    refuted.
     """
-    cand = sorted(filter(None, cand), reverse=True)
-    k = min(total - floor - 1, len(cand))
-    return pos > 0 and sum(cand[:k]) - k < edges - pos + 1
+    if not pos:
+        return False
+    k = total - floor - 1
+    need = edges - pos + 1
+    for d in range(top, 0, -1):
+        c = (bucket[d] & r).bit_count()
+        if c >= k:
+            return need > k * (d - 1)
+        k -= c
+        need -= c * (d - 1)
+        if need <= 0:
+            return False
+    return need > 0
 
 
 def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
@@ -429,6 +440,18 @@ def _totals(deg: list[int]) -> tuple[int, int]:
     return sum(deg) >> 1, len(deg) - deg.count(0)
 
 
+def _buckets(deg: list[int], act: int) -> list[int]:
+    """The active set ``act`` filed by degree, one mask per degree from 0
+    to the largest: ``bucket[d]`` holds the ids u of ``act`` with
+    ``deg[u]`` = d."""
+    bucket = [0] * (max(deg) + 1)
+    while act:
+        b = act & -act
+        act ^= b
+        bucket[deg[b.bit_length() - 1]] |= b
+    return bucket
+
+
 class _Search:
     """Branch-and-bound over include/exclude vertex decisions.
 
@@ -468,18 +491,17 @@ class _Search:
     edge fewer for each such vertex, and a zero-degree candidate stays out
     of the dropped degrees. After propagation every candidate has at
     least three active neighbours, so the search hands the bound none,
-    but the bound does not rely on it. The candidates' degrees are
-    selected from the degree list at C speed, with ``r``'s binary digits
-    as the selector, so a node the bound prunes walks no mask bit by bit.
+    but the bound does not rely on it: it reads the candidates' degrees
+    from the degree buckets below, top down, and stops before bucket 0.
 
     Branch vertex: the candidate of maximum active degree, then the most
     neighbours in ``s``, then the highest global id. Including a candidate
     with neighbours in ``s`` merges components of ``s`` and kills every
     candidate two merged pieces see, so the include child shrinks most;
     exact feedback vertex set algorithms branch next to the forced forest
-    for the same reason (Fomin et al., above). The count costs one
-    popcount per candidate of maximum degree, and only at nodes that
-    branch: the incumbent, leaf and bound tests return before it.
+    for the same reason (Fomin et al., above). The pick walks only the
+    candidates of the top bucket, one popcount each, and only at nodes
+    that branch: the incumbent, leaf and bound tests return before it.
 
     Child order: the search for the largest forest explores the include
     child first; a search for the first forest (``first``) explores the
@@ -495,24 +517,31 @@ class _Search:
     forest, and the lex walk fixes f and every witness whichever forest
     they find.
 
-    The edge-cut bound and the branch pick read active degrees from a list
-    indexed by global id, 0 for inactive ids, and the bound reads two
-    totals of the active graph as well: its edge count ``edges`` and its
-    number of vertices of positive degree ``pos``. A node is handed its
-    parent's list and totals and the mask of ids the parent's decision
-    removed: the branch vertex on the exclude side, the merge's kills on
-    the include side. Propagation adds its own kills; its joins keep the
-    active set. A node that reaches the bound copies the list, only when
-    that mask is non-empty, and takes the removed ids out one at a time:
-    each one's remaining degree leaves ``edges``, its entry becomes 0, and
-    its neighbours among the active ids and the removed ids not yet taken
-    out lose one, so no edge is subtracted twice; ``pos`` drops for every
-    entry that reaches 0 on the way. The list and the totals then hold
-    exactly what a recount over the active set would give, and every prune
-    and branch decision is the one the recount would make. ``solve``
-    counts the degrees and the totals over its forced state's active set
-    and hands them to the first node with nothing removed, so that node's
-    propagation kills take the same update.
+    The search keeps the active degrees in a list indexed by global id, 0
+    for inactive ids, and files the active ids by degree in buckets, one
+    mask per degree from 0 up (``_buckets``): ``bucket[d]`` holds the
+    active ids of degree d. ``top`` bounds the candidates' degrees from
+    above. The bound reads two totals of the active graph as well: its
+    edge count ``edges`` and its number of vertices of positive degree
+    ``pos``. A node is handed its parent's list, buckets, ``top`` and
+    totals and the mask of ids the parent's decision removed: the branch
+    vertex on the exclude side, the merge's kills on the include side.
+    Propagation adds its own kills; its joins keep the active set. A node
+    that reaches the bound copies the list and the buckets, only when that
+    mask is non-empty, and takes the removed ids out one at a time: each
+    one leaves its bucket, its remaining degree leaves ``edges``, its
+    entry becomes 0, and its neighbours among the active ids and the
+    removed ids not yet taken out lose one and move one bucket down, so no
+    edge is subtracted twice; ``pos`` drops for every entry that reaches 0
+    on the way. The list, the buckets and the totals then hold exactly
+    what a recount over the active set would give. Degrees only fall down
+    the search, so the parent's ``top`` still bounds the candidates; the
+    node lowers it to the highest bucket that holds a candidate, where the
+    bound starts its read and the pick its walk. Every prune and branch
+    decision is the one a recount would make. ``solve`` counts the
+    degrees, the buckets and the totals over its forced state's active set
+    and hands them to the first node with nothing removed and ``top`` the
+    last bucket, so that node's propagation kills take the same update.
     """
 
     __slots__ = ("n", "adj", "nodes", "best_size", "best", "first", "order")
@@ -549,7 +578,9 @@ class _Search:
         self.best = None
         self.first = first
         deg = self._degrees(s | r)
-        self._branch(s, r, comps, r, deg, 0, *_totals(deg))
+        bucket = _buckets(deg, s | r)
+        self._branch(s, r, comps, r, deg, bucket, len(bucket) - 1, 0,
+                     *_totals(deg))
         return self.best
 
     def _degrees(self, act: int) -> list[int]:
@@ -569,7 +600,8 @@ class _Search:
         return out
 
     def _branch(self, s: int, r: int, comps: tuple[int, ...], dirty: int,
-                deg: list[int], gone: int, edges: int, pos: int) -> None:
+                deg: list[int], bucket: list[int], top: int, gone: int,
+                edges: int, pos: int) -> None:
         self.nodes += 1
         adj = self.adj
 
@@ -603,15 +635,18 @@ class _Search:
             self.best = s
             return
 
-        # take the removed ids out of the degrees and the totals (see the
-        # class docstring); a removed id of degree 0 has nothing to take
+        # take the removed ids out of the degrees, the buckets and the
+        # totals (see the class docstring); a removed id of degree 0 only
+        # leaves bucket 0
         if gone:
             deg = deg.copy()
+            bucket = bucket.copy()
             while gone:
                 b = gone & -gone
                 gone ^= b
                 u = b.bit_length() - 1
                 d = deg[u]
+                bucket[d] ^= b
                 if d:
                     edges -= d
                     pos -= 1
@@ -621,45 +656,48 @@ class _Search:
                         b = m & -m
                         m ^= b
                         w = b.bit_length() - 1
-                        deg[w] -= 1
-                        if not deg[w]:
+                        d = deg[w]
+                        deg[w] = d - 1
+                        bucket[d] ^= b
+                        bucket[d - 1] |= b
+                        if d == 1:
                             pos -= 1
 
-        # the candidates' degrees: r's bits, lowest first and made 0/1
-        # bytes, select them from the list
-        picks = bin(r)[:1:-1].encode().translate(_DIGIT_BYTES)
-        cand = list(compress(deg, picks))
-        if _edge_cut_refutes(cand, total, self.best_size, edges, pos):
+        while not bucket[top] & r:
+            top -= 1
+        if _edge_cut_refutes(bucket, r, top, total, self.best_size, edges,
+                             pos):
             return
 
         # branch on the candidate of maximum active degree, then most
-        # neighbours in s, then highest id; the selector pairs each
-        # candidate's id with its degree in cand, and only those of maximum
-        # degree take a popcount
-        top = max(cand)
+        # neighbours in s, then highest id: only those in the top bucket
+        # take a popcount
         most = -1
-        for u, d in zip(compress(range(len(deg)), picks), cand):
-            if d == top:
-                k = (adj[u] & s).bit_count()
-                if k >= most:
-                    most = k
-                    v = u
-        b = 1 << v
-        row = adj[v]
+        m = bucket[top] & r
+        while m:
+            b = m & -m
+            m ^= b
+            k = (adj[b.bit_length() - 1] & s).bit_count()
+            if k >= most:
+                most = k
+                v = b
+        row = adj[v.bit_length() - 1]
         # a search for the first forest excludes v first, and ends at its
         # first leaf; excluding v turns its neighbours dirty
         if self.first:
-            self._branch(s, r ^ b, comps, row, deg, b, edges, pos)
+            self._branch(s, r ^ v, comps, row, deg, bucket, top, v, edges,
+                         pos)
             if self.best is not None:
                 return
         # including v: candidates the merge kills leave, and their
         # neighbours turn dirty
-        merged, dead = _merge(comps, b, row)
-        dead &= r ^ b
-        self._branch(s | b, r ^ b ^ dead, merged, self._neighbours(dead),
-                     deg, dead, edges, pos)
+        merged, dead = _merge(comps, v, row)
+        dead &= r ^ v
+        self._branch(s | v, r ^ v ^ dead, merged, self._neighbours(dead),
+                     deg, bucket, top, dead, edges, pos)
         if not self.first:
-            self._branch(s, r ^ b, comps, row, deg, b, edges, pos)
+            self._branch(s, r ^ v, comps, row, deg, bucket, top, v, edges,
+                         pos)
 
     def feasible_with(self, inc: int, out: int, target: int) -> int | None:
         """Some induced forest of at least ``target`` >= 1 vertices that
@@ -704,7 +742,9 @@ class _Search:
         if _count_refutes(self.n, self.order, 0, full, t):
             return False
         deg = self._degrees(full)
-        return not _edge_cut_refutes(deg, 2 * self.n, t - 1, *_totals(deg))
+        bucket = _buckets(deg, full)
+        return not _edge_cut_refutes(bucket, full, len(bucket) - 1,
+                                     2 * self.n, t - 1, *_totals(deg))
 
 
 def _lex_walk(search: _Search, target: int,

@@ -106,6 +106,18 @@ def greedy_forest_oracle(adj: tuple[int, ...], s: int,
     return s
 
 
+def edge_cut_oracle(cand: list[int], total: int, floor: int, edges: int,
+                    pos: int) -> bool:
+    """The edge-cut bound of ``solver._edge_cut_refutes`` by a sort: the
+    candidates' active degrees ``cand``, in any order, with the zeros left
+    out, sorted high to low; S_k sums the first k = total - floor - 1 of
+    them, k capped at their number, and the bound refutes when the active
+    graph has an edge and S_k - k < edges - pos + 1."""
+    cand = sorted(filter(None, cand), reverse=True)
+    k = min(total - floor - 1, len(cand))
+    return pos > 0 and sum(cand[:k]) - k < edges - pos + 1
+
+
 def random_bipartite(n: int, p: float, seed: int) -> BalancedBipartiteGraph:
     rng = random.Random(seed)
     rows = [0] * n

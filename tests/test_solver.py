@@ -13,9 +13,9 @@ from bbforest import (InstanceTooLargeError, PostconditionError,
                       max_forest, max_forest_bruteforce, prop1_construction,
                       random_min_degree, thh1_l2, verify_structure)
 
-from .helpers import (enumerate_forests_oracle, forest_masks_oracle,
-                      forest_oracle, greedy_forest_oracle, max_forest_oracle,
-                      random_bipartite)
+from .helpers import (edge_cut_oracle, enumerate_forests_oracle,
+                      forest_masks_oracle, forest_oracle, greedy_forest_oracle,
+                      max_forest_oracle, random_bipartite)
 
 
 def test_k22():
@@ -161,30 +161,45 @@ def test_largest_matches_forest_scan():
 
 
 def test_handed_degrees_match_the_active_graph(monkeypatch):
-    # a node is handed its parent's active degrees, edge count and number
-    # of vertices of positive degree, and the ids the parent's decision
-    # removed (a search's first node: solve's count and no id); with those
-    # ids taken out here, each active id must hold its popcount in the
-    # node's own active set and every other id 0, and the totals must be
-    # those of the parent's active set s | r | gone, which the parent
-    # reached the bound with
+    # a node is handed its parent's active degrees, degree buckets, top,
+    # edge count and number of vertices of positive degree, and the ids the
+    # parent's decision removed (a search's first node: solve's count and
+    # no id); with those ids taken out here, each active id must hold its
+    # popcount in the node's own active set and every other id 0, each
+    # active id must sit in the bucket of that degree, and top must be at
+    # least every candidate's degree. The buckets hold the parent's active
+    # set s | r | gone and nothing else, and the totals must be that set's,
+    # which the parent reached the bound with
     branch = solver._Search._branch
     checked = []
 
-    def checking(self, s, r, comps, dirty, deg, gone, edges, pos):
+    def checking(self, s, r, comps, dirty, deg, bucket, top, gone, edges,
+                 pos):
         act = s | r
-        assert not gone & act and len(deg) == 2 * self.n
+        nv = 2 * self.n
+        assert not gone & act and len(deg) == nv
         got = [deg[u] - (self.adj[u] & gone).bit_count()
-               if act >> u & 1 else 0 for u in range(2 * self.n)]
+               if act >> u & 1 else 0 for u in range(nv)]
         want = [(self.adj[u] & act).bit_count() if act >> u & 1 else 0
-                for u in range(2 * self.n)]
+                for u in range(nv)]
         assert got == want, (s, r, gone)
+        filed = {u: d for d, m in enumerate(bucket)
+                 for u in range(nv) if m >> u & 1}
+        assert sum(bucket) == act | gone and len(filed) == (act | gone
+                                                            ).bit_count()
+        assert all(filed[u] - (self.adj[u] & gone).bit_count() == want[u]
+                   for u in range(nv) if act >> u & 1), (s, r, gone)
+        assert top < len(bucket) and all(
+            top >= want[u] for u in range(nv) if r >> u & 1), (s, r, top)
         parent = [(self.adj[u] & (act | gone)).bit_count()
-                  for u in range(2 * self.n) if (act | gone) >> u & 1]
+                  for u in range(nv) if (act | gone) >> u & 1]
+        assert all(filed[u] == (self.adj[u] & (act | gone)).bit_count()
+                   for u in range(nv) if gone >> u & 1), (s, r, gone)
         assert (edges, pos) == (sum(parent) // 2,
                                 len(parent) - parent.count(0)), (s, r, gone)
         checked.append(1)
-        return branch(self, s, r, comps, dirty, deg, gone, edges, pos)
+        return branch(self, s, r, comps, dirty, deg, bucket, top, gone, edges,
+                      pos)
 
     monkeypatch.setattr(solver._Search, "_branch", checking)
     rng = random.Random(10)
@@ -450,10 +465,11 @@ def _two_child_nodes(monkeypatch):
     children = [[]]  # per open call, the (s, r) of the calls it made
     nodes = []
 
-    def recording(self, s, r, comps, dirty, deg, gone, edges, pos):
+    def recording(self, s, r, comps, dirty, deg, bucket, top, gone, edges,
+                  pos):
         children[-1].append((s, r))
         children.append([])
-        branch(self, s, r, comps, dirty, deg, gone, edges, pos)
+        branch(self, s, r, comps, dirty, deg, bucket, top, gone, edges, pos)
         made = children.pop()
         if len(made) == 2:
             nodes.append((self, self.first, made))
@@ -559,19 +575,99 @@ def test_edge_cut_refutes_only_sizes_no_forest_reaches():
             act = s | r
             deg = [(row & act).bit_count() if act >> u & 1 else 0
                    for u, row in enumerate(adj)]
-            cand = [deg[u] for u in range(nv) if r >> u & 1]
+            bucket = solver._buckets(deg, act)
+            top = max((deg[u] for u in range(nv) if r >> u & 1), default=0)
             edges = sum(deg) // 2
             pos = nv - deg.count(0)
-            zero_degree += 0 in cand
+            zero_degree += bool(bucket[0] & r)
             best = max(f.bit_count() for f in forests
                        if f & s == s and not f & ~act)
             total = act.bit_count()
             for floor in range(total):
                 states += 1
-                if solver._edge_cut_refutes(cand, total, floor, edges, pos):
+                if solver._edge_cut_refutes(bucket, r, top, total, floor,
+                                            edges, pos):
                     assert best <= floor, (g, s, r, floor)
                     refuted += 1
     assert states > 30_000 and refuted > 1_500 and zero_degree > 3_000
+
+
+def test_edge_cut_buckets_match_the_sorting_oracle():
+    # the bound read from the buckets top down must decide as the parent's
+    # sort over the candidates' degrees (edge_cut_oracle) on random active
+    # sets and candidates, with top anywhere from the largest candidate
+    # degree to the last bucket; floors run over every k from 0 to the
+    # active count, so k reaches above the number of candidates of
+    # positive degree, and pools drawn without regard to degree hold
+    # zero-degree candidates
+    rng = random.Random(31)
+    cases = Counter()
+    for gi in range(120):
+        n = 1 + gi % 12
+        nv = 2 * n
+        adj = solver._adjacency(
+            random_bipartite(n, (0.1, 0.3, 0.5, 0.8)[gi % 4], 200 + gi))
+        for _ in range(40):
+            act = rng.getrandbits(nv) | rng.getrandbits(nv)
+            r = act & rng.getrandbits(nv)
+            deg = [(row & act).bit_count() if act >> u & 1 else 0
+                   for u, row in enumerate(adj)]
+            bucket = solver._buckets(deg, act)
+            cand = [deg[u] for u in range(nv) if r >> u & 1]
+            top = rng.randint(max(cand, default=0), len(bucket) - 1)
+            edges, pos = solver._totals(deg)
+            total = act.bit_count()
+            for floor in range(total):
+                k = total - floor - 1
+                got = solver._edge_cut_refutes(bucket, r, top, total, floor,
+                                               edges, pos)
+                assert got == edge_cut_oracle(cand, total, floor, edges,
+                                              pos), (gi, act, r, top, floor)
+                cases["refuted"] += got
+                cases["k = 0"] += not k
+                cases["k above the candidates"] += k > len(cand)
+                cases["zero-degree candidate"] += 0 in cand
+    assert min(cases.values()) > 1_000, cases
+
+
+def test_every_candidate_at_the_edge_cut_has_three_active_neighbours(
+        monkeypatch):
+    # the _Search docstring's claim: after propagation every candidate of a
+    # node that reaches the bound has at least three active neighbours, so
+    # the search hands the bound none of degree 0, 1 or 2. The active set
+    # is the union of the buckets (the handed-degrees test holds them to
+    # the graph), and each candidate's degree is recounted from the graph;
+    # the root's bound in _reaches runs outside any node and is skipped
+    branch = solver._Search._branch
+    edge_cut = solver._edge_cut_refutes
+    searches = []  # per open node, its search
+
+    def tracking(self, *args):
+        searches.append(self)
+        try:
+            return branch(self, *args)
+        finally:
+            searches.pop()
+
+    calls = []
+
+    def checking(bucket, r, top, total, floor, edges, pos):
+        if searches:
+            adj = searches[-1].adj
+            act = sum(bucket)
+            assert act.bit_count() == total
+            low = [u for u in range(len(adj))
+                   if r >> u & 1 and (adj[u] & act).bit_count() < 3]
+            assert not low, (r, low)
+            calls.append(1)
+        return edge_cut(bucket, r, top, total, floor, edges, pos)
+
+    monkeypatch.setattr(solver._Search, "_branch", tracking)
+    monkeypatch.setattr(solver, "_edge_cut_refutes", checking)
+    for gi in range(60):
+        n = 6 + gi % 15
+        max_forest(random_bipartite(n, (0.15, 0.25, 0.6)[gi % 3], 500 + gi))
+    assert len(calls) > 4_000, len(calls)
 
 
 def _root_count_refutes(g, t):
