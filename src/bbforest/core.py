@@ -87,7 +87,10 @@ class VertexSubset:
     @classmethod
     def from_indices(cls, v1: Iterable[int], v2: Iterable[int]) -> "VertexSubset":
         # a set sums each bit once, so a repeated index adds nothing
-        return cls(sum({1 << i for i in v1}), sum({1 << j for j in v2}))
+        v1, v2 = set(v1), set(v2)
+        if min(v1 | v2, default=0) < 0:
+            raise ParameterError(f"negative vertex index {min(v1 | v2)}")
+        return cls(sum(1 << i for i in v1), sum(1 << j for j in v2))
 
 
 _NOT_BITS = str.maketrans("", "", "01")  # rows are valid when this leaves ''

@@ -153,36 +153,35 @@ def _merge(comps: tuple[int, ...], b: int,
 
 
 def _edge_cut_refutes(bucket: list[int], r: int, top: int, total: int,
-                      floor: int, edges: int, pos: int) -> bool:
+                      floor: int, edges: int) -> bool:
     """True when the edge cut rules out an induced forest F of more than
     ``floor`` vertices with s <= F <= s | r, in an active graph s | r of
     ``total`` > ``floor`` vertices whose forced-in part s is a forest.
 
-    ``bucket[d]`` holds the active vertices of active degree d, no
-    candidate lies above ``bucket[top]``, and the active graph has
-    m = ``edges`` edges and p = ``pos`` vertices of positive degree; the
-    search carries all three down its nodes instead of recounting them
-    (``_Search``). An isolated vertex joins any forest as a component of
-    its own, so we may take F to hold them all; then its dropped set
-    D = (s | r) - F lies in r, holds only vertices of positive degree, and
-    has at most k = total - floor - 1 of them. F keeps at least m - deg(D)
-    edges on its p - |D| vertices of positive degree, and a forest has at
-    most that many minus one, so deg(D) - |D| >= m - p + 1. Each candidate
-    of positive degree adds at least 0 to deg(D) - |D|, so its largest
-    value is S_k - k with S_k the sum of the k largest such degrees, and k
-    capped at their number. S_k is read from the buckets top down, the
-    popcount of ``bucket[d] & r`` at a time, and the read stops after k
-    candidates, before bucket 0: a zero-degree candidate would add -1 and
-    could refute a forest that exists. Only candidates count, never s: no
-    forest below the node drops s. S_k - k never falls as k grows, so one
-    test at the largest k decides, and the read stops early once the sum
-    reaches m - p + 1. An edgeless active graph is a forest and is never
-    refuted.
+    ``bucket[d]`` holds exactly the active vertices of active degree d
+    (``_filed``), no candidate lies above ``bucket[top]``, and the active
+    graph has m = ``edges`` edges; its number of vertices of positive
+    degree is p = ``total`` minus the popcount of bucket 0. An isolated
+    vertex joins any forest as a component of its own, so we may take F to
+    hold them all; then its dropped set D = (s | r) - F lies in r, holds
+    only vertices of positive degree, and has at most k = total - floor - 1
+    of them. F keeps at least m - deg(D) edges on its p - |D| vertices of
+    positive degree, and a forest has at most that many minus one, so
+    deg(D) - |D| >= m - p + 1. Each candidate of positive degree adds at
+    least 0 to deg(D) - |D|, so its largest value is S_k - k with S_k the
+    sum of the k largest such degrees, and k capped at their number. S_k is
+    read from the buckets top down, the popcount of ``bucket[d] & r`` at a
+    time, and the read stops after k candidates, before bucket 0: a
+    zero-degree candidate would add -1 and could refute a forest that
+    exists. Only candidates count, never s: no forest below the node drops
+    s. S_k - k never falls as k grows, so one test at the largest k
+    decides, and the read stops early once the sum reaches m - p + 1. An
+    edgeless active graph is a forest and is never refuted.
     """
-    if not pos:
+    if not edges:
         return False
     k = total - floor - 1
-    need = edges - pos + 1
+    need = edges - total + bucket[0].bit_count() + 1
     for d in range(top, 0, -1):
         c = (bucket[d] & r).bit_count()
         if c >= k:
@@ -192,6 +191,55 @@ def _edge_cut_refutes(bucket: list[int], r: int, top: int, total: int,
         if need <= 0:
             return False
     return need > 0
+
+
+def _filed(adj: tuple[int, ...], act: int,
+           ids: int) -> tuple[list[int], list[int]]:
+    """The degrees within the active set ``act`` of the ids in ``ids``, as
+    a list by global id with 0 for every other id, and those ids filed by
+    degree: ``bucket[d]``, for d from 0 to n, holds the ids of degree d."""
+    deg = [0] * len(adj)
+    bucket = [0] * (len(adj) // 2 + 1)
+    while ids:
+        b = ids & -ids
+        ids ^= b
+        u = b.bit_length() - 1
+        deg[u] = d = (adj[u] & act).bit_count()
+        bucket[d] |= b
+    return deg, bucket
+
+
+def _take_out(adj: tuple[int, ...], deg: list[int], bucket: list[int],
+              gone: int, act: int) -> int:
+    """Take the filed ids ``gone`` out of the degrees and the buckets of
+    ``_filed``, in place, and move each id of ``act`` down by its number of
+    neighbours in ``gone``; ``act`` and ``gone`` must be disjoint. Returns
+    the number of edges that left with ``gone``: its degrees count an edge
+    inside it twice and an edge to ``act`` once, so (deg(gone) + the edges
+    from ``gone`` to ``act``) / 2."""
+    cut = 0
+    near = 0
+    m = gone
+    while m:
+        b = m & -m
+        m ^= b
+        u = b.bit_length() - 1
+        bucket[deg[u]] ^= b
+        cut += deg[u]
+        deg[u] = 0
+        near |= adj[u]
+    near &= act
+    while near:
+        b = near & -near
+        near ^= b
+        u = b.bit_length() - 1
+        d = deg[u]
+        k = (adj[u] & gone).bit_count()
+        cut += k
+        bucket[d] ^= b
+        deg[u] = d = d - k
+        bucket[d] |= b
+    return cut >> 1
 
 
 def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
@@ -205,22 +253,13 @@ def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
     once the forest holds ``stop`` vertices or no live vertex is left; a
     ``stop`` of 2n (``_grown``) grows a forest maximal within ``s | live``.
 
-    Each live vertex's active degree is counted once and the vertex filed
-    in a bucket, a mask of the live vertices of that degree, so the pick
-    is the lowest bit of the lowest non-empty bucket. A join keeps the
-    active set but for the vertices it kills, so only their live
-    neighbours move, one bucket down per killed neighbour.
+    The live vertices are filed by active degree once (``_filed``), so the
+    pick is the lowest bit of the lowest non-empty bucket. A join keeps the
+    active set but for the vertices it kills, and those leave by
+    ``_take_out``, which moves their live neighbours down.
     """
     size = s.bit_count()
-    act = s | live
-    deg: dict[int, int] = {}  # a live vertex's bit -> its active degree
-    bucket = [0] * len(adj)  # a degree -> the live vertices of that degree
-    m = live
-    while m:
-        b = m & -m
-        m ^= b
-        deg[b] = d = (adj[b.bit_length() - 1] & act).bit_count()
-        bucket[d] |= b
+    deg, bucket = _filed(adj, s | live, live)
     low = 0
     while live and size < stop:
         while not bucket[low]:
@@ -236,23 +275,8 @@ def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
         dead &= live
         if dead:
             live ^= dead
-            near = 0
-            m = dead
-            while m:
-                b = m & -m
-                m ^= b
-                bucket[deg[b]] ^= b
-                near |= adj[b.bit_length() - 1]
-            near &= live
-            while near:
-                b = near & -near
-                near ^= b
-                d = deg[b]
-                bucket[d] ^= b
-                deg[b] = d = d - (adj[b.bit_length() - 1] & dead).bit_count()
-                bucket[d] |= b
-                if d < low:
-                    low = d
+            _take_out(adj, deg, bucket, dead, live)
+            low = 0
     return s
 
 
@@ -434,24 +458,6 @@ def _descend(adj: tuple[int, ...], s: int) -> int:
             return s
 
 
-def _totals(deg: list[int]) -> tuple[int, int]:
-    """The edge count and the number of vertices of positive degree of the
-    active graph whose degrees by global id are ``deg``."""
-    return sum(deg) >> 1, len(deg) - deg.count(0)
-
-
-def _buckets(deg: list[int], act: int) -> list[int]:
-    """The active set ``act`` filed by degree, one mask per degree from 0
-    to the largest: ``bucket[d]`` holds the ids u of ``act`` with
-    ``deg[u]`` = d."""
-    bucket = [0] * (max(deg) + 1)
-    while act:
-        b = act & -act
-        act ^= b
-        bucket[deg[b.bit_length() - 1]] |= b
-    return bucket
-
-
 class _Search:
     """Branch-and-bound over include/exclude vertex decisions.
 
@@ -518,30 +524,26 @@ class _Search:
     they find.
 
     The search keeps the active degrees in a list indexed by global id, 0
-    for inactive ids, and files the active ids by degree in buckets, one
-    mask per degree from 0 up (``_buckets``): ``bucket[d]`` holds the
-    active ids of degree d. ``top`` bounds the candidates' degrees from
-    above. The bound reads two totals of the active graph as well: its
-    edge count ``edges`` and its number of vertices of positive degree
-    ``pos``. A node is handed its parent's list, buckets, ``top`` and
-    totals and the mask of ids the parent's decision removed: the branch
-    vertex on the exclude side, the merge's kills on the include side.
-    Propagation adds its own kills; its joins keep the active set. A node
-    that reaches the bound copies the list and the buckets, only when that
-    mask is non-empty, and takes the removed ids out one at a time: each
-    one leaves its bucket, its remaining degree leaves ``edges``, its
-    entry becomes 0, and its neighbours among the active ids and the
-    removed ids not yet taken out lose one and move one bucket down, so no
-    edge is subtracted twice; ``pos`` drops for every entry that reaches 0
-    on the way. The list, the buckets and the totals then hold exactly
-    what a recount over the active set would give. Degrees only fall down
-    the search, so the parent's ``top`` still bounds the candidates; the
-    node lowers it to the highest bucket that holds a candidate, where the
-    bound starts its read and the pick its walk. Every prune and branch
-    decision is the one a recount would make. ``solve`` counts the
-    degrees, the buckets and the totals over its forced state's active set
-    and hands them to the first node with nothing removed and ``top`` the
-    last bucket, so that node's propagation kills take the same update.
+    for inactive ids, and files the active ids by degree in buckets
+    (``_filed``): ``bucket[d]`` holds the active ids of degree d, so bucket
+    0 gives the bound its count of vertices of positive degree. ``top``
+    bounds the candidates' degrees from above, and ``edges`` is the active
+    graph's edge count. A node is handed its parent's list, buckets,
+    ``top`` and ``edges`` and the mask of ids the parent's decision
+    removed: the branch vertex on the exclude side, the merge's kills on
+    the include side. Propagation adds its own kills; its joins keep the
+    active set. A node that reaches the bound copies the list and the
+    buckets, only when that mask is non-empty, and takes the removed ids
+    out in one step (``_take_out``), which moves their active neighbours
+    down and returns the edges that left with them. The list, the buckets
+    and ``edges`` then hold exactly what a recount over the active set
+    would give. Degrees only fall down the search, so the parent's ``top``
+    still bounds the candidates; the node lowers it to the highest bucket
+    that holds a candidate, where the bound starts its read and the pick
+    its walk. Every prune and branch decision is the one a recount would
+    make. ``solve`` files its forced state's active set and hands the
+    first node nothing removed and ``top`` the last bucket, so that node's
+    propagation kills take the same step.
     """
 
     __slots__ = ("n", "adj", "nodes", "best_size", "best", "first", "order")
@@ -577,17 +579,9 @@ class _Search:
         self.best_size = floor
         self.best = None
         self.first = first
-        deg = self._degrees(s | r)
-        bucket = _buckets(deg, s | r)
-        self._branch(s, r, comps, r, deg, bucket, len(bucket) - 1, 0,
-                     *_totals(deg))
+        deg, bucket = _filed(self.adj, s | r, s | r)
+        self._branch(s, r, comps, r, deg, bucket, self.n, 0, sum(deg) >> 1)
         return self.best
-
-    def _degrees(self, act: int) -> list[int]:
-        """The degrees within the active set ``act`` by global id, 0 for
-        inactive ids."""
-        return [(row & act).bit_count() if act >> u & 1 else 0
-                for u, row in enumerate(self.adj)]
 
     def _neighbours(self, mask: int) -> int:
         """Union of the neighbourhoods of the vertices in ``mask``."""
@@ -601,7 +595,7 @@ class _Search:
 
     def _branch(self, s: int, r: int, comps: tuple[int, ...], dirty: int,
                 deg: list[int], bucket: list[int], top: int, gone: int,
-                edges: int, pos: int) -> None:
+                edges: int) -> None:
         self.nodes += 1
         adj = self.adj
 
@@ -635,38 +629,16 @@ class _Search:
             self.best = s
             return
 
-        # take the removed ids out of the degrees, the buckets and the
-        # totals (see the class docstring); a removed id of degree 0 only
-        # leaves bucket 0
+        # take the removed ids out of the degrees, the buckets and the edge
+        # count (see the class docstring)
         if gone:
             deg = deg.copy()
             bucket = bucket.copy()
-            while gone:
-                b = gone & -gone
-                gone ^= b
-                u = b.bit_length() - 1
-                d = deg[u]
-                bucket[d] ^= b
-                if d:
-                    edges -= d
-                    pos -= 1
-                    deg[u] = 0
-                    m = adj[u] & (act | gone)
-                    while m:
-                        b = m & -m
-                        m ^= b
-                        w = b.bit_length() - 1
-                        d = deg[w]
-                        deg[w] = d - 1
-                        bucket[d] ^= b
-                        bucket[d - 1] |= b
-                        if d == 1:
-                            pos -= 1
+            edges -= _take_out(adj, deg, bucket, gone, act)
 
         while not bucket[top] & r:
             top -= 1
-        if _edge_cut_refutes(bucket, r, top, total, self.best_size, edges,
-                             pos):
+        if _edge_cut_refutes(bucket, r, top, total, self.best_size, edges):
             return
 
         # branch on the candidate of maximum active degree, then most
@@ -685,8 +657,7 @@ class _Search:
         # a search for the first forest excludes v first, and ends at its
         # first leaf; excluding v turns its neighbours dirty
         if self.first:
-            self._branch(s, r ^ v, comps, row, deg, bucket, top, v, edges,
-                         pos)
+            self._branch(s, r ^ v, comps, row, deg, bucket, top, v, edges)
             if self.best is not None:
                 return
         # including v: candidates the merge kills leave, and their
@@ -694,10 +665,9 @@ class _Search:
         merged, dead = _merge(comps, v, row)
         dead &= r ^ v
         self._branch(s | v, r ^ v ^ dead, merged, self._neighbours(dead),
-                     deg, bucket, top, dead, edges, pos)
+                     deg, bucket, top, dead, edges)
         if not self.first:
-            self._branch(s, r ^ v, comps, row, deg, bucket, top, v, edges,
-                         pos)
+            self._branch(s, r ^ v, comps, row, deg, bucket, top, v, edges)
 
     def feasible_with(self, inc: int, out: int, target: int) -> int | None:
         """Some induced forest of at least ``target`` >= 1 vertices that
@@ -741,10 +711,9 @@ class _Search:
         full = (1 << 2 * self.n) - 1
         if _count_refutes(self.n, self.order, 0, full, t):
             return False
-        deg = self._degrees(full)
-        bucket = _buckets(deg, full)
-        return not _edge_cut_refutes(bucket, full, len(bucket) - 1,
-                                     2 * self.n, t - 1, *_totals(deg))
+        deg, bucket = _filed(self.adj, full, full)
+        return not _edge_cut_refutes(bucket, full, self.n, 2 * self.n, t - 1,
+                                     sum(deg) >> 1)
 
 
 def _lex_walk(search: _Search, target: int,

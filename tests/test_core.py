@@ -71,6 +71,11 @@ def test_vertex_subset_basics():
     assert s.min_part_size() == 1
     assert s.indices() == ((0, 2), (1,))
     assert VertexSubset.from_indices([0, 2], [1]) == s
+    assert VertexSubset.from_indices([0, 2, 2], [1, 1]) == s
+    # a negative index names no vertex, on either side
+    for v1, v2 in (([-1], [0]), ([0], [3, -2])):
+        with pytest.raises(ParameterError, match="^negative vertex index"):
+            VertexSubset.from_indices(v1, v2)
 
 
 def test_induced_edge_count_k22():

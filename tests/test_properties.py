@@ -127,8 +127,7 @@ def test_edge_cut_bound_keeps_forest_number_and_witness(make, monkeypatch):
     g = make()
     res = max_forest(g)
     monkeypatch.setattr(solver, "_edge_cut_refutes",
-                        lambda bucket, r, top, total, floor, edges, pos:
-                        False)
+                        lambda bucket, r, top, total, floor, edges: False)
     searched = max_forest(g)
     assert (res.forest_number, res.witness) == (searched.forest_number,
                                                 searched.witness)

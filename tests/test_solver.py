@@ -161,20 +161,22 @@ def test_largest_matches_forest_scan():
 
 
 def test_handed_degrees_match_the_active_graph(monkeypatch):
-    # a node is handed its parent's active degrees, degree buckets, top,
-    # edge count and number of vertices of positive degree, and the ids the
-    # parent's decision removed (a search's first node: solve's count and
-    # no id); with those ids taken out here, each active id must hold its
-    # popcount in the node's own active set and every other id 0, each
-    # active id must sit in the bucket of that degree, and top must be at
-    # least every candidate's degree. The buckets hold the parent's active
-    # set s | r | gone and nothing else, and the totals must be that set's,
-    # which the parent reached the bound with
+    # a node is handed its parent's active degrees, degree buckets, top and
+    # edge count, and the ids the parent's decision removed (a search's
+    # first node: solve's filing and no id); with those ids taken out here,
+    # each active id must hold its popcount in the node's own active set
+    # and every other id 0, each active id must sit in the bucket of that
+    # degree, and top must be at least every candidate's degree. The
+    # buckets hold the parent's active set s | r | gone and nothing else,
+    # bucket 0 its vertices of degree 0, and the edge count must be that
+    # set's, which the parent reached the bound with. No removed id has
+    # degree 0, and some removed sets hold an edge, where the edges that
+    # leave are not the sum of the removed degrees
     branch = solver._Search._branch
     checked = []
+    inner = []
 
-    def checking(self, s, r, comps, dirty, deg, bucket, top, gone, edges,
-                 pos):
+    def checking(self, s, r, comps, dirty, deg, bucket, top, gone, edges):
         act = s | r
         nv = 2 * self.n
         assert not gone & act and len(deg) == nv
@@ -191,15 +193,16 @@ def test_handed_degrees_match_the_active_graph(monkeypatch):
                    for u in range(nv) if act >> u & 1), (s, r, gone)
         assert top < len(bucket) and all(
             top >= want[u] for u in range(nv) if r >> u & 1), (s, r, top)
-        parent = [(self.adj[u] & (act | gone)).bit_count()
-                  for u in range(nv) if (act | gone) >> u & 1]
-        assert all(filed[u] == (self.adj[u] & (act | gone)).bit_count()
+        parent = {u: (self.adj[u] & (act | gone)).bit_count()
+                  for u in range(nv) if (act | gone) >> u & 1}
+        assert all(filed[u] == parent[u] > 0
                    for u in range(nv) if gone >> u & 1), (s, r, gone)
-        assert (edges, pos) == (sum(parent) // 2,
-                                len(parent) - parent.count(0)), (s, r, gone)
+        assert bucket[0] == sum(1 << u for u, d in parent.items() if not d)
+        assert edges == sum(parent.values()) // 2, (s, r, gone)
+        inner.append(any(self.adj[u] & gone
+                         for u in range(nv) if gone >> u & 1))
         checked.append(1)
-        return branch(self, s, r, comps, dirty, deg, bucket, top, gone, edges,
-                      pos)
+        return branch(self, s, r, comps, dirty, deg, bucket, top, gone, edges)
 
     monkeypatch.setattr(solver._Search, "_branch", checking)
     rng = random.Random(10)
@@ -213,7 +216,8 @@ def test_handed_degrees_match_the_active_graph(monkeypatch):
             inc = rng.getrandbits(nv) & rng.getrandbits(nv) & rng.getrandbits(nv)
             out = rng.getrandbits(nv) & rng.getrandbits(nv) & ~inc
             search.feasible_with(inc, out, n + 1)
-    assert len(checked) > 10_000
+    assert len(checked) > 10_000 and sum(inner) > 250, (len(checked),
+                                                         sum(inner))
 
 
 def test_greedy_forest_is_a_forest_no_larger_than_f():
@@ -465,11 +469,10 @@ def _two_child_nodes(monkeypatch):
     children = [[]]  # per open call, the (s, r) of the calls it made
     nodes = []
 
-    def recording(self, s, r, comps, dirty, deg, bucket, top, gone, edges,
-                  pos):
+    def recording(self, s, r, comps, dirty, deg, bucket, top, gone, edges):
         children[-1].append((s, r))
         children.append([])
-        branch(self, s, r, comps, dirty, deg, bucket, top, gone, edges, pos)
+        branch(self, s, r, comps, dirty, deg, bucket, top, gone, edges)
         made = children.pop()
         if len(made) == 2:
             nodes.append((self, self.first, made))
@@ -575,10 +578,9 @@ def test_edge_cut_refutes_only_sizes_no_forest_reaches():
             act = s | r
             deg = [(row & act).bit_count() if act >> u & 1 else 0
                    for u, row in enumerate(adj)]
-            bucket = solver._buckets(deg, act)
+            bucket = solver._filed(adj, act, act)[1]
             top = max((deg[u] for u in range(nv) if r >> u & 1), default=0)
             edges = sum(deg) // 2
-            pos = nv - deg.count(0)
             zero_degree += bool(bucket[0] & r)
             best = max(f.bit_count() for f in forests
                        if f & s == s and not f & ~act)
@@ -586,7 +588,7 @@ def test_edge_cut_refutes_only_sizes_no_forest_reaches():
             for floor in range(total):
                 states += 1
                 if solver._edge_cut_refutes(bucket, r, top, total, floor,
-                                            edges, pos):
+                                            edges):
                     assert best <= floor, (g, s, r, floor)
                     refuted += 1
     assert states > 30_000 and refuted > 1_500 and zero_degree > 3_000
@@ -612,15 +614,17 @@ def test_edge_cut_buckets_match_the_sorting_oracle():
             r = act & rng.getrandbits(nv)
             deg = [(row & act).bit_count() if act >> u & 1 else 0
                    for u, row in enumerate(adj)]
-            bucket = solver._buckets(deg, act)
+            bucket = solver._filed(adj, act, act)[1]
             cand = [deg[u] for u in range(nv) if r >> u & 1]
             top = rng.randint(max(cand, default=0), len(bucket) - 1)
-            edges, pos = solver._totals(deg)
+            # the bound reads p from bucket 0; the oracle gets a recount
+            edges = sum(deg) // 2
+            pos = nv - deg.count(0)
             total = act.bit_count()
             for floor in range(total):
                 k = total - floor - 1
                 got = solver._edge_cut_refutes(bucket, r, top, total, floor,
-                                               edges, pos)
+                                               edges)
                 assert got == edge_cut_oracle(cand, total, floor, edges,
                                               pos), (gi, act, r, top, floor)
                 cases["refuted"] += got
@@ -651,7 +655,7 @@ def test_every_candidate_at_the_edge_cut_has_three_active_neighbours(
 
     calls = []
 
-    def checking(bucket, r, top, total, floor, edges, pos):
+    def checking(bucket, r, top, total, floor, edges):
         if searches:
             adj = searches[-1].adj
             act = sum(bucket)
@@ -660,7 +664,7 @@ def test_every_candidate_at_the_edge_cut_has_three_active_neighbours(
                    if r >> u & 1 and (adj[u] & act).bit_count() < 3]
             assert not low, (r, low)
             calls.append(1)
-        return edge_cut(bucket, r, top, total, floor, edges, pos)
+        return edge_cut(bucket, r, top, total, floor, edges)
 
     monkeypatch.setattr(solver._Search, "_branch", tracking)
     monkeypatch.setattr(solver, "_edge_cut_refutes", checking)

@@ -157,13 +157,17 @@ def _calls(node, scope=()):
 
 
 # the search runs from largest alone, and the local search serves only the
-# optimum, which _walk builds; the kick improves its forests by swaps
+# optimum, which _walk builds; the kick improves its forests by swaps. The
+# greedy and the search share one degree-bucket state: one step files it
+# and one takes vertices out of it
 CALLERS = {
     "solve": {"_Search.largest"},
     "_swap_forest": {"_walk", "_kick"},
     "_kick": {"_walk"},
     "_reaches": {"_walk"},
     "_descend": {"_walk"},
+    "_take_out": {"_greedy_forest", "_Search._branch"},
+    "_filed": {"_greedy_forest", "_Search.solve", "_Search._reaches"},
 }
 
 
