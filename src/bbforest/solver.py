@@ -193,53 +193,47 @@ def _edge_cut_refutes(bucket: list[int], r: int, top: int, total: int,
     return need > 0
 
 
-def _filed(adj: tuple[int, ...], act: int,
-           ids: int) -> tuple[list[int], list[int]]:
-    """The degrees within the active set ``act`` of the ids in ``ids``, as
-    a list by global id with 0 for every other id, and those ids filed by
-    degree: ``bucket[d]``, for d from 0 to n, holds the ids of degree d."""
-    deg = [0] * len(adj)
-    bucket = [0] * (len(adj) // 2 + 1)
+def _filed(adj: tuple[int, ...], act: int, ids: int) -> list[int]:
+    """The ids in ``ids`` filed by their degree within the active set
+    ``act``: ``bucket[d]`` holds the ids of degree d, for d from 0 to n,
+    and at least up to 2, since propagation reads buckets 0-2 at any n."""
+    bucket = [0] * max(len(adj) // 2 + 1, 3)
     while ids:
         b = ids & -ids
         ids ^= b
-        u = b.bit_length() - 1
-        deg[u] = d = (adj[u] & act).bit_count()
-        bucket[d] |= b
-    return deg, bucket
+        bucket[(adj[b.bit_length() - 1] & act).bit_count()] |= b
+    return bucket
 
 
-def _take_out(adj: tuple[int, ...], deg: list[int], bucket: list[int],
-              gone: int, act: int) -> int:
-    """Take the filed ids ``gone`` out of the degrees and the buckets of
-    ``_filed``, in place, and move each id of ``act`` down by its number of
-    neighbours in ``gone``; ``act`` and ``gone`` must be disjoint. Returns
-    the number of edges that left with ``gone``: its degrees count an edge
-    inside it twice and an edge to ``act`` once, so (deg(gone) + the edges
-    from ``gone`` to ``act``) / 2."""
+def _take_out(adj: tuple[int, ...], bucket: list[int], gone: int,
+              act: int) -> int:
+    """Take the filed ids ``gone`` out of the buckets of ``_filed``, in
+    place, one id b at a time, and move each neighbour of b still filed in
+    ``act`` or among the ids of ``gone`` not yet out down one bucket;
+    ``act`` and ``gone`` must be disjoint. One ascending sweep over the
+    buckets drops b from its own and moves those neighbours: a neighbour
+    moved from bucket d to d - 1 has already been passed. Returns the
+    number of edges inside ``gone`` or between it and ``act``, each counted
+    once, at the b it leaves with: when ``act`` is the rest of the filed
+    set, the edges that left."""
     cut = 0
-    near = 0
-    m = gone
-    while m:
-        b = m & -m
-        m ^= b
-        u = b.bit_length() - 1
-        bucket[deg[u]] ^= b
-        cut += deg[u]
-        deg[u] = 0
-        near |= adj[u]
-    near &= act
-    while near:
-        b = near & -near
-        near ^= b
-        u = b.bit_length() - 1
-        d = deg[u]
-        k = (adj[u] & gone).bit_count()
-        cut += k
-        bucket[d] ^= b
-        deg[u] = d = d - k
-        bucket[d] |= b
-    return cut >> 1
+    while gone:
+        b = gone & -gone
+        gone ^= b
+        near = adj[b.bit_length() - 1] & (act | gone)
+        cut += near.bit_count()
+        left = near | b
+        d = 0
+        while left:
+            m = bucket[d] & left
+            if m:
+                left ^= m
+                bucket[d] ^= m
+                # a neighbour has degree at least 1, so at d = 0 this moves
+                # nothing
+                bucket[d - 1] |= m & near
+            d += 1
+    return cut
 
 
 def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
@@ -259,7 +253,7 @@ def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
     ``_take_out``, which moves their live neighbours down.
     """
     size = s.bit_count()
-    deg, bucket = _filed(adj, s | live, live)
+    bucket = _filed(adj, s | live, live)
     low = 0
     while live and size < stop:
         while not bucket[low]:
@@ -275,7 +269,7 @@ def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
         dead &= live
         if dead:
             live ^= dead
-            _take_out(adj, deg, bucket, dead, live)
+            _take_out(adj, bucket, dead, live)
             low = 0
     return s
 
@@ -579,44 +573,43 @@ class _Search:
         self.best_size = floor
         self.best = None
         self.first = first
-        deg, bucket = _filed(self.adj, s | r, s | r)
-        self._branch(s, r, comps, r, deg, bucket, self.n, 0, sum(deg) >> 1)
+        bucket = _filed(self.adj, s | r, s | r)
+        edges = sum(d * m.bit_count() for d, m in enumerate(bucket)) >> 1
+        self._branch(s, r, comps, bucket, self.n, 0, edges)
         return self.best
 
-    def _neighbours(self, mask: int) -> int:
-        """Union of the neighbourhoods of the vertices in ``mask``."""
-        adj = self.adj
-        out = 0
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            out |= adj[b.bit_length() - 1]
-        return out
-
-    def _branch(self, s: int, r: int, comps: tuple[int, ...], dirty: int,
-                deg: list[int], bucket: list[int], top: int, gone: int,
-                edges: int) -> None:
+    def _branch(self, s: int, r: int, comps: tuple[int, ...],
+                bucket: list[int], top: int, gone: int, edges: int) -> None:
         self.nodes += 1
+        # propagation only removes ids, so a node too small now stays so
+        if (s | r).bit_count() <= self.best_size:
+            return
         adj = self.adj
 
-        # Propagate forced moves: a dirty candidate with at most two active
-        # neighbours joins (the class docstring shows nothing is lost);
-        # candidates its joining kills leave, and their neighbours turn dirty.
-        dirty &= r
-        while dirty:
-            b = dirty & -dirty
-            dirty ^= b
-            row = adj[b.bit_length() - 1]
-            if (row & (s | r)).bit_count() > 2:
-                continue
+        # take the removed ids out of the buckets and the edge count (see
+        # the class docstring)
+        bucket = bucket.copy()
+        edges -= _take_out(adj, bucket, gone, s | r)
+
+        # Propagate forced moves: the lowest candidate with at most two
+        # active neighbours joins (the class docstring shows nothing is
+        # lost), and the candidates its joining kills leave at once. A join
+        # with at most one active neighbour leaves the pieces as they are,
+        # and one that touches no piece adds its own
+        while low := (bucket[0] | bucket[1] | bucket[2]) & r:
+            b = low & -low
             s |= b
             r ^= b
-            comps, dead = _merge(comps, b, row)
-            dead &= r
-            if dead:
-                r ^= dead
-                gone |= dead
-                dirty = (dirty | self._neighbours(dead)) & r
+            if b & bucket[2]:
+                row = adj[b.bit_length() - 1]
+                if row & s:
+                    comps, dead = _merge(comps, b, row)
+                    dead &= r
+                    if dead:
+                        r ^= dead
+                        edges -= _take_out(adj, bucket, dead, s | r)
+                else:
+                    comps += (row,)
 
         act = s | r
         total = act.bit_count()
@@ -628,13 +621,6 @@ class _Search:
             self.best_size = total
             self.best = s
             return
-
-        # take the removed ids out of the degrees, the buckets and the edge
-        # count (see the class docstring)
-        if gone:
-            deg = deg.copy()
-            bucket = bucket.copy()
-            edges -= _take_out(adj, deg, bucket, gone, act)
 
         while not bucket[top] & r:
             top -= 1
@@ -653,21 +639,18 @@ class _Search:
             if k >= most:
                 most = k
                 v = b
-        row = adj[v.bit_length() - 1]
         # a search for the first forest excludes v first, and ends at its
-        # first leaf; excluding v turns its neighbours dirty
+        # first leaf
         if self.first:
-            self._branch(s, r ^ v, comps, row, deg, bucket, top, v, edges)
+            self._branch(s, r ^ v, comps, bucket, top, v, edges)
             if self.best is not None:
                 return
-        # including v: candidates the merge kills leave, and their
-        # neighbours turn dirty
-        merged, dead = _merge(comps, v, row)
+        # including v: candidates the merge kills leave
+        merged, dead = _merge(comps, v, adj[v.bit_length() - 1])
         dead &= r ^ v
-        self._branch(s | v, r ^ v ^ dead, merged, self._neighbours(dead),
-                     deg, bucket, top, dead, edges)
+        self._branch(s | v, r ^ v ^ dead, merged, bucket, top, dead, edges)
         if not self.first:
-            self._branch(s, r ^ v, comps, row, deg, bucket, top, v, edges)
+            self._branch(s, r ^ v, comps, bucket, top, v, edges)
 
     def feasible_with(self, inc: int, out: int, target: int) -> int | None:
         """Some induced forest of at least ``target`` >= 1 vertices that
@@ -711,9 +694,10 @@ class _Search:
         full = (1 << 2 * self.n) - 1
         if _count_refutes(self.n, self.order, 0, full, t):
             return False
-        deg, bucket = _filed(self.adj, full, full)
+        bucket = _filed(self.adj, full, full)
+        edges = sum(d * m.bit_count() for d, m in enumerate(bucket)) >> 1
         return not _edge_cut_refutes(bucket, full, self.n, 2 * self.n, t - 1,
-                                     sum(deg) >> 1)
+                                     edges)
 
 
 def _lex_walk(search: _Search, target: int,

@@ -161,48 +161,42 @@ def test_largest_matches_forest_scan():
 
 
 def test_handed_degrees_match_the_active_graph(monkeypatch):
-    # a node is handed its parent's active degrees, degree buckets, top and
-    # edge count, and the ids the parent's decision removed (a search's
-    # first node: solve's filing and no id); with those ids taken out here,
-    # each active id must hold its popcount in the node's own active set
-    # and every other id 0, each active id must sit in the bucket of that
-    # degree, and top must be at least every candidate's degree. The
-    # buckets hold the parent's active set s | r | gone and nothing else,
-    # bucket 0 its vertices of degree 0, and the edge count must be that
-    # set's, which the parent reached the bound with. No removed id has
-    # degree 0, and some removed sets hold an edge, where the edges that
-    # leave are not the sum of the removed degrees
+    # a node is handed its parent's degree buckets, top and edge count, and
+    # the ids the parent's decision removed (a search's first node: solve's
+    # filing and no id); every id of the parent's active set s | r | gone
+    # must sit in the bucket of its degree in that set, and no other id in
+    # any, and top must be at least every candidate's degree once the
+    # removed ids are out. Bucket 0 must hold the parent's vertices of
+    # degree 0, and the edge count must be that set's, which the parent
+    # reached the bound with. No removed id has degree 0, and some removed
+    # sets hold an edge, where the edges that leave are not the sum of the
+    # removed degrees
     branch = solver._Search._branch
     checked = []
     inner = []
 
-    def checking(self, s, r, comps, dirty, deg, bucket, top, gone, edges):
+    def checking(self, s, r, comps, bucket, top, gone, edges):
         act = s | r
         nv = 2 * self.n
-        assert not gone & act and len(deg) == nv
-        got = [deg[u] - (self.adj[u] & gone).bit_count()
-               if act >> u & 1 else 0 for u in range(nv)]
-        want = [(self.adj[u] & act).bit_count() if act >> u & 1 else 0
-                for u in range(nv)]
-        assert got == want, (s, r, gone)
+        assert not gone & act and len(bucket) == max(self.n + 1, 3)
         filed = {u: d for d, m in enumerate(bucket)
                  for u in range(nv) if m >> u & 1}
         assert sum(bucket) == act | gone and len(filed) == (act | gone
                                                             ).bit_count()
-        assert all(filed[u] - (self.adj[u] & gone).bit_count() == want[u]
-                   for u in range(nv) if act >> u & 1), (s, r, gone)
-        assert top < len(bucket) and all(
-            top >= want[u] for u in range(nv) if r >> u & 1), (s, r, top)
         parent = {u: (self.adj[u] & (act | gone)).bit_count()
                   for u in range(nv) if (act | gone) >> u & 1}
-        assert all(filed[u] == parent[u] > 0
-                   for u in range(nv) if gone >> u & 1), (s, r, gone)
+        assert filed == parent, (s, r, gone)
+        assert top < len(bucket) and all(
+            top >= (self.adj[u] & act).bit_count()
+            for u in range(nv) if r >> u & 1), (s, r, top)
+        assert all(parent[u] > 0 for u in range(nv) if gone >> u & 1), (
+            s, r, gone)
         assert bucket[0] == sum(1 << u for u, d in parent.items() if not d)
         assert edges == sum(parent.values()) // 2, (s, r, gone)
         inner.append(any(self.adj[u] & gone
                          for u in range(nv) if gone >> u & 1))
         checked.append(1)
-        return branch(self, s, r, comps, dirty, deg, bucket, top, gone, edges)
+        return branch(self, s, r, comps, bucket, top, gone, edges)
 
     monkeypatch.setattr(solver._Search, "_branch", checking)
     rng = random.Random(10)
@@ -218,6 +212,41 @@ def test_handed_degrees_match_the_active_graph(monkeypatch):
             search.feasible_with(inc, out, n + 1)
     assert len(checked) > 10_000 and sum(inner) > 250, (len(checked),
                                                          sum(inner))
+
+
+def test_take_out_matches_a_refiling():
+    # random disjoint active and removed sets: after the removed ids are
+    # taken out of the buckets of their union, the buckets must equal a
+    # filing of the active set alone, and the edges that left must be the
+    # union's edges less the active set's. The states cover removed sets
+    # with an edge inside, a removed id whose degree reaches 0 before its
+    # turn (its neighbours all left before it) and n <= 2
+    def edges(adj, act):
+        return sum((adj[u] & act).bit_count()
+                   for u in range(len(adj)) if act >> u & 1) // 2
+
+    rng = random.Random(33)
+    cases = Counter()
+    for gi in range(240):
+        n = 1 + gi % 16
+        nv = 2 * n
+        adj = solver._adjacency(
+            random_bipartite(n, (0.2, 0.4, 0.7, 1.0)[gi % 4], 900 + gi))
+        for _ in range(60):
+            gone = rng.getrandbits(nv)
+            act = rng.getrandbits(nv) & ~gone
+            bucket = solver._filed(adj, act | gone, act | gone)
+            cut = solver._take_out(adj, bucket, gone, act)
+            assert bucket == solver._filed(adj, act, act), (gi, act, gone)
+            assert cut == edges(adj, act | gone) - edges(adj, act), (
+                gi, act, gone)
+            cases["edge inside"] += any(
+                adj[u] & gone for u in range(nv) if gone >> u & 1)
+            cases["degree 0 before its turn"] += any(
+                0 < adj[u] & gone < 1 << u and not adj[u] & act
+                for u in range(nv) if gone >> u & 1)
+            cases["n <= 2"] += n <= 2
+    assert min(cases.values()) > 1_000, cases
 
 
 def test_greedy_forest_is_a_forest_no_larger_than_f():
@@ -469,10 +498,10 @@ def _two_child_nodes(monkeypatch):
     children = [[]]  # per open call, the (s, r) of the calls it made
     nodes = []
 
-    def recording(self, s, r, comps, dirty, deg, bucket, top, gone, edges):
+    def recording(self, s, r, comps, bucket, top, gone, edges):
         children[-1].append((s, r))
         children.append([])
-        branch(self, s, r, comps, dirty, deg, bucket, top, gone, edges)
+        branch(self, s, r, comps, bucket, top, gone, edges)
         made = children.pop()
         if len(made) == 2:
             nodes.append((self, self.first, made))
@@ -578,7 +607,7 @@ def test_edge_cut_refutes_only_sizes_no_forest_reaches():
             act = s | r
             deg = [(row & act).bit_count() if act >> u & 1 else 0
                    for u, row in enumerate(adj)]
-            bucket = solver._filed(adj, act, act)[1]
+            bucket = solver._filed(adj, act, act)
             top = max((deg[u] for u in range(nv) if r >> u & 1), default=0)
             edges = sum(deg) // 2
             zero_degree += bool(bucket[0] & r)
@@ -614,7 +643,7 @@ def test_edge_cut_buckets_match_the_sorting_oracle():
             r = act & rng.getrandbits(nv)
             deg = [(row & act).bit_count() if act >> u & 1 else 0
                    for u, row in enumerate(adj)]
-            bucket = solver._filed(adj, act, act)[1]
+            bucket = solver._filed(adj, act, act)
             cand = [deg[u] for u in range(nv) if r >> u & 1]
             top = rng.randint(max(cand, default=0), len(bucket) - 1)
             # the bound reads p from bucket 0; the oracle gets a recount
@@ -672,6 +701,34 @@ def test_every_candidate_at_the_edge_cut_has_three_active_neighbours(
         n = 6 + gi % 15
         max_forest(random_bipartite(n, (0.15, 0.25, 0.6)[gi % 3], 500 + gi))
     assert len(calls) > 4_000, len(calls)
+
+
+def test_pieces_kill_what_the_forests_components_kill(monkeypatch):
+    # the module docstring's claim: a join with at most one active
+    # neighbour adds no piece, and one that touches no piece appends its
+    # own without a merge, so a node's pieces may be fewer than the
+    # components of its forest s. Yet for every candidate x of every node,
+    # joining x must kill the same candidates over the node's pieces as
+    # over the components of s
+    branch = solver._Search._branch
+    cases = Counter()
+
+    def checking(self, s, r, comps, *rest):
+        true = solver._components(self.adj, s)[0]
+        for x in solver._bits(r):
+            row = self.adj[x.bit_length() - 1]
+            assert (solver._merge(comps, x, row)[1] & (r ^ x)
+                    == solver._merge(true, x, row)[1] & (r ^ x)), (s, r, x)
+            cases["checks"] += 1
+        cases["fewer pieces"] += len(comps) < len(true)
+        return branch(self, s, r, comps, *rest)
+
+    monkeypatch.setattr(solver._Search, "_branch", checking)
+    for gi in range(60):
+        n = 6 + gi % 15
+        max_forest(random_bipartite(n, (0.15, 0.25, 0.6)[gi % 3], 700 + gi))
+    assert cases["checks"] > 100_000 and cases["fewer pieces"] > 1_000, (
+        cases)
 
 
 def _root_count_refutes(g, t):

@@ -159,7 +159,10 @@ def _calls(node, scope=()):
 # the search runs from largest alone, and the local search serves only the
 # optimum, which _walk builds; the kick improves its forests by swaps. The
 # greedy and the search share one degree-bucket state: one step files it
-# and one takes vertices out of it
+# and one takes vertices out of it. The search's propagation skips the
+# merge for joins with at most one active neighbour, which needs active
+# degrees: the merge's callers are pinned so that the skip stays inside
+# the search
 CALLERS = {
     "solve": {"_Search.largest"},
     "_swap_forest": {"_walk", "_kick"},
@@ -168,6 +171,8 @@ CALLERS = {
     "_descend": {"_walk"},
     "_take_out": {"_greedy_forest", "_Search._branch"},
     "_filed": {"_greedy_forest", "_Search.solve", "_Search._reaches"},
+    "_merge": {"_greedy_forest", "_components", "_first_swap",
+               "_Search._branch"},
 }
 
 
