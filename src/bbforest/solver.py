@@ -21,13 +21,23 @@ lexicographically smaller by single exchanges (``_descend``).
 about 4n queries; the number of forests is not bounded.
 
 Vertices live in a single 2n-bit space, V1 ids first, with one adjacency
-row per vertex (``_adjacency``). The search's included forest is a tuple
-of component masks, each the union of its vertices' neighbourhoods
-(``_merge``). Including a vertex merges the components it touches, and a
+row per vertex (``_adjacency``). An included forest is kept as a tuple of
+pieces (``_merge``), each the union of the neighbourhoods of vertices of
+one component. Including a vertex merges the pieces it touches, and a
 vertex seen by two of the merged pieces has two neighbours in one
-component: it is dead, since joining would close a cycle. Components only
+component: it is dead, since joining would close a cycle. Pieces only
 merge, so a dead vertex stays dead, and no acyclicity test or union-find
-is needed.
+is needed. Outside the search every vertex of the forest is in a piece,
+so the pieces are its components. The search leaves some vertices out.
+One that joins with at most one active neighbour adds nothing: the
+active set only shrinks below it, so of its neighbourhood a later merge
+could only ever see that neighbour, which the merge masks out as the
+joining vertex or as a member of the forest (feedback vertex set's rule
+that a vertex of degree at most 1 lies on no cycle). One that joins with
+two active neighbours, neither in the forest, appends its neighbourhood
+as a piece of its own, which is what the merge returns when it touches
+none. So the pieces decide exactly the kills the forest's true
+components decide.
 
 Before any node, ``largest`` merges the forced-in set and asks once
 whether degree counting alone rules out a forest above the floor
@@ -134,10 +144,10 @@ def _adjacency(g: BalancedBipartiteGraph) -> tuple[int, ...]:
 def _merge(comps: tuple[int, ...], b: int,
            row: int) -> tuple[tuple[int, ...], int]:
     """Join vertex ``b`` (one bit), whose neighbourhood is ``row``, to the
-    components it touches. Each component is kept as the union of its
-    vertices' neighbourhoods. Returns the new components and the vertices
-    seen by two of the merged pieces: each has two neighbours in the joined
-    component, so it would close a cycle. When ``b`` touches two or more
+    pieces it touches; a piece is the union of the neighbourhoods of
+    vertices of one component (see the module docstring). Returns the new
+    pieces and the vertices seen by two of the merged pieces: each has two
+    neighbours in the joined component, so it would close a cycle. When ``b`` touches two or more
     pieces it sees them all, so it is among the returned vertices itself,
     and a caller that keeps ``b`` must mask it out."""
     dead = 0
@@ -456,9 +466,9 @@ class _Search:
     """Branch-and-bound over include/exclude vertex decisions.
 
     A node's state is its included mask ``s``, its candidate mask ``r``
-    (active = s | r) and the included forest's component masks (see the
-    module docstring). A candidate killed by a merge is excluded at once.
-    The state is passed down per frame, so backtracking undoes nothing.
+    (active = s | r) and the included forest's pieces (see the module
+    docstring). A candidate killed by a merge is excluded at once. The
+    state is passed down per frame, so backtracking undoes nothing.
 
     The search answers two questions only: the largest forest inside the
     active set that holds ``s``, and whether one of a target size exists
@@ -473,13 +483,19 @@ class _Search:
     same size that holds ``s`` and v. This is the degree-2 reduction for
     feedback vertex set.
 
-    Propagation works from a dirty mask, lowest id first. A candidate's
-    active degree only drops when a neighbour is excluded, so only
-    neighbours of newly excluded vertices turn dirty; the root marks every
-    candidate dirty. The join is not monotone: joining one candidate can
-    kill another that had two active neighbours too. So the fixpoint
-    depends on the firing order, which is fixed, and the search stays
-    deterministic.
+    Propagation reads the degree buckets below: while buckets 0-2 hold a
+    candidate, the lowest one joins, and the candidates its join kills
+    are taken out of the buckets at once. The join is not monotone:
+    joining one candidate can kill another that had two active neighbours
+    too. So the fixpoint depends on the firing order, which is fixed, and
+    the search stays deterministic. It is the order of a scan, lowest id
+    first, over a dirty mask that marks every candidate at the root and
+    the neighbours of each id that leaves: a candidate the scan passes
+    over has at least three active neighbours, and its degree falls only
+    when a neighbour leaves, which marks it again. A join with at most one
+    active neighbour leaves the pieces as they are, and one with two and
+    no neighbour in ``s`` appends its neighbourhood; only the other joins
+    merge (the module docstring shows the kills do not change).
 
     A node is pruned by the edge-cut bound (``_edge_cut_refutes``). A
     forest below the node keeps ``s``, so the bound counts only the
@@ -517,27 +533,27 @@ class _Search:
     forest, and the lex walk fixes f and every witness whichever forest
     they find.
 
-    The search keeps the active degrees in a list indexed by global id, 0
-    for inactive ids, and files the active ids by degree in buckets
-    (``_filed``): ``bucket[d]`` holds the active ids of degree d, so bucket
-    0 gives the bound its count of vertices of positive degree. ``top``
-    bounds the candidates' degrees from above, and ``edges`` is the active
-    graph's edge count. A node is handed its parent's list, buckets,
-    ``top`` and ``edges`` and the mask of ids the parent's decision
-    removed: the branch vertex on the exclude side, the merge's kills on
-    the include side. Propagation adds its own kills; its joins keep the
-    active set. A node that reaches the bound copies the list and the
-    buckets, only when that mask is non-empty, and takes the removed ids
-    out in one step (``_take_out``), which moves their active neighbours
-    down and returns the edges that left with them. The list, the buckets
-    and ``edges`` then hold exactly what a recount over the active set
-    would give. Degrees only fall down the search, so the parent's ``top``
-    still bounds the candidates; the node lowers it to the highest bucket
-    that holds a candidate, where the bound starts its read and the pick
-    its walk. Every prune and branch decision is the one a recount would
-    make. ``solve`` files its forced state's active set and hands the
-    first node nothing removed and ``top`` the last bucket, so that node's
-    propagation kills take the same step.
+    The search files the active ids by degree in buckets (``_filed``):
+    ``bucket[d]`` holds the active ids of degree d, so bucket 0 gives the
+    bound its count of vertices of positive degree, and buckets 0-2 the
+    candidates that join. ``top`` bounds the candidates' degrees from
+    above, and ``edges`` is the active graph's edge count. A node is
+    handed its parent's buckets, ``top`` and ``edges`` and the mask of ids
+    the parent's decision removed: the branch vertex on the exclude side,
+    the merge's kills on the include side. A node whose active set is no
+    larger than the incumbent closes first; it is still counted, and
+    propagation only removes ids, so it would close after propagation
+    too. Any other node copies the buckets and takes the removed ids out
+    (``_take_out``), which moves their active neighbours down and returns
+    the edges that left with them, before propagation reads a degree;
+    propagation's kills take the same step, and its joins keep the active
+    set. The buckets and ``edges`` then hold exactly what a recount over
+    the active set would give. Degrees only fall down the search, so the
+    parent's ``top`` still bounds the candidates; the node lowers it to
+    the highest bucket that holds a candidate, where the bound starts its
+    read and the pick its walk. Every prune and branch decision is the one
+    a recount would make. ``solve`` files its forced state's active set
+    and hands the first node nothing removed and ``top`` = n.
     """
 
     __slots__ = ("n", "adj", "nodes", "best_size", "best", "first", "order")
