@@ -147,9 +147,10 @@ def _merge(comps: tuple[int, ...], b: int,
     pieces it touches; a piece is the union of the neighbourhoods of
     vertices of one component (see the module docstring). Returns the new
     pieces and the vertices seen by two of the merged pieces: each has two
-    neighbours in the joined component, so it would close a cycle. When ``b`` touches two or more
-    pieces it sees them all, so it is among the returned vertices itself,
-    and a caller that keeps ``b`` must mask it out."""
+    neighbours in the joined component, so it would close a cycle. When
+    ``b`` touches two or more pieces it sees them all, so it is among the
+    returned vertices itself, and a caller that keeps ``b`` must mask it
+    out."""
     dead = 0
     rest = []
     for c in comps:
