@@ -22,22 +22,23 @@ about 4n queries; the number of forests is not bounded.
 
 Vertices live in a single 2n-bit space, V1 ids first, with one adjacency
 row per vertex (``_adjacency``). An included forest is kept as a tuple of
-pieces (``_merge``), each the union of the neighbourhoods of vertices of
-one component. Including a vertex merges the pieces it touches, and a
-vertex seen by two of the merged pieces has two neighbours in one
-component: it is dead, since joining would close a cycle. Pieces only
-merge, so a dead vertex stays dead, and no acyclicity test or union-find
-is needed. Outside the search every vertex of the forest is in a piece,
-so the pieces are its components. The search leaves some vertices out.
-One that joins with at most one active neighbour adds nothing: the
-active set only shrinks below it, so of its neighbourhood a later merge
+pieces, each the union of the neighbourhoods of vertices of one
+component, and every vertex joins it by one step, ``_join``. Including a
+vertex merges the pieces it touches, and a vertex seen by two of the
+merged pieces has two neighbours in one component: it is dead, since
+joining would close a cycle. Pieces only merge, so a dead vertex stays
+dead, and no acyclicity test or union-find is needed. A vertex that
+joins with no neighbour in the forest appends its neighbourhood as a
+piece of its own, which is what a merge returns when it touches none.
+One that joins with at most one active neighbour adds nothing, where the
+active set only shrinks from then on: of its neighbourhood a later merge
 could only ever see that neighbour, which the merge masks out as the
 joining vertex or as a member of the forest (feedback vertex set's rule
-that a vertex of degree at most 1 lies on no cycle). One that joins with
-two active neighbours, neither in the forest, appends its neighbourhood
-as a piece of its own, which is what the merge returns when it touches
-none. So the pieces decide exactly the kills the forest's true
-components decide.
+that a vertex of degree at most 1 lies on no cycle). So the pieces may
+leave out the leaf joins of every caller that passes an active degree,
+the greedy and the search, and still decide exactly the kills the
+forest's true components decide. ``_components`` and ``_first_swap``
+pass degree 2, so their pieces are the forest's components.
 
 Before any node, ``largest`` merges the forced-in set and asks once
 whether degree counting alone rules out a forest above the floor
@@ -141,16 +142,27 @@ def _adjacency(g: BalancedBipartiteGraph) -> tuple[int, ...]:
     return tuple(row << g.n for row in g.adj1) + g.adj2
 
 
-def _merge(comps: tuple[int, ...], b: int,
-           row: int) -> tuple[tuple[int, ...], int]:
-    """Join vertex ``b`` (one bit), whose neighbourhood is ``row``, to the
-    pieces it touches; a piece is the union of the neighbourhoods of
-    vertices of one component (see the module docstring). Returns the new
-    pieces and the vertices seen by two of the merged pieces: each has two
-    neighbours in the joined component, so it would close a cycle. When
-    ``b`` touches two or more pieces it sees them all, so it is among the
-    returned vertices itself, and a caller that keeps ``b`` must mask it
-    out."""
+def _join(adj: tuple[int, ...], comps: tuple[int, ...], b: int, s: int,
+          d: int) -> tuple[tuple[int, ...], int]:
+    """Join vertex ``b`` (one bit), with ``d`` active neighbours, to the
+    forest ``s`` whose pieces are ``comps``; a piece is the union of the
+    neighbourhoods of vertices of one component (see the module
+    docstring). Returns the new pieces and the vertices seen by two of the
+    merged pieces: each has two neighbours in the joined component, so it
+    would close a cycle. When ``b`` touches two or more pieces it sees
+    them all, so it is among the returned vertices itself, and a caller
+    that keeps ``b`` must mask it out.
+
+    With d < 2 the pieces stay as they are (a leaf join), which needs an
+    active set that only shrinks from here on; a caller that must keep
+    the exact components passes 2. With no neighbour in ``s``, ``b``'s
+    neighbourhood is a piece of its own (a no-touch join). Only otherwise
+    are the pieces scanned and the ones ``b`` touches merged."""
+    if d < 2:
+        return comps, 0
+    row = adj[b.bit_length() - 1]
+    if not row & s:
+        return comps + (row,), 0
     dead = 0
     rest = []
     for c in comps:
@@ -250,7 +262,7 @@ def _take_out(adj: tuple[int, ...], bucket: list[int], gone: int,
 def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
                    live: int, stop: int) -> int:
     """Grow the forest ``s``, with component masks ``comps`` (see
-    ``_merge``), from the live vertices ``live``; returns its mask over the
+    ``_join``), from the live vertices ``live``; returns its mask over the
     global ids.
 
     Repeatedly joins the live vertex with the fewest active (``s | live``)
@@ -259,8 +271,9 @@ def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
     ``stop`` of 2n (``_grown``) grows a forest maximal within ``s | live``.
 
     The live vertices are filed by active degree once (``_filed``), so the
-    pick is the lowest bit of the lowest non-empty bucket. A join keeps the
-    active set but for the vertices it kills, and those leave by
+    pick is the lowest bit of the lowest non-empty bucket, and its bucket
+    is its active degree, which it joins with (``_join``). A join keeps
+    the active set but for the vertices it kills, and those leave by
     ``_take_out``, which moves their live neighbours down.
     """
     size = s.bit_count()
@@ -271,7 +284,7 @@ def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
             low += 1
         v = bucket[low] & -bucket[low]
         bucket[low] ^= v
-        comps, dead = _merge(comps, v, adj[v.bit_length() - 1])
+        comps, dead = _join(adj, comps, v, s, low)
         s |= v
         size += 1
         # v leaves live before the kills are masked: a join that merges two
@@ -287,19 +300,21 @@ def _greedy_forest(adj: tuple[int, ...], s: int, comps: tuple[int, ...],
 
 def _components(adj: tuple[int, ...],
                 s: int) -> tuple[tuple[int, ...], int] | None:
-    """``_merge`` every vertex of ``s`` in turn; returns the component
-    masks and every vertex with two neighbours in one component (the
-    set's own vertices among them), or None when ``s`` is cyclic: a
+    """``_join`` every vertex of ``s`` in turn to the vertices joined
+    before it, with degree 2, so the pieces are exact; returns the
+    component masks and every vertex with two neighbours in one component
+    (the set's own vertices among them), or None when ``s`` is cyclic: a
     vertex seen by two pieces before it joins closes a cycle."""
     comps: tuple[int, ...] = ()
-    dead = 0
+    dead = done = 0
     while s:
         b = s & -s
         s ^= b
         if b & dead:
             return None
-        comps, d = _merge(comps, b, adj[b.bit_length() - 1])
+        comps, d = _join(adj, comps, b, done, 2)
         dead |= d
+        done |= b
     return comps, dead
 
 
@@ -430,8 +445,9 @@ def _first_swap(adj: tuple[int, ...], s: int) -> int:
     """The first (1, 2)-swap of the forest ``s``, scanning x, then
     y, then z in ascending id, as the mask x | y | z, or 0 when there is
     none. Each of y and z must be freed by x (``_freeing``), so only an x
-    that frees two is a candidate; for it, the pieces of s - x take y by
-    ``_merge``, and z may follow when that merge leaves it alive."""
+    that frees two is a candidate; for it, the exact pieces of s - x take
+    y by ``_join`` with degree 2, and z may follow when that join leaves
+    it alive."""
     frees = list(_freeing(adj, s))
     once = twice = 0
     for _, f in frees:
@@ -441,7 +457,7 @@ def _first_swap(adj: tuple[int, ...], s: int) -> int:
         ys = [y for y, f in frees if f & x]
         comps = _components(adj, s ^ x)[0]
         for i, y in enumerate(ys):
-            dead = _merge(comps, y, adj[y.bit_length() - 1])[1]
+            dead = _join(adj, comps, y, s ^ x, 2)[1]
             for z in ys[i + 1:]:
                 if not z & dead:
                     return x | y | z
@@ -489,14 +505,15 @@ class _Search:
     are taken out of the buckets at once. The join is not monotone:
     joining one candidate can kill another that had two active neighbours
     too. So the fixpoint depends on the firing order, which is fixed, and
-    the search stays deterministic. It is the order of a scan, lowest id
-    first, over a dirty mask that marks every candidate at the root and
-    the neighbours of each id that leaves: a candidate the scan passes
-    over has at least three active neighbours, and its degree falls only
-    when a neighbour leaves, which marks it again. A join with at most one
-    active neighbour leaves the pieces as they are, and one with two and
-    no neighbour in ``s`` appends its neighbourhood; only the other joins
-    merge (the module docstring shows the kills do not change).
+    the search stays deterministic: the lowest candidate in buckets 0-2
+    joins. A candidate passed over has at least three active neighbours,
+    and its degree falls only when a neighbour leaves, which files it
+    lower. Each join is ``_join`` with the candidate's degree, 1 or 2 as
+    its bucket reads: one with at most one active neighbour leaves the
+    pieces as they are, and one with two and no neighbour in ``s``
+    appends its neighbourhood; only the other joins merge (the module
+    docstring shows the kills do not change). The include child joins the
+    branch vertex by the same step, with its degree ``top``.
 
     A node is pruned by the edge-cut bound (``_edge_cut_refutes``). A
     forest below the node keeps ``s``, so the bound counts only the
@@ -541,7 +558,7 @@ class _Search:
     above, and ``edges`` is the active graph's edge count. A node is
     handed its parent's buckets, ``top`` and ``edges`` and the mask of ids
     the parent's decision removed: the branch vertex on the exclude side,
-    the merge's kills on the include side. A node whose active set is no
+    the join's kills on the include side. A node whose active set is no
     larger than the incumbent closes first; it is still counted, and
     propagation only removes ids, so it would close after propagation
     too. Any other node copies the buckets and takes the removed ids out
@@ -610,23 +627,17 @@ class _Search:
 
         # Propagate forced moves: the lowest candidate with at most two
         # active neighbours joins (the class docstring shows nothing is
-        # lost), and the candidates its joining kills leave at once. A join
-        # with at most one active neighbour leaves the pieces as they are,
-        # and one that touches no piece adds its own
+        # lost), and the candidates its joining kills leave at once; its
+        # bucket gives _join its degree, 1 standing for 0 or 1
         while low := (bucket[0] | bucket[1] | bucket[2]) & r:
             b = low & -low
             s |= b
             r ^= b
-            if b & bucket[2]:
-                row = adj[b.bit_length() - 1]
-                if row & s:
-                    comps, dead = _merge(comps, b, row)
-                    dead &= r
-                    if dead:
-                        r ^= dead
-                        edges -= _take_out(adj, bucket, dead, s | r)
-                else:
-                    comps += (row,)
+            comps, dead = _join(adj, comps, b, s, 2 if b & bucket[2] else 1)
+            dead &= r
+            if dead:
+                r ^= dead
+                edges -= _take_out(adj, bucket, dead, s | r)
 
         act = s | r
         total = act.bit_count()
@@ -662,8 +673,8 @@ class _Search:
             self._branch(s, r ^ v, comps, bucket, top, v, edges)
             if self.best is not None:
                 return
-        # including v: candidates the merge kills leave
-        merged, dead = _merge(comps, v, adj[v.bit_length() - 1])
+        # including v: candidates the join kills leave
+        merged, dead = _join(adj, comps, v, s, top)
         dead &= r ^ v
         self._branch(s | v, r ^ v ^ dead, merged, bucket, top, dead, edges)
         if not self.first:
@@ -864,8 +875,6 @@ def _count_refutes(n: int,
     free2 = pool >> n
     lo = max(a0, t - b0 - free2.bit_count())
     hi = min(a0 + free1.bit_count(), t - b0)
-    if lo > hi:
-        return True
     # P1 and P2: the forced vertices' degree sum, then the pool's degrees in
     # ascending order, each selected by its vertex's bit; a part the pool
     # fills (the root's case) holds no forced vertex and reads the stored

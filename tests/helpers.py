@@ -11,7 +11,7 @@ import random
 from itertools import combinations
 
 from bbforest import BalancedBipartiteGraph, VertexSubset, from_rows
-from bbforest.solver import _merge
+from bbforest.solver import _join
 
 
 def forest_oracle(g: BalancedBipartiteGraph, s: VertexSubset) -> bool:
@@ -85,8 +85,9 @@ def greedy_forest_oracle(adj: tuple[int, ...], s: int,
     """The greedy forest of ``solver._greedy_forest`` by a plain scan: each
     step recounts every live vertex's active (``s | live``) degree and
     joins the one with the fewest, lowest id on ties; the vertices the
-    join kills (``solver._merge``) leave. Stops at ``stop`` vertices or
-    when no live vertex is left."""
+    join kills (``solver._join`` with degree 2, so every join merges as
+    over the exact components) leave. Stops at ``stop`` vertices or when
+    no live vertex is left."""
     size = s.bit_count()
     while live and size < stop:
         act = s | live
@@ -99,7 +100,7 @@ def greedy_forest_oracle(adj: tuple[int, ...], s: int,
             if d < fewest:
                 fewest = d
                 v = b
-        comps, dead = _merge(comps, v, adj[v.bit_length() - 1])
+        comps, dead = _join(adj, comps, v, s, 2)
         s |= v
         live &= ~(v | dead)
         size += 1

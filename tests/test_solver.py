@@ -1,6 +1,8 @@
 import random
 from collections import Counter
+from functools import reduce
 from itertools import islice
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -266,19 +268,26 @@ def test_greedy_forest_matches_the_scan_oracle(monkeypatch):
     # the bucketed greedy must join what a scan over every live vertex
     # joins, so both return the same mask; the states cover a stop at or
     # below |s|, a stop out of reach, an empty live set and joins that
-    # merge two pieces, which return the joining vertex among their kills
-    merge = solver._merge
+    # merge two pieces, which return the joining vertex among their kills.
+    # The oracle joins over the exact components, so the greedy's leaf
+    # joins (at most one active neighbour, the pieces kept) and no-touch
+    # joins (no neighbour in s, a piece appended) must kill what a merge
+    # would
+    join = solver._join
     two_pieces = []
+    joins = []  # (degree, whether b has a neighbour in s) per join
 
-    def spied(comps, b, row):
-        merged = merge(comps, b, row)
+    def spied(adj, comps, b, s, d):
+        merged = join(adj, comps, b, s, d)
         if merged[1] & b:
             two_pieces.append(b)
+        joins.append((d, adj[b.bit_length() - 1] & s != 0))
         return merged
 
-    monkeypatch.setattr(solver, "_merge", spied)
+    monkeypatch.setattr(solver, "_join", spied)
     rng = random.Random(30)
     cases = Counter()
+    greedy_joins = Counter()
     for gi in range(120):
         n = 2 + gi % 15
         nv = 2 * n
@@ -294,7 +303,12 @@ def test_greedy_forest_matches_the_scan_oracle(monkeypatch):
             live &= rng.choice((live, 0, rng.getrandbits(nv)))
             size = s.bit_count()
             stop = rng.choice((0, size, size + rng.randint(1, nv), 2 * nv))
+            # only the greedy's own joins are told apart
+            joins.clear()
             got = solver._greedy_forest(adj, s, comps, live, stop)
+            greedy_joins["leaf"] += sum(d < 2 for d, _ in joins)
+            greedy_joins["no touch"] += sum(d >= 2 and not touches
+                                            for d, touches in joins)
             assert got == greedy_forest_oracle(adj, s, comps, live, stop), (
                 gi, s, live, stop)
             cases["stop <= |s|"] += live != 0 and stop <= size
@@ -302,6 +316,8 @@ def test_greedy_forest_matches_the_scan_oracle(monkeypatch):
             cases["empty live"] += not live
     assert min(cases.values()) > 500 and len(two_pieces) > 10_000, (
         cases, len(two_pieces))
+    assert greedy_joins["leaf"] > 1_000, greedy_joins
+    assert greedy_joins["no touch"] > 300, greedy_joins
 
 
 def test_greedy_forest_skipped_when_the_root_count_closes(monkeypatch):
@@ -703,6 +719,57 @@ def test_every_candidate_at_the_edge_cut_has_three_active_neighbours(
     assert len(calls) > 4_000, len(calls)
 
 
+def test_components_are_the_forests_components():
+    # _components is the ground truth of the pieces test below, so it is
+    # checked against a DFS over neighbour lists built from the part rows:
+    # None exactly when the set is cyclic, else one piece per component
+    # (the union of its vertices' neighbourhoods) and, as dead, every
+    # vertex with two neighbours in one component
+    rng = random.Random(34)
+    cases = Counter()
+    for gi in range(200):
+        n = 1 + gi % 16
+        nv = 2 * n
+        g = random_bipartite(n, (0.1, 0.2, 0.35, 0.6)[gi % 4], 340 + gi)
+        nbrs = [[n + j for j in range(n) if g.adj1[i] >> j & 1]
+                for i in range(n)]
+        nbrs += [[i for i in range(n) if g.adj1[i] >> j & 1]
+                 for j in range(n)]
+        adj = solver._adjacency(g)
+        for _ in range(30):
+            # half or a quarter of the vertices, on average
+            s = rng.getrandbits(nv) & rng.choice((-1, rng.getrandbits(nv)))
+            got = solver._components(adj, s)
+            if not forest_oracle(g, VertexSubset(s & (1 << n) - 1, s >> n)):
+                assert got is None, (gi, s)
+                cases["cyclic"] += 1
+                continue
+            comps, dead = got
+            seen = 0
+            members = []  # per component, its vertices as a mask
+            for v in range(nv):
+                if not s >> v & 1 or seen >> v & 1:
+                    continue
+                seen |= 1 << v
+                stack, comp = [v], 1 << v
+                while stack:
+                    for w in nbrs[stack.pop()]:
+                        if s >> w & 1 and not seen >> w & 1:
+                            seen |= 1 << w
+                            comp |= 1 << w
+                            stack.append(w)
+                members.append(comp)
+            pieces = [reduce(or_, (1 << w for v in range(nv) if comp >> v & 1
+                                   for w in nbrs[v]), 0) for comp in members]
+            assert sorted(comps) == sorted(pieces), (gi, s)
+            two = sum(1 << x for x in range(nv) if any(
+                sum(comp >> w & 1 for w in nbrs[x]) > 1 for comp in members))
+            assert dead == two, (gi, s)
+            cases["two or more pieces"] += len(members) > 1
+    assert cases["cyclic"] > 200, cases
+    assert cases["two or more pieces"] > 1_000, cases
+
+
 def test_pieces_kill_what_the_forests_components_kill(monkeypatch):
     # the module docstring's claim: a join with at most one active
     # neighbour adds no piece, and one that touches no piece appends its
@@ -716,9 +783,10 @@ def test_pieces_kill_what_the_forests_components_kill(monkeypatch):
     def checking(self, s, r, comps, *rest):
         true = solver._components(self.adj, s)[0]
         for x in solver._bits(r):
-            row = self.adj[x.bit_length() - 1]
-            assert (solver._merge(comps, x, row)[1] & (r ^ x)
-                    == solver._merge(true, x, row)[1] & (r ^ x)), (s, r, x)
+            # degree 3: a join that may not leave the pieces as they are
+            assert (solver._join(self.adj, comps, x, s, 3)[1] & (r ^ x)
+                    == solver._join(self.adj, true, x, s, 3)[1] & (r ^ x)), (
+                        s, r, x)
             cases["checks"] += 1
         cases["fewer pieces"] += len(comps) < len(true)
         return branch(self, s, r, comps, *rest)

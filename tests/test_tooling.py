@@ -159,10 +159,10 @@ def _calls(node, scope=()):
 # the search runs from largest alone, and the local search serves only the
 # optimum, which _walk builds; the kick improves its forests by swaps. The
 # greedy and the search share one degree-bucket state: one step files it
-# and one takes vertices out of it. The search's propagation skips the
-# merge for joins with at most one active neighbour, which needs active
-# degrees: the merge's callers are pinned so that the skip stays inside
-# the search
+# and one takes vertices out of it. Every forest grows by one join step,
+# which keeps the pieces as they are for a join with at most one active
+# neighbour; its callers are pinned, and the test below holds the two that
+# keep exact components to degree 2
 CALLERS = {
     "solve": {"_Search.largest"},
     "_swap_forest": {"_walk", "_kick"},
@@ -171,8 +171,8 @@ CALLERS = {
     "_descend": {"_walk"},
     "_take_out": {"_greedy_forest", "_Search._branch"},
     "_filed": {"_greedy_forest", "_Search.solve", "_Search._reaches"},
-    "_merge": {"_greedy_forest", "_components", "_first_swap",
-               "_Search._branch"},
+    "_join": {"_greedy_forest", "_components", "_first_swap",
+              "_Search._branch"},
 }
 
 
@@ -183,6 +183,22 @@ def test_search_and_local_search_have_their_callers_only():
              or call[2] not in CALLERS[call[0]]]
     assert stray == [], f"calls outside their callers {stray}"
     assert {call[0] for call in calls} == set(CALLERS)
+
+
+def test_exact_components_join_at_degree_two():
+    # a join below degree 2 leaves the pieces as they are, which is sound
+    # only where the active set only shrinks from the join on; _components
+    # and _first_swap hand out exact components, so each passes the literal
+    # 2 as the degree, and no other argument after it
+    degrees = {}
+    for func in ast.walk(_tree(SRC / "solver.py")):
+        if (isinstance(func, ast.FunctionDef)
+                and func.name in ("_components", "_first_swap")):
+            degrees[func.name] = [
+                [ast.unparse(arg) for arg in node.args[4:]] + node.keywords
+                for node in ast.walk(func) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "_join"]
+    assert degrees == {"_components": [["2"]], "_first_swap": [["2"]]}
 
 
 def _readme_block(heading, lang):
